@@ -2,9 +2,14 @@
 
 Coefficient lists are stored lowest degree first.  Rational functions are
 kept reduced (gcd cancelled, monic denominator) so that equality is plain
-structural equality.  Also provides exact linear solving over Fraction and
-over the rational-function field, the resolvent (zI - M)^{-1}, Chebyshev
-polynomials, and a float root finder for polynomials on an interval.
+structural equality.  Also provides exact linear solving over Fraction,
+resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials, and
+a float root finder for polynomials on an interval.
+
+The resolvent is never eliminated over the rational-function field: det and
+det * (zI - M)^{-1} c are polynomials in z, so they are interpolated from one
+exact Gaussian elimination over Fraction at each of k + 1 integer nodes, and
+each entry is reduced once when its RationalFunction is built.
 """
 
 from __future__ import annotations
@@ -230,6 +235,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = _as_rf(other)
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -289,104 +296,106 @@ def _as_rf(x) -> RationalFunction:
     return RationalFunction.const(_as_fraction(x))
 
 
-RF_ZERO = RationalFunction(Polynomial())
-RF_ONE = RationalFunction(Polynomial([1]))
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
+
+
+def _eliminate(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
+) -> tuple[Fraction, list[list[Fraction]]]:
+    """det(A) and the solution of A x = c for each column c, by one Gaussian
+    elimination over Fraction; no solutions when det(A) = 0."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(c[i]) for c in columns]
+         for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0), []
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        pivot_row = a[col]
+        det *= pivot_row[col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] / pivot_row[col]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], pivot_row)]
+    solutions = []
+    for j in range(n, n + len(columns)):
+        x = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            acc = row[j] - sum(row[t] * x[t] for t in range(i + 1, n) if row[t])
+            x[i] = acc / row[i]
+        solutions.append(x)
+    return det, solutions
 
 
 def solve_fraction_system(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction]:
     """Solve A x = b exactly over Fraction by Gaussian elimination."""
-    n = len(matrix)
-    a = [[Fraction(r) for r in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    det, solutions = _eliminate(matrix, [rhs])
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return solutions[0]
 
 
-def _rf_matrix_of_resolvent(matrix) -> list[list[RationalFunction]]:
-    n = len(matrix)
-    z = Polynomial.z()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = -Polynomial.const(matrix[i][j])
-            if i == j:
-                p = p + z
-            row.append(RationalFunction(p))
-        rows.append(row)
-    return rows
+def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial:
+    """The polynomial of degree < len(nodes) through (nodes, values), by
+    Newton divided differences expanded into the monomial basis."""
+    c = list(values)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = [c[-1]]
+    for i in range(len(nodes) - 2, -1, -1):  # coeffs := coeffs * (z - x_i) + c_i
+        coeffs = [c[i] - nodes[i] * coeffs[0]] + [
+            lo - nodes[i] * hi for lo, hi in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
+    return Polynomial(coeffs)
 
 
-def resolvent_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[RationalFunction]]:
-    """Full inverse (zI - M)^{-1} by Gauss-Jordan over the rational-function field."""
-    n = len(matrix)
-    a = _rf_matrix_of_resolvent(matrix)
-    aug = [row + [RF_ONE if i == j else RF_ZERO for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RF_ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _det_and_adjugate_columns(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
+) -> tuple[Polynomial, list[list[Polynomial]]]:
+    """det(zI - M) and the columns det(zI - M) (zI - M)^{-1} c, exactly.
+
+    Both are polynomials in z, of degree k = dim M and at most k - 1, so they
+    are interpolated from exact solves at k + 1 integer nodes z = 2, 3, ...
+    A node where zI - M is singular (an integer eigenvalue of M) is skipped.
+    """
+    k = len(matrix)
+    nodes: list[int] = []
+    samples: list[list[Fraction]] = []  # per node: det, then det * x column by column
+    z = 1
+    while len(nodes) < k + 1:
+        z += 1
+        shifted = [[(z if i == j else 0) - v for j, v in enumerate(row)]
+                   for i, row in enumerate(matrix)]
+        det, solutions = _eliminate(shifted, columns)
+        if det != 0:
+            nodes.append(z)
+            samples.append([det] + [det * v for x in solutions for v in x])
+    det, *entries = [_interpolate(nodes, series) for series in zip(*samples)]
+    return det, [entries[j * k : (j + 1) * k] for j in range(len(columns))]
 
 
-def resolvent_entry(matrix: Sequence[Sequence[Fraction]], i: int, j: int) -> RationalFunction:
-    """Entry (i, j) of (zI - M)^{-1}: solve (zI - M) col = e_j, read row i."""
-    n = len(matrix)
-    a = _rf_matrix_of_resolvent(matrix)
-    aug = [row + [RF_ONE if r == j else RF_ZERO] for r, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RF_ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return aug[i][n]
+def resolvent_matrix(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
+) -> list[list[RationalFunction]]:
+    """The columns (zI - M)^{-1} c for each given column c, as reduced
+    rational functions over det(zI - M)."""
+    det, adjugate_columns = _det_and_adjugate_columns(matrix, columns)
+    return [[RationalFunction(p, det) for p in col] for col in adjugate_columns]
 
 
 def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
-    """det(zI - M), via triangularization over the rational-function field."""
-    n = len(matrix)
-    a = _rf_matrix_of_resolvent(matrix)
-    det = RF_ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return Polynomial()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = RF_ONE / a[col][col]
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    assert det.den.degree == 0
-    return det.num.scale(1 / det.den.leading()).monic()
+    """det(zI - M), interpolated from exact determinants at integer nodes."""
+    return _det_and_adjugate_columns(matrix, [])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,22 +44,25 @@ def _q_matrix(V: WeightedGraph) -> list[list[Fraction]]:
     ]
 
 
+def _kernel_columns(s: Substituent, q: list[list[Fraction]]) -> list[list[RationalFunction]]:
+    """(zI - Q_{V°})^{-1} q(., a) and (zI - Q_{V°})^{-1} q(., b) on the interior."""
+    M = [[q[u][v] for v in s.interior] for u in s.interior]
+    return resolvent_matrix(M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)])
+
+
 def compute_transfer(s: Substituent) -> TransferFunctions:
     V = s.graph
     q = _q_matrix(V)
     interior = s.interior
-    M = [[q[u][v] for v in interior] for u in interior]
-    G = resolvent_matrix(M)
+    to_a, to_b = _kernel_columns(s, q)
 
     psi = RationalFunction.const(q[s.a][s.b])
     theta = RationalFunction.const(0)
     for iu, u in enumerate(interior):
         qa = q[s.a][u]
-        if qa == 0:
-            continue
-        for iv, v in enumerate(interior):
-            psi = psi + qa * G[iu][iv] * q[v][s.b]
-            theta = theta + qa * G[iu][iv] * q[v][s.a]
+        if qa != 0:
+            psi = psi + qa * to_b[iu]
+            theta = theta + qa * to_a[iu]
 
     z_minus_theta = RationalFunction.z() - theta
     phi = z_minus_theta / psi
@@ -86,24 +89,11 @@ class BoundaryKernels:
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
-    V = s.graph
-    q = _q_matrix(V)
-    interior = s.interior
-    M = [[q[u][v] for v in interior] for u in interior]
-    G = resolvent_matrix(M)
-
+    col_a, col_b = _kernel_columns(s, _q_matrix(s.graph))
     one = RationalFunction.const(1)
     zero = RationalFunction.const(0)
-    to_a = {s.a: one, s.b: zero}
-    to_b = {s.b: one, s.a: zero}
-    for iu, u in enumerate(interior):
-        fa = zero
-        fb = zero
-        for iv, v in enumerate(interior):
-            fa = fa + G[iu][iv] * q[v][s.a]
-            fb = fb + G[iu][iv] * q[v][s.b]
-        to_a[u] = fa
-        to_b[u] = fb
+    to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}
+    to_b = {s.b: one, s.a: zero, **dict(zip(s.interior, col_b))}
     return BoundaryKernels(s, to_a, to_b)
 
 

@@ -13,7 +13,6 @@ from edgesub.algebra import (
     chebyshev,
     poly_gcd,
     real_roots_in_interval,
-    resolvent_entry,
     resolvent_matrix,
     solve_fraction_system,
 )
@@ -89,15 +88,24 @@ class TestRationalFunction:
             )
 
 
+def _identity(n):
+    return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+
+
 class TestResolvent:
     def test_scalar(self):
-        r = resolvent_entry([[Fraction(0)]], 0, 0)
+        [[r]] = resolvent_matrix([[Fraction(0)]], _identity(1))
         assert r.num == Polynomial([1]) and r.den == Polynomial([0, 1])
 
     def test_single_edge_walk(self):
         m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        r = resolvent_entry(m, 0, 0)
+        r = resolvent_matrix(m, _identity(2))[0][0]
         assert r == RationalFunction(Polynomial([0, 1]), Polynomial([-1, 0, 1]))
+
+    def test_eigenvalue_at_integer_node_is_skipped(self):
+        [[r]] = resolvent_matrix([[Fraction(2)]], _identity(1))
+        assert r == RationalFunction(Polynomial([1]), Polynomial([-2, 1]))
+        assert charpoly([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]) == Polynomial([6, -5, 1])
 
     def test_multiply_back_random(self):
         rng = random.Random(11)
@@ -107,14 +115,14 @@ class TestResolvent:
                 [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(n)
             ]
-            G = resolvent_matrix(m)
+            G = resolvent_matrix(m, _identity(n))  # G[j][k] is entry (k, j)
             z = Polynomial.z()
             for i in range(n):
                 for j in range(n):
                     acc = RationalFunction(Polynomial())
                     for k in range(n):
                         zim = RationalFunction(z if i == k else Polynomial()) - m[i][k]
-                        acc = acc + zim * G[k][j]
+                        acc = acc + zim * G[j][k]
                     expect = RationalFunction(Polynomial([1 if i == j else 0]))
                     assert acc == expect
 
@@ -127,7 +135,7 @@ class TestResolvent:
                 for j in range(i, n):
                     val = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                     sym[i][j] = sym[j][i] = val
-            G = resolvent_matrix(sym)
+            G = resolvent_matrix(sym, _identity(n))
             trace = RationalFunction(Polynomial())
             for i in range(n):
                 trace = trace + G[i][i]

@@ -37,19 +37,19 @@ class TestGoldenTransferFunctions:
         assert abs(tf.lambda0_interior - 1 / 3) < 1e-12
         assert abs(tf.lambda0_V_minus_b - (1 + 13 ** 0.5) / 6) < 1e-12
 
-    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 10, 16, 24])
     def test_path_is_chebyshev(self, L):
         tf = compute_transfer(path_substituent(L))
         assert tf.phi == RF(chebyshev("first", L))
         assert tf.psi == RF(Polynomial([1]), chebyshev("second", L - 1))
 
-    @pytest.mark.parametrize("L", [2, 3, 4])
+    @pytest.mark.parametrize("L", [2, 3, 4, 6, 7])
     def test_antipodal_circle_matches_path(self, L):
         tf = compute_transfer(circle_substituent(L, "antipodal"))
         assert tf.phi == RF(chebyshev("first", L))
         assert tf.psi == RF(Polynomial([1]), chebyshev("second", L - 1))
 
-    @pytest.mark.parametrize("L", [2, 3, 4])
+    @pytest.mark.parametrize("L", [2, 3, 4, 6, 7])
     def test_adjacent_circle(self, L):
         tf = compute_transfer(circle_substituent(L, "adjacent"))
         M = 2 * L
@@ -60,7 +60,7 @@ class TestGoldenTransferFunctions:
 class TestTransferInvariants:
     def _random_subs(self, count, seed):
         rng = random.Random(seed)
-        return [random_substituent(rng, max_v=6) for _ in range(count)]
+        return [random_substituent(rng, max_v=10) for _ in range(count)]
 
     def test_phi_psi_plus_theta_is_z(self):
         for s in self._random_subs(8, 21):
