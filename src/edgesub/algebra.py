@@ -3,13 +3,20 @@
 Coefficient lists are stored lowest degree first.  Rational functions are
 kept reduced (gcd cancelled, monic denominator) so that equality is plain
 structural equality.  Also provides exact linear solving over Fraction,
-resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials, and
-a float root finder for polynomials on an interval.
+resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials and
+the change to the Chebyshev basis, and exact isolation of the real roots of a
+polynomial in an interval.
 
 The resolvent is never eliminated over the rational-function field: det and
 det * (zI - M)^{-1} c are polynomials in z, so they are interpolated from one
 exact Gaussian elimination over Fraction at each of k + 1 integer nodes, and
 each entry is reduced once when its RationalFunction is built.
+
+Real roots are isolated exactly: a Sturm sequence over Fraction counts the
+distinct roots of the square-free part in an interval, and bisection at
+dyadic midpoints, with signs evaluated in integer arithmetic, refines each
+root until it is known far below float resolution.  No float grid and no
+tolerance decides whether a root exists.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GridTooCoarse, TooCloseToInteriorSpectrum
+from .errors import TooCloseToInteriorSpectrum
 
 POLE_GUARD = 1e-12
 
@@ -153,9 +160,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
         return acc
-
-    def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -419,122 +423,112 @@ def chebyshev(kind: str, degree: int) -> Polynomial:
     return cur
 
 
-# ---------------------------------------------------------------------------
-# Float root isolation on an interval
-# ---------------------------------------------------------------------------
+def chebyshev_coeffs(p: Polynomial) -> list[Fraction]:
+    """The coefficients of p in the basis T_0, T_1, ..., exactly.
 
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _newton_polish(coeffs, dcoeffs, x, lo, hi, target=1e-13, iters=60):
-    for _ in range(iters):
-        f = _horner(coeffs, x)
-        if abs(f) <= target:
-            break
-        d = _horner(dcoeffs, x)
-        if d == 0.0:
-            break
-        step = f / d
-        nx = x - step
-        if not (lo - 1e-6 <= nx <= hi + 1e-6):
-            break
-        x = nx
-        if abs(step) < 1e-16:
-            break
-    return x
-
-
-def real_roots_in_interval(
-    coeffs: Sequence[float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    grid: int = 4096,
-) -> list[tuple[float, int]]:
-    """All real roots of the polynomial in [lo, hi], to absolute accuracy tol.
-
-    Sign-change bisection on a uniform grid, then Newton polish.  The search
-    interval is padded slightly so roots sitting exactly on an endpoint are
-    caught; reported roots are clamped back into [lo, hi].  Raises
-    GridTooCoarse when a sign-preserving dip suggests a root pair tighter
-    than the grid resolution.
+    Horner's rule in the Chebyshev basis, where z T_0 = T_1 and
+    z T_j = (T_{j+1} + T_{j-1}) / 2.
     """
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    pad = max(10 * tol, 1e-9) * max(1.0, abs(lo), abs(hi))
-    a, b = lo - pad, hi + pad
-    xs = [a + (b - a) * k / grid for k in range(grid + 1)]
-    vals = [_horner(coeffs, x) for x in xs]
-    scale = max(abs(v) for v in vals) or 1.0
-
-    roots: list[float] = []
-    bracketed_cells: set[int] = set()
-    for k in range(grid):
-        v0, v1 = vals[k], vals[k + 1]
-        if v0 == 0.0:
-            roots.append(xs[k])
-            bracketed_cells.update((k - 1, k))
-            continue
-        if v0 * v1 < 0.0:
-            x0, x1 = xs[k], xs[k + 1]
-            f0 = v0
-            for _ in range(80):
-                xm = 0.5 * (x0 + x1)
-                fm = _horner(coeffs, xm)
-                if fm == 0.0:
-                    x0 = x1 = xm
-                    break
-                if f0 * fm < 0.0:
-                    x1 = xm
-                else:
-                    x0, f0 = xm, fm
-            roots.append(_newton_polish(coeffs, dcoeffs, 0.5 * (x0 + x1), a, b))
-            bracketed_cells.add(k)
-    if vals[grid] == 0.0:
-        roots.append(xs[grid])
-        bracketed_cells.add(grid - 1)
-
-    # sign-preserving near-zero dips: suspected even-multiplicity pair
-    for k in range(1, grid):
-        if abs(vals[k]) >= abs(vals[k - 1]) or abs(vals[k]) >= abs(vals[k + 1]):
-            continue
-        if any(c in bracketed_cells for c in (k - 2, k - 1, k, k + 1)):
-            continue
-        x0 = _newton_polish(dcoeffs, [i * c for i, c in enumerate(dcoeffs)][1:], xs[k], a, b)
-        if a <= x0 <= b:
-            p0 = abs(_horner(coeffs, x0))
-            if p0 <= 1e-12 * scale:
-                # a genuine touching root of even multiplicity
-                roots.append(x0)
-            elif p0 <= tol * scale:
-                raise GridTooCoarse(
-                    f"sign-preserving dip near z={x0:.6g}; retry with a finer grid"
-                )
-
-    out: list[tuple[float, int]] = []
-    d_scale = max(abs(c) for c in dcoeffs) if dcoeffs else 1.0
-    for r in sorted(roots):
-        r = min(max(r, lo), hi)
-        if out and abs(r - out[-1][0]) <= max(tol, (b - a) / grid * 1e-6):
-            continue
-        mult = 1 if abs(_horner(dcoeffs, r)) > math.sqrt(tol) * d_scale else 2
-        if mult == 2 and len(dcoeffs) > 1:
-            # near a double root the plain Newton step stalls; polishing the
-            # derivative instead restores full accuracy
-            ddcoeffs = [i * c for i, c in enumerate(dcoeffs)][1:]
-            r2 = _newton_polish(dcoeffs, ddcoeffs, r, a, b)
-            if abs(_horner(coeffs, r2)) <= abs(_horner(coeffs, r)) + 1e-12 * scale:
-                r = min(max(r2, lo), hi)
-        out.append((r, mult))
+    out: list[Fraction] = []
+    for c in reversed(p.coeffs):
+        times_z = [Fraction(0)] * (len(out) + 1)
+        for j, a in enumerate(out):
+            if j == 0:
+                times_z[1] += a
+            else:
+                times_z[j + 1] += a / 2
+                times_z[j - 1] += a / 2
+        times_z[0] += c
+        out = times_z
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact real-root isolation on an interval
+# ---------------------------------------------------------------------------
+
+_ROOT_BITS = 60  # a root is refined to an interval narrower than 2^-_ROOT_BITS
+
+
+def _integer_coeffs(p: Polynomial) -> list[int]:
+    """p times the positive lcm of its denominators: same signs, integer coefficients."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * scale) for c in p.coeffs]
+
+
+def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
+    """Sign of the polynomial at n/d, d > 0, from d^deg p(n/d) in integers."""
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_sequence(p: Polynomial) -> list[list[int]]:
+    """p, p', then minus the remainders, each scaled by a positive constant."""
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        _, rem = seq[-2].divmod(seq[-1])
+        if rem.is_zero():
+            break
+        seq.append(rem.scale(-1 / abs(rem.leading())))
+    return [_integer_coeffs(s) for s in seq]
+
+
+def _refine(coeffs: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
+    """The single root of a square-free polynomial in (a, b], to 2^-_ROOT_BITS.
+
+    The ends are kept as integers lo/d and hi/d over a common denominator."""
+    d = a.denominator * b.denominator
+    lo, hi = a.numerator * b.denominator, b.numerator * a.denominator
+    sign_hi = _sign_at(coeffs, hi, d)
+    if sign_hi == 0:
+        return b
+    while (hi - lo) << _ROOT_BITS > d:
+        lo, hi, d = 2 * lo, 2 * hi, 2 * d
+        mid = (lo + hi) // 2
+        sign_mid = _sign_at(coeffs, mid, d)
+        if sign_mid == 0:
+            return Fraction(mid, d)
+        if sign_mid == sign_hi:
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo + hi, 2 * d)
+
+
+def real_roots_in_interval(p: Polynomial, lo, hi) -> list[float]:
+    """The distinct real roots of p in [lo, hi], ascending, each once, as floats.
+
+    Exact: the square-free part p / gcd(p, p') is isolated with its Sturm
+    sequence over Fraction.  The number of distinct roots in a half-open
+    interval (a, b] is V(a) - V(b), V counting sign changes along the
+    sequence; intervals holding several roots are halved, and one holding a
+    single root is bisected by comparing signs with its right end, so that a
+    root at a midpoint is found exactly and a left end is never evaluated.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("need lo <= hi")
+    if p.degree < 1:
+        return []
+    square_free, _ = p.divmod(poly_gcd(p, p.derivative()))
+    sturm = _sturm_sequence(square_free)
+    head = sturm[0]
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_sign_at(c, x.numerator, x.denominator) for c in sturm) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    roots = [lo] if _sign_at(head, lo.numerator, lo.denominator) == 0 else []
+    pending = [(lo, hi, variations(lo), variations(hi))]
+    while pending:
+        a, b, va, vb = pending.pop()
+        if va - vb > 1:
+            m = (a + b) / 2
+            vm = variations(m)
+            pending += [(m, b, vm, vb), (a, m, va, vm)]
+        elif va - vb == 1:
+            roots.append(_refine(head, a, b))
+    return sorted(float(r) for r in roots)

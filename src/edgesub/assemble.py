@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import real_roots_in_interval
+import numpy as np
+
+from .algebra import chebyshev_coeffs, real_roots_in_interval
 from .classify import TypedEigenvalue, classify_Q, classify_Qinterior
 from .errors import (
     InvalidTypeCombination,
@@ -46,6 +48,8 @@ from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
 S2_EQ_TOL = 1e-7
+TOUCH_TOL = 1e-10  # a breakpoint b of phi with |phi(b) - lambda| <= TOUCH_TOL is a root
+BISECTION_STEPS = 64  # halvings of a branch, whose width is at most 2, down to 2^-63
 
 
 @dataclass(frozen=True)
@@ -99,36 +103,73 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _psi_zeros(tf: TransferFunctions, grid: int) -> list[float]:
-    if tf.psi.num.degree < 1:
-        return []
-    return [r for r, _ in real_roots_in_interval(tf.psi.num.float_coeffs(), -1.0, 1.0, grid=grid)]
+def _chebval(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence, elementwise."""
+    b1 = b2 = np.zeros_like(x)
+    two_x = 2 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = two_x * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
 
 
 def solve_S1(
     tf: TransferFunctions,
     spec_P: EigenDecomposition,
     interior_spec: list[float],
-    grid: int = 4096,
     exclusion_tol: float = 1e-8,
 ) -> list[tuple[float, float, int]]:
-    """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda."""
-    psi_zeros = _psi_zeros(tf, grid)
-    num = tf.phi.num
-    den = tf.phi.den
-    out = []
+    """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda.
+
+    The poles and critical points of phi, isolated exactly, split [-1, 1]
+    into branches on which phi is monotone, so each branch holds at most one
+    root for each lambda.  A breakpoint b with |phi(b) - lambda| <= TOUCH_TOL
+    is that root, and the two branches next to it are not searched; on every
+    other branch whose ends differ in the sign of num - lambda den, one
+    bisection, vectorized over all (lambda, branch) pairs, finds the root.
+    """
+    num, den = tf.phi.num, tf.phi.den
+    critical = num.derivative() * den - num * den.derivative()
+    breaks = np.array(sorted(
+        {-1.0, 1.0}
+        | set(real_roots_in_interval(den, -1, 1))
+        | set(real_roots_in_interval(critical, -1, 1))
+    ))
+    # an exact change of basis: monomial Horner loses digits from degree ~15 on
     width = max(len(num.coeffs), len(den.coeffs))
-    coeffs = [float(c) for c in num.coeffs] + [0.0] * (width - len(num.coeffs))
-    dcoeffs = [float(c) for c in den.coeffs] + [0.0] * (width - len(den.coeffs))
-    for lam, nu in zip(spec_P.values, spec_P.multiplicities):
-        poly = [c - lam * d for c, d in zip(coeffs, dcoeffs)]
-        for root, _ in real_roots_in_interval(poly, -1.0, 1.0, grid=grid):
-            if any(abs(root - mu) <= exclusion_tol for mu in interior_spec):
-                continue
-            if any(abs(root - z) <= exclusion_tol for z in psi_zeros):
-                continue
-            out.append((root, lam, nu))
-    return out
+    cheb_num, cheb_den = (
+        np.array([float(c) for c in chebyshev_coeffs(p)] + [0.0] * (width - len(p.coeffs)))
+        for p in (num, den)
+    )
+    lams = np.array(spec_P.values)
+    den_at = _chebval(cheb_den, breaks)
+    g_at = _chebval(cheb_num, breaks) - lams[:, None] * den_at  # (lambda, breakpoint)
+    touch = np.abs(g_at) <= TOUCH_TOL * np.abs(den_at)
+    sign = np.sign(g_at)
+    bracket = (sign[:, :-1] * sign[:, 1:] < 0) & ~touch[:, :-1] & ~touch[:, 1:]
+
+    lam_idx, branch = np.nonzero(bracket)
+    lo, hi = breaks[branch], breaks[branch + 1]
+    g_coeffs = cheb_num[:, None] - cheb_den[:, None] * lams[lam_idx]
+    lo_sign = sign[lam_idx, branch]
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(_chebval(g_coeffs, mid)) != lo_sign
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+
+    touch_idx, touch_at = np.nonzero(touch)
+    roots = np.concatenate([breaks[touch_at], 0.5 * (lo + hi)])
+    owner = np.concatenate([touch_idx, lam_idx])
+    excluded = list(interior_spec) + real_roots_in_interval(tf.psi.num, -1, 1)
+    if excluded:
+        gaps = np.abs(roots[:, None] - np.array(excluded)[None, :])
+        keep = np.min(gaps, axis=1) > exclusion_tol
+        roots, owner = roots[keep], owner[keep]
+    order = np.lexsort((roots, owner))
+    return [
+        (float(roots[k]), spec_P.values[owner[k]], spec_P.multiplicities[owner[k]])
+        for k in order
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +332,6 @@ def assemble(
     orient: Orientation,
     s: Substituent,
     cluster_tol: float = CLUSTER_TOL,
-    grid: int = 4096,
     build_families: bool = True,
 ) -> PipelineResult:
     validate_substituent(s)
@@ -309,8 +349,9 @@ def assemble(
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
+    s1 = solve_S1(tf, spec_P, interior_spec)
     entries: list[SpectrumEntry] = []
-    for root, lam, nu in solve_S1(tf, spec_P, interior_spec, grid=grid):
+    for root, lam, nu in s1:
         entries.append(
             SpectrumEntry(root, nu, (f"S1: phi({root:.6f}) = {lam:.6f}, nu_P={nu}",))
         )
@@ -343,13 +384,13 @@ def assemble(
         delta_b=delta_b,
         host_is_tree=len(base.cycles) == 0,
         host_is_odd_unicyclic=len(base.cycles) == 1 and not base.cycles[0].is_even,
-        settings={"cluster_tol": cluster_tol, "grid": grid},
+        settings={"cluster_tol": cluster_tol},
     )
     if total != expected:
         raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {expected}\n" + report.to_text())
 
     try:
-        report.gap = spectral_gap(report, tf, spec_P, X, s, grid=grid)
+        report.gap = spectral_gap(report, s1, spec_P, X, s)
     except PreconditionNotMet:
         report.gap = None
 
@@ -360,13 +401,13 @@ def assemble(
 
 def spectral_gap(
     report: SpectrumReport,
-    tf: TransferFunctions,
+    s1: list[tuple[float, float, int]],
     spec_P: EigenDecomposition,
     X: WeightedGraph,
     s: Substituent,
-    grid: int = 4096,
 ) -> tuple[float, float]:
-    """(lambda1, lambda1*): the host gap and the substituted gap."""
+    """(lambda1, lambda1*): the host gap and the substituted gap, where
+    lambda1* is the largest S1 root for lambda1."""
     if X.n < 3:
         raise PreconditionNotMet("need |X| >= 3")
     lam1 = spec_P.values[1]
@@ -374,14 +415,10 @@ def spectral_gap(
     if not interior_connected and lam1 < 0:
         raise PreconditionNotMet("need connected interior or lambda1 >= 0")
 
-    coeffs = [float(c) for c in tf.phi.num.coeffs]
-    dcoeffs = [float(c) for c in tf.phi.den.coeffs]
-    n = max(len(coeffs), len(dcoeffs))
-    coeffs += [0.0] * (n - len(coeffs))
-    dcoeffs += [0.0] * (n - len(dcoeffs))
-    poly = [c - lam1 * d for c, d in zip(coeffs, dcoeffs)]
-    roots = real_roots_in_interval(poly, -1.0, 1.0, grid=grid)
-    lam1_star = max(r for r, _ in roots)
+    roots = [root for root, lam, _ in s1 if lam == lam1]
+    if not roots:
+        raise PreconditionNotMet(f"no S1 root for lambda1 = {lam1}")
+    lam1_star = max(roots)
 
     second = sorted(report.values(), reverse=True)[1]
     if abs(second - lam1_star) > 1e-9:

@@ -104,8 +104,7 @@ def _cmd_spectrum(args) -> int:
     X = load_graph(_read(args.host))
     s = load_substituent(_read(args.sub))
     result = assemble(
-        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, grid=args.grid,
-        build_families=False,
+        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, build_families=False,
     )
     text = result.report.to_text()
     if args.verify:
@@ -122,8 +121,7 @@ def _cmd_verify(args) -> int:
     X = load_graph(_read(args.host))
     s = load_substituent(_read(args.sub))
     result = assemble(
-        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, grid=args.grid,
-        build_families=False,
+        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, build_families=False,
     )
     oracle = direct_spectrum(result.substituted, cluster_tol=args.cluster_tol)
     lines = ["assembled            direct"]
@@ -174,8 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sub", required=True, help="substituent graph file")
         p.add_argument("--out", help="write output to this file")
         p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
-        p.add_argument("--grid", type=int, default=4096)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("substitute", help="build the substituted graph")
     common(p, host=True, sub_file=True)

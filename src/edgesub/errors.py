@@ -37,10 +37,6 @@ class CyclesNotOdd(EdgeSubError):
     """Joined-path construction requires two odd cycles."""
 
 
-class GridTooCoarse(EdgeSubError):
-    """Root scan suspects a root pair below grid resolution."""
-
-
 class TooCloseToInteriorSpectrum(EdgeSubError):
     """Float evaluation requested too close to a pole."""
 

@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,16 @@ from edgesub.algebra import (
     RationalFunction,
     charpoly,
     chebyshev,
+    chebyshev_coeffs,
     poly_gcd,
     real_roots_in_interval,
     resolvent_matrix,
     solve_fraction_system,
 )
+from edgesub.assemble import assemble, solve_S1
 from edgesub.errors import TooCloseToInteriorSpectrum
+from edgesub.fixtures import chorded_square_substituent, cycle_host
+from edgesub.graph import Orientation
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -177,23 +183,30 @@ class TestChebyshev:
         ) < 1e-12
 
 
+    def test_change_to_chebyshev_basis(self):
+        for L in (0, 1, 5, 24):
+            assert chebyshev_coeffs(chebyshev("first", L)) == [0] * L + [1]
+        # z^3 = (3 T_1 + T_3) / 4
+        assert chebyshev_coeffs(Polynomial([0, 0, 0, 1])) == [0, Fraction(3, 4), 0, Fraction(1, 4)]
+
+
 class TestRootFinder:
     def test_quadratic(self):
-        roots = real_roots_in_interval([-1.0, -1.0, 3.0], -1, 1)
+        roots = real_roots_in_interval(Polynomial([-1, -1, 3]), -1, 1)
         expect = sorted(((1 + math.sqrt(13)) / 6, (1 - math.sqrt(13)) / 6))
         assert len(roots) == 2
-        for (r, _), e in zip(roots, expect):
-            assert abs(r - e) < 1e-10
+        for r, e in zip(roots, expect):
+            assert abs(r - e) < 1e-15
 
     def test_chebyshev_roots(self):
-        roots = real_roots_in_interval([0.0, -3.0, 0.0, 4.0], -1, 1)
+        roots = real_roots_in_interval(Polynomial([0, -3, 0, 4]), -1, 1)
         expect = [-math.sqrt(3) / 2, 0.0, math.sqrt(3) / 2]
         assert len(roots) == 3
-        for (r, _), e in zip(roots, expect):
-            assert abs(r - e) < 1e-10
+        for r, e in zip(roots, expect):
+            assert abs(r - e) < 1e-15
 
     def test_no_real_roots(self):
-        assert real_roots_in_interval([1.0, 0.0, 1.0], -1, 1) == []
+        assert real_roots_in_interval(Polynomial([1, 0, 1]), -1, 1) == []
 
     def test_product_of_linear_factors(self):
         rng = random.Random(9)
@@ -201,17 +214,56 @@ class TestRootFinder:
             targets = sorted(rng.uniform(-0.9, 0.9) for _ in range(4))
             if min(b - a for a, b in zip(targets, targets[1:])) < 1e-3:
                 continue
-            coeffs = [1.0]
+            p = Polynomial([1])
             for t in targets:
-                coeffs = [0.0] + coeffs
-                for i in range(len(coeffs) - 1):
-                    coeffs[i] -= t * coeffs[i + 1]
-            roots = real_roots_in_interval(coeffs, -1, 1)
+                p = p * Polynomial([-Fraction(t), 1])
+            roots = real_roots_in_interval(p, -1, 1)
             assert len(roots) == 4
-            for (r, _), t in zip(roots, targets):
-                assert abs(r - t) < 1e-10
+            for r, t in zip(roots, targets):
+                assert abs(r - t) < 1e-15
 
     def test_endpoint_root_found(self):
-        roots = real_roots_in_interval([-1.0, 0.0, 2.0, 0.0, 0.0, 0.0], -1, 1)
-        vals = [r for r, _ in roots]
-        assert any(abs(v - math.sqrt(0.5)) < 1e-9 for v in vals)
+        roots = real_roots_in_interval(Polynomial([-1, 0, 2, 0, 0, 0]), -1, 1)
+        assert any(abs(v - math.sqrt(0.5)) < 1e-15 for v in roots)
+
+    def test_roots_on_bisection_points_are_exact(self):
+        # T_4' = 32 z^3 - 16 z vanishes at the first midpoint, 0
+        d4 = chebyshev("first", 4).derivative()
+        assert real_roots_in_interval(d4, -1, 1) == pytest.approx(
+            [-math.sqrt(0.5), 0.0, math.sqrt(0.5)], abs=1e-15
+        )
+        assert 0.0 in real_roots_in_interval(d4, -1, 1)
+        # roots on later midpoints, one of them the left end of an isolating
+        # interval (a, b] whose right end is a root too
+        p = Polynomial([0, 1]) * Polynomial([-1, 2]) * Polynomial([1, 2]) * Polynomial([-1, 4])
+        assert real_roots_in_interval(p, -1, 1) == [-0.5, 0.0, 0.25, 0.5]
+
+    def test_roots_at_interval_ends_and_repeated_roots(self):
+        p = Polynomial([-1, 0, 1]) * Polynomial([0, 1])  # (z - 1)(z + 1) z
+        assert real_roots_in_interval(p, -1, 1) == [-1.0, 0.0, 1.0]
+        q = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([1, 1]) * Polynomial([1, 1]) * Polynomial([1, 1])
+        assert real_roots_in_interval(q, -1, 1) == [-1.0, 1.0]
+        assert real_roots_in_interval(q, Fraction(-1, 2), Fraction(1, 2)) == []
+        assert real_roots_in_interval(Polynomial([3]), -1, 1) == []
+
+    @pytest.mark.parametrize("L", [5, 16, 24])
+    def test_touching_roots_with_lambda_within_one_ulp_of_one(self, L):
+        # T_L(z) = lambda touches at the critical points where T_L = +-1; a
+        # float lambda one ulp off must give each of them once, not a pair
+        T = chebyshev("first", L)
+        tf = SimpleNamespace(phi=RationalFunction(T), psi=RationalFunction(1))
+        for lam in (1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0 + 2.0**-53, -1.0 - 2.0**-52):
+            spec = SimpleNamespace(values=(lam,), multiplicities=(1,))
+            roots = [r for r, _, _ in solve_S1(tf, spec, [])]
+            first = 0 if lam > 0 else 1
+            expect = sorted(math.cos(k * math.pi / L) for k in range(first, L + 1, 2))
+            assert len(roots) == len(expect)
+            for r, e in zip(roots, expect):
+                assert abs(r - e) < 1e-12
+
+    def test_s1_and_gap_are_python_floats(self):
+        result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), chorded_square_substituent())
+        s1 = solve_S1(result.transfer, result.spec_P, list(result.spec_interior.values))
+        assert s1 and all(type(r) is float and type(lam) is float and type(nu) is int for r, lam, nu in s1)
+        assert result.report.gap is not None
+        assert all(type(v) is float for v in result.report.gap)

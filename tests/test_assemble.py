@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesub.assemble import assemble, interior_multiplicity
-from edgesub.errors import InvalidTypeCombination
+from edgesub.errors import InvalidTypeCombination, TotalMismatch
 from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
@@ -263,3 +265,55 @@ class TestEdgeCases:
             second = sorted(result.report.values(), reverse=True)[1]
             assert abs(lam1_star - second) < 1e-9
             assert abs(result.transfer.phi.eval_float(lam1_star) - lam1) < 1e-8
+
+
+def _randinst(seed, index):
+    """The index-th (host, substituent) pair of the |X| <= 12, |V| <= 10 recipe."""
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        X = random_host(rng, max_n=12)
+        s = random_substituent(rng, max_v=10)
+    return X, s
+
+
+class TestS1AgainstOracle:
+    """Inputs with touching roots and high-degree phi, which a float grid
+    scan of num - lambda den could not solve."""
+
+    @pytest.mark.parametrize("host", [cycle_host(6), star_host(5), path_host(4)], ids=["cycle-6", "star-5", "path-4"])
+    @pytest.mark.parametrize(
+        "sub",
+        [
+            path_substituent(15),
+            path_substituent(16),
+            path_substituent(24),
+            circle_substituent(7, "antipodal"),
+            circle_substituent(6, "adjacent"),
+        ],
+        ids=["path-15", "path-16", "path-24", "circle-antipodal-7", "circle-adjacent-6"],
+    )
+    def test_long_substituents(self, host, sub):
+        result = _run(host, sub, build_families=False)
+        assert _oracle_agrees(result, tol=1e-9)
+        assert result.report.gap is not None
+
+    @pytest.mark.parametrize("index", [23, 69, 144])
+    def test_random_instances_the_grid_scan_failed(self, index):
+        # seed 1: instances 23 and 69 raised GridTooCoarse, 144 TotalMismatch
+        result = _run(*_randinst(1, index), build_families=False)
+        assert _oracle_agrees(result, tol=1e-9)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_instances_match_oracle(self, seed):
+        rng = random.Random(seed)
+        X = random_host(rng, max_n=12)
+        s = random_substituent(rng, max_v=10)
+        assert _oracle_agrees(_run(X, s, build_families=False), tol=1e-9)
+
+    @pytest.mark.xfail(raises=TotalMismatch, strict=True, reason=(
+        "a genuine S1 root within 1e-8 of an interior eigenvalue (index 96) "
+        "or of a zero of psi (index 388) is excluded from S1"))
+    @pytest.mark.parametrize("index", [96, 388])
+    def test_known_exclusion_defect(self, index):
+        _run(*_randinst(2, index), build_families=False)
