@@ -36,12 +36,12 @@ from .operators import (
     CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
-    SubOperator,
     eigen,
     local_spectrum,
     spectral_radius,
 )
-from .oracle import direct_spectrum, dominance_report, fixture_circle, nodal_dimension
+from .fixtures import fixture_circle
+from .oracle import direct_spectrum, dominance_report, nodal_dimension
 from .substitution import SubstitutedGraph, reorient_equivalence_check, substitute
 from .transfer import (
     BoundaryKernels,

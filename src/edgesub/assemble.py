@@ -17,6 +17,7 @@ The final report is checked against the dimension of X[V].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -220,14 +221,21 @@ def _vanishes_at(rf, z: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _host_shape(X: WeightedGraph) -> tuple[bool, bool]:
+    """(X is a tree, X is unicyclic with an odd cycle), from the cyclomatic
+    number |E_X| - |X| + 1 and bipartiteness: one cycle is odd iff X is not
+    bipartite."""
+    cycles = X.num_edges - X.n + 1
+    return cycles == 0, cycles == 1 and X.delta_b == 0
+
+
 def exceptional_set(
-    base: CycleBase,
+    X: WeightedGraph,
     classified_interior: list[TypedEigenvalue],
     classified_Q: list[TypedEigenvalue],
     tol: float = CLUSTER_TOL,
 ) -> list[tuple[float, str]]:
-    is_tree = len(base.cycles) == 0
-    is_odd_unicyclic = len(base.cycles) == 1 and not base.cycles[0].is_even
+    is_tree, is_odd_unicyclic = _host_shape(X)
     if not (is_tree or is_odd_unicyclic):
         return []
 
@@ -300,16 +308,29 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
+    """Everything `assemble` computed.  X[V] and the host's cycle base are
+    built on first access of `substituted` and `cycle_base`: the spectrum
+    needs neither, families and the oracle do."""
+
     report: SpectrumReport
-    substituted: SubstitutedGraph
+    host: WeightedGraph
+    orientation: Orientation
+    substituent: Substituent
     transfer: TransferFunctions
     spec_P: EigenDecomposition
     spec_Q: EigenDecomposition
     spec_interior: EigenDecomposition
     classified_Q: list[TypedEigenvalue]
     classified_interior: list[TypedEigenvalue]
-    cycle_base: CycleBase
-    nodal_families: dict[float, list[ExtensionFunction]]
+    nodal_families: dict[float, list[ExtensionFunction]] = field(default_factory=dict)
+
+    @cached_property
+    def substituted(self) -> SubstitutedGraph:
+        return substitute(self.host, self.orientation, self.substituent)
+
+    @cached_property
+    def cycle_base(self) -> CycleBase:
+        return fundamental_cycle_base(self.host)
 
 
 def _merge(entries: list[SpectrumEntry], tol: float) -> list[SpectrumEntry]:
@@ -335,9 +356,7 @@ def assemble(
     build_families: bool = True,
 ) -> PipelineResult:
     validate_substituent(s)
-    sub = substitute(X, orient, s)
     tf = compute_transfer(s)
-    base = fundamental_cycle_base(X)
 
     spec_P = eigen(ReversibleOperator.full(X), cluster_tol)
     spec_Q = eigen(ReversibleOperator.full(s.graph), cluster_tol)
@@ -358,15 +377,12 @@ def assemble(
     for lam_star in solve_S2(cQ, interior_spec, tf, tol=cluster_tol):
         entries.append(SpectrumEntry(lam_star, n_X, ("S2",)))
 
-    exc = exceptional_set(base, cI, cQ, tol=cluster_tol)
-    families: dict[float, list[ExtensionFunction]] = {}
+    exc = exceptional_set(X, cI, cQ, tol=cluster_tol)
     for t in cI:
         qt = next((q for q in cQ if abs(q.value - t.value) <= cluster_tol), None)
         row = qt.type if qt is not None else "0"
         nu_star = interior_multiplicity(row, t.type, t.nu, n_X, n_E, delta_b)
         assert nu_star >= 0, "table produced a negative multiplicity"
-        if build_families:
-            families[t.value] = nodal_from_interior(sub, t, base)
         if nu_star > 0:
             entries.append(
                 SpectrumEntry(t.value, nu_star, (f"Interior: ({row}, {t.type}°)",))
@@ -375,6 +391,7 @@ def assemble(
     entries = _merge(entries, cluster_tol)
     total = sum(e.nu for e in entries)
     expected = n_X + n_E * (s.graph.n - 2)
+    is_tree, is_odd_unicyclic = _host_shape(X)
     report = SpectrumReport(
         entries=entries,
         exc=exc,
@@ -382,8 +399,8 @@ def assemble(
         total=total,
         expected_total=expected,
         delta_b=delta_b,
-        host_is_tree=len(base.cycles) == 0,
-        host_is_odd_unicyclic=len(base.cycles) == 1 and not base.cycles[0].is_even,
+        host_is_tree=is_tree,
+        host_is_odd_unicyclic=is_odd_unicyclic,
         settings={"cluster_tol": cluster_tol},
     )
     if total != expected:
@@ -394,9 +411,12 @@ def assemble(
     except PreconditionNotMet:
         report.gap = None
 
-    return PipelineResult(
-        report, sub, tf, spec_P, spec_Q, spec_int, cQ, cI, base, families
-    )
+    result = PipelineResult(report, X, orient, s, tf, spec_P, spec_Q, spec_int, cQ, cI)
+    if build_families:
+        result.nodal_families = {
+            t.value: nodal_from_interior(result.substituted, t, result.cycle_base) for t in cI
+        }
+    return result
 
 
 def spectral_gap(

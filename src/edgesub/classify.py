@@ -67,27 +67,17 @@ def _gamma_permutation(s: Substituent, support: tuple[int, ...]) -> np.ndarray:
 
 def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]):
     """Linear map from functions on the support to their (a, b) boundary data."""
-    V = s.graph
-    n = len(support)
-    rows = np.zeros((2, n))
+    rows = np.zeros((2, len(support)))
     if source == "Q":
         pos = {x: i for i, x in enumerate(support)}
         rows[0, pos[s.a]] = 1.0
         rows[1, pos[s.b]] = 1.0
     else:
+        q = ReversibleOperator.full(s.graph).matrix_exact()
         for i, v in enumerate(support):
-            rows[0, i] = float(V.conductance(s.a, v) / V.m(s.a))
-            rows[1, i] = float(V.conductance(s.b, v) / V.m(s.b))
+            rows[0, i] = float(q[s.a][v])
+            rows[1, i] = float(q[s.b][v])
     return rows
-
-
-def _m_orthonormalize(cols: np.ndarray, m: np.ndarray) -> np.ndarray:
-    out = cols.astype(float).copy()
-    for j in range(out.shape[1]):
-        for i in range(j):
-            out[:, j] -= np.sum(out[:, j] * out[:, i] * m) * out[:, i]
-        out[:, j] /= np.sqrt(np.sum(out[:, j] ** 2 * m))
-    return out
 
 
 def _gamma_average(fn: np.ndarray, gperm: np.ndarray, order: int, signed: bool) -> np.ndarray:
@@ -105,7 +95,6 @@ def _classify_cluster(
     boundary: np.ndarray,
     gperm: np.ndarray,
     order: int,
-    m: np.ndarray,
     source: str,
 ) -> TypedEigenvalue:
     nu = basis.shape[1]
@@ -115,12 +104,13 @@ def _classify_cluster(
     rank = int(np.sum(sing > RANK_TOL * scale))
     ambiguous = bool(np.any((sing > RANK_TOL * scale / 10) & (sing < RANK_TOL * scale * 10)))
 
-    # zero-boundary block: coefficient vectors in the null space of B^T
-    zero_coeffs = u[:, rank:]
-    zero_block = _m_orthonormalize(basis @ zero_coeffs, m) if nu - rank else np.zeros((basis.shape[0], 0))
+    # zero-boundary block: coefficient vectors in the null space of B^T;
+    # orthonormal coefficients keep the m-orthonormal basis m-orthonormal
+    zero_block = basis @ u[:, rank:]
 
     def solve_tail(target):
-        w, *_ = np.linalg.lstsq(B.T, np.asarray(target, dtype=float), rcond=None)
+        # minimum-norm solution of B^T w = target at the decided rank
+        w = u[:, :rank] @ ((vt[:rank] @ np.asarray(target, dtype=float)) / sing[:rank])
         return basis @ w
 
     if rank == 0:
@@ -149,8 +139,7 @@ def _classify_cluster(
         f_prev = 0.5 * (avg_plus - avg_minus)  # boundary (0, 1)
         tails = [f_prev, f_top]
 
-    cols = [zero_block] + [t[:, None] for t in tails]
-    full = np.hstack(cols) if cols else zero_block
+    full = np.hstack([zero_block] + [t[:, None] for t in tails])
     return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous)
 
 
@@ -159,9 +148,8 @@ def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[T
     boundary = _boundary_map(s, source, support)
     gperm = _gamma_permutation(s, support)
     order = s.gamma_order()
-    m = np.array([float(decomp.operator.measure(i)) for i in range(decomp.operator.dim)])
     return [
-        _classify_cluster(v, basis, boundary, gperm, order, m, source)
+        _classify_cluster(v, basis, boundary, gperm, order, source)
         for v, basis in zip(decomp.values, decomp.bases)
     ]
 

@@ -18,7 +18,7 @@ from .errors import EdgeSubError, GraphFormatError, GraphInvariantError, Substit
 from .fileformat import dump_graph, dump_substituent, load_graph, load_substituent
 from .graph import Orientation, validate_substituent
 from .operators import CLUSTER_TOL
-from .oracle import direct_spectrum, fixture_circle
+from .oracle import direct_spectrum
 from .substitution import substitute
 from .transfer import compute_transfer
 
@@ -154,7 +154,7 @@ def _cmd_fixture(args) -> int:
     elif kind == "star-host":
         text = dump_graph(fixtures.star_host(args.n))
     elif kind == "weighted-circle":
-        text = dump_graph(fixture_circle(Fraction(args.a), args.N))
+        text = dump_graph(fixtures.fixture_circle(Fraction(args.a), args.N))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     _emit(text, args.out)

@@ -45,10 +45,6 @@ class KernelPole(EdgeSubError):
     """Transfer extension requested at an interior eigenvalue."""
 
 
-class RankAmbiguous(EdgeSubError):
-    """Boundary-matrix rank decision is numerically borderline."""
-
-
 class S2ConsistencyFailure(EdgeSubError):
     """Set-membership and equation characterizations of S2 disagree."""
 

@@ -61,10 +61,10 @@ def residual(sub: SubstitutedGraph, fn: ExtensionFunction) -> float:
 def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     """Weighted sum of one-step interior averages into host vertex x."""
     s = sub.substituent
-    V = s.graph
     X = sub.host
-    q_a = {v: float(V.conductance(s.a, v) / V.m(s.a)) for v in s.interior}
-    q_b = {v: float(V.conductance(s.b, v) / V.m(s.b)) for v in s.interior}
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    q_a = {v: float(q[s.a][v]) for v in s.interior}
+    q_b = {v: float(q[s.b][v]) for v in s.interior}
     total = 0.0
     for e in range(X.num_edges):
         ax = float(X.edges[e][2])

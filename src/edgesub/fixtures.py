@@ -29,6 +29,25 @@ def star_host(n: int) -> WeightedGraph:
     )
 
 
+def fixture_circle(a: Fraction, N: int) -> WeightedGraph:
+    """2N-circle with unit conductances and one edge of conductance a.
+
+    With a = 0 the weighted edge disappears and the graph degenerates to
+    the path on 2N vertices.
+    """
+    a = Fraction(a)
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if not 0 <= a <= 1:
+        raise ValueError("need 0 <= a <= 1")
+    n = 2 * N
+    labels = [f"v{k}" for k in range(n)]
+    edges = [(k, k + 1, ONE) for k in range(n - 1)]
+    if a > 0:
+        edges.append((n - 1, 0, a))
+    return WeightedGraph(labels, edges)
+
+
 def path_substituent(L: int) -> Substituent:
     """Path of length L with a, b at the two ends and the reflection symmetry."""
     if L < 2:

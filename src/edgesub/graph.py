@@ -11,6 +11,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,7 +27,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Connected undirected graph with positive rational conductances."""
+    """Connected undirected graph with positive rational conductances.
+
+    The edges are aggregated once, at construction, into per-vertex
+    neighbour -> summed conductance maps a(x, .), incident edge lists and
+    measures m(x); every query reads these.
+    """
 
     vertices: tuple
     edges: tuple[tuple[int, int, Fraction], ...]
@@ -33,7 +40,9 @@ class WeightedGraph:
     def __init__(self, vertices: Sequence, edges: Sequence):
         vs = tuple(vertices)
         es = []
-        for x, y, c in edges:
+        adj: list[dict[int, Fraction]] = [{} for _ in vs]
+        incident: list[list[int]] = [[] for _ in vs]
+        for k, (x, y, c) in enumerate(edges):
             c = c if isinstance(c, Fraction) else Fraction(c)
             if not (0 <= x < len(vs) and 0 <= y < len(vs)):
                 raise GraphInvariantError(f"edge ({x},{y}) out of range")
@@ -42,8 +51,17 @@ class WeightedGraph:
             if c <= 0:
                 raise GraphInvariantError(f"non-positive conductance on ({x},{y})")
             es.append((x, y, c))
+            for u, v in ((x, y), (y, x)):
+                row = adj[u]
+                row[v] = row[v] + c if v in row else c
+                incident[u].append(k)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_incident", tuple(map(tuple, incident)))
+        object.__setattr__(
+            self, "_m", tuple(reduce(add, row.values()) if row else Fraction(0) for row in adj)
+        )
         if not vs:
             raise GraphInvariantError("empty vertex set")
         if not self.connected_on(range(len(vs))):
@@ -61,31 +79,26 @@ class WeightedGraph:
 
     def incident(self, x: int) -> list[int]:
         """Edge indices incident to x, in edge order."""
-        return [k for k, (u, v, _) in enumerate(self.edges) if x in (u, v)]
+        return list(self._incident[x])
 
     def degree(self, x: int) -> int:
-        return len(self.incident(x))
+        return len(self._incident[x])
 
     def neighbors(self, x: int) -> list[int]:
         """Distinct neighbor indices, ascending."""
-        out = set()
-        for u, v, _ in self.edges:
-            if u == x:
-                out.add(v)
-            elif v == x:
-                out.add(u)
-        return sorted(out)
+        return sorted(self._adj[x])
+
+    def adjacency(self, x: int) -> dict[int, Fraction]:
+        """Neighbour -> total conductance a(x, y) at x; shared, do not mutate."""
+        return self._adj[x]
 
     def conductance(self, x: int, y: int) -> Fraction:
         """Total conductance between x and y (parallel edges summed)."""
-        return sum(
-            (c for u, v, c in self.edges if (u, v) in ((x, y), (y, x))),
-            Fraction(0),
-        )
+        return self._adj[x].get(y, Fraction(0))
 
     def m(self, x: int) -> Fraction:
         """Total conductance at x."""
-        return sum((c for u, v, c in self.edges if x in (u, v)), Fraction(0))
+        return self._m[x]
 
     def connected_on(self, subset) -> bool:
         """True iff the induced subgraph on `subset` is connected (or empty)."""
@@ -96,14 +109,10 @@ class WeightedGraph:
         seen = {start}
         queue = deque([start])
         while queue:
-            x = queue.popleft()
-            for u, v, _ in self.edges:
-                if u == x and v in sub and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-                elif v == x and u in sub and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+            for y in self._adj[queue.popleft()]:
+                if y in sub and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
         return seen == sub
 
     def bipartition(self) -> Optional[tuple[frozenset, frozenset]]:
@@ -112,7 +121,7 @@ class WeightedGraph:
         queue = deque([0])
         while queue:
             x = queue.popleft()
-            for y in self.neighbors(x):
+            for y in self._adj[x]:
                 if y not in color:
                     color[y] = 1 - color[x]
                     queue.append(y)
@@ -123,7 +132,7 @@ class WeightedGraph:
             frozenset(v for v, c in color.items() if c == 1),
         )
 
-    @property
+    @cached_property
     def delta_b(self) -> int:
         return 1 if self.bipartition() is not None else 0
 
@@ -212,15 +221,11 @@ class ValidationReport:
 def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
     if sorted(perm) != list(range(g.n)):
         return False
-    pairs: dict[tuple[int, int], Fraction] = {}
-    for u, v, c in g.edges:
-        key = (min(u, v), max(u, v))
-        pairs[key] = pairs.get(key, Fraction(0)) + c
-    for (u, v), c in pairs.items():
-        gu, gv = perm[u], perm[v]
-        if pairs.get((min(gu, gv), max(gu, gv))) != c:
-            return False
-    return True
+    return all(
+        g.conductance(perm[x], perm[y]) == c
+        for x in range(g.n)
+        for y, c in g.adjacency(x).items()
+    )
 
 
 def validate_substituent(s: Substituent, raise_on_failure: bool = True) -> ValidationReport:
@@ -246,10 +251,6 @@ def validate_substituent(s: Substituent, raise_on_failure: bool = True) -> Valid
     report.add("gamma is a conductance-preserving automorphism", auto)
     if swaps and not auto:
         errors.append(GammaNotAutomorphism(f"gamma={s.gamma}"))
-
-    # order even is automatic when gamma contains the transposition (a b)
-    if swaps:
-        report.add("gamma has even order", s.gamma_order() % 2 == 0)
 
     conn = g.connected_on(v for v in range(g.n) if v != s.b)
     report.add("V minus b is connected", conn)
@@ -355,14 +356,14 @@ def bfs_spanning_tree(g: WeightedGraph, root: int = 0) -> tuple[frozenset[int], 
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for k, (u, v, _) in enumerate(g.edges):
-            if u == x or v == x:
-                y = v if u == x else u
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = (x, k)
-                    tree.add(k)
-                    queue.append(y)
+        for k in g.incident(x):
+            u, v, _ = g.edges[k]
+            y = v if u == x else u
+            if y not in seen:
+                seen.add(y)
+                parent[y] = (x, k)
+                tree.add(k)
+                queue.append(y)
     return frozenset(tree), parent
 
 

@@ -2,8 +2,8 @@
 
 The operator P has entries p(x,y) = a(x,y)/m(x), kept as exact Fractions.
 Eigendecomposition symmetrizes by s(x,y) = a(x,y)/sqrt(m(x)m(y)), so a
-standard symmetric solver applies; eigenvectors map back by h = u/sqrt(m)
-and are re-orthonormalized per cluster in the m-weighted inner product.
+standard symmetric solver applies; its orthonormal eigenvectors u map back
+to m-orthonormal eigenfunctions h = u/sqrt(m).
 """
 
 from __future__ import annotations
@@ -51,41 +51,36 @@ class ReversibleOperator:
         x, y = self.support[i], self.support[j]
         return self.graph.conductance(x, y) / self.graph.m(x)
 
-    def _conductances(self) -> dict[tuple[int, int], Fraction]:
-        """Aggregated conductances between support positions, one edge pass."""
+    def _conductances(self):
+        """(i, j, a(x, y)) for every adjacent pair of support positions."""
         pos = {x: i for i, x in enumerate(self.support)}
-        out: dict[tuple[int, int], Fraction] = {}
-        for u, v, c in self.graph.edges:
-            if u in pos and v in pos:
-                i, j = pos[u], pos[v]
-                out[(i, j)] = out.get((i, j), Fraction(0)) + c
-                out[(j, i)] = out.get((j, i), Fraction(0)) + c
-        return out
+        for i, x in enumerate(self.support):
+            for y, a in self.graph.adjacency(x).items():
+                j = pos.get(y)
+                if j is not None:
+                    yield i, j, a
 
     def matrix_exact(self) -> list[list[Fraction]]:
         n = self.dim
-        cond = self._conductances()
         m = [self.measure(i) for i in range(n)]
         mat = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), a in cond.items():
+        for i, j, a in self._conductances():
             mat[i][j] = a / m[i]
         return mat
 
     def matrix_float(self) -> np.ndarray:
         n = self.dim
-        cond = self._conductances()
         m = [float(self.measure(i)) for i in range(n)]
         mat = np.zeros((n, n))
-        for (i, j), a in cond.items():
+        for i, j, a in self._conductances():
             mat[i, j] = float(a) / m[i]
         return mat
 
     def symmetrized(self) -> np.ndarray:
         n = self.dim
-        cond = self._conductances()
         m = [float(self.measure(i)) for i in range(n)]
         s = np.zeros((n, n))
-        for (i, j), a in cond.items():
+        for i, j, a in self._conductances():
             s[i, j] = float(a) / math.sqrt(m[i] * m[j])
         return s
 
@@ -94,10 +89,6 @@ class ReversibleOperator:
             sum(self.entry(i, j) for j in range(self.dim)) == 1
             for i in range(self.dim)
         )
-
-
-# SubOperator is a ReversibleOperator on a proper subset; alias for clarity.
-SubOperator = ReversibleOperator
 
 
 @dataclass(frozen=True)
@@ -133,17 +124,6 @@ class EigenDecomposition:
         return min(hits, key=lambda k: abs(self.values[k] - value))
 
 
-def _m_gram_schmidt(columns: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in the inner product <f, g> = sum f g m."""
-    cols = columns.astype(float).copy()
-    for j in range(cols.shape[1]):
-        for i in range(j):
-            cols[:, j] -= np.sum(cols[:, j] * cols[:, i] * m) * cols[:, i]
-        norm = math.sqrt(np.sum(cols[:, j] ** 2 * m))
-        cols[:, j] /= norm
-    return cols
-
-
 def eigen(op: ReversibleOperator, cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
     """Full symmetric eigendecomposition with eigenvalue clustering."""
     n = op.dim
@@ -160,10 +140,9 @@ def eigen(op: ReversibleOperator, cluster_tol: float = CLUSTER_TOL) -> EigenDeco
         k2 = k
         while k2 + 1 < n and abs(w[k2 + 1] - w[k]) <= cluster_tol:
             k2 += 1
-        block = _m_gram_schmidt(h[:, k : k2 + 1], m)
         values.append(float(np.mean(w[k : k2 + 1])))
         mults.append(k2 + 1 - k)
-        bases.append(block)
+        bases.append(h[:, k : k2 + 1])
         k = k2 + 1
     return EigenDecomposition(op, tuple(values), tuple(mults), tuple(bases))
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import NoSuchCluster, TooLarge
@@ -59,21 +57,3 @@ def dominance_report(g: WeightedGraph, tol: float = 1e-9) -> list[dict]:
         )
     return out
 
-
-def fixture_circle(a: Fraction, N: int) -> WeightedGraph:
-    """2N-circle with unit conductances and one edge of conductance a.
-
-    With a = 0 the weighted edge disappears and the graph degenerates to
-    the path on 2N vertices.
-    """
-    a = Fraction(a)
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if not 0 <= a <= 1:
-        raise ValueError("need 0 <= a <= 1")
-    n = 2 * N
-    labels = [f"v{k}" for k in range(n)]
-    edges = [(k, k + 1, Fraction(1)) for k in range(n - 1)]
-    if a > 0:
-        edges.append((n - 1, 0, a))
-    return WeightedGraph(labels, edges)

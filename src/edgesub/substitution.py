@@ -33,9 +33,9 @@ class SubstitutedGraph:
         """('host', x) or ('interior', edge index, substituent vertex)."""
         if x < self.host.n:
             return ("host", x)
-        rev = {idx: key for key, idx in self.interior_index.items()}
-        e, v = rev[x]
-        return ("interior", e, v)
+        interior = self.substituent.interior
+        e, i = divmod(x - self.host.n, len(interior))
+        return ("interior", e, interior[i])
 
     def pi(self, e: int, v: int) -> int:
         """Identification map: vertex v of edge e's substituent copy in X[V]."""
@@ -45,9 +45,6 @@ class SubstitutedGraph:
         if v == s.b:
             return self.orientation.eb(e)
         return self.interior_index[(e, v)]
-
-    def host_vertices(self) -> list[int]:
-        return list(range(self.host.n))
 
 
 def substitute(X: WeightedGraph, orient: Orientation, s: Substituent) -> SubstitutedGraph:

@@ -23,7 +23,7 @@ from .algebra import (
     solve_fraction_system,
 )
 from .errors import TooCloseToInteriorSpectrum
-from .graph import Substituent, WeightedGraph
+from .graph import Substituent
 from .operators import ReversibleOperator, eigen, spectral_radius
 from .substitution import SubstitutedGraph
 
@@ -38,12 +38,6 @@ class TransferFunctions:
     lambda0_interior: float
 
 
-def _q_matrix(V: WeightedGraph) -> list[list[Fraction]]:
-    return [
-        [V.conductance(x, y) / V.m(x) for y in range(V.n)] for x in range(V.n)
-    ]
-
-
 def _kernel_columns(s: Substituent, q: list[list[Fraction]]) -> list[list[RationalFunction]]:
     """(zI - Q_{V°})^{-1} q(., a) and (zI - Q_{V°})^{-1} q(., b) on the interior."""
     M = [[q[u][v] for v in s.interior] for u in s.interior]
@@ -52,7 +46,7 @@ def _kernel_columns(s: Substituent, q: list[list[Fraction]]) -> list[list[Ration
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
     V = s.graph
-    q = _q_matrix(V)
+    q = ReversibleOperator.full(V).matrix_exact()
     interior = s.interior
     to_a, to_b = _kernel_columns(s, q)
 
@@ -89,7 +83,7 @@ class BoundaryKernels:
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
-    col_a, col_b = _kernel_columns(s, _q_matrix(s.graph))
+    col_a, col_b = _kernel_columns(s, ReversibleOperator.full(s.graph).matrix_exact())
     one = RationalFunction.const(1)
     zero = RationalFunction.const(0)
     to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}

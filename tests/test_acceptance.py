@@ -20,13 +20,14 @@ from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
     cycle_host,
+    fixture_circle,
     path_host,
     path_substituent,
     star_host,
 )
 from edgesub.graph import Orientation, fundamental_cycle_base
 from edgesub.operators import ReversibleOperator, eigen
-from edgesub.oracle import direct_spectrum, fixture_circle, nodal_dimension
+from edgesub.oracle import direct_spectrum, nodal_dimension
 from edgesub.substitution import reorient_equivalence_check, substitute
 from edgesub.transfer import compute_transfer, verify_resolvent_identity
 

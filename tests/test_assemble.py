@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from edgesub.fixtures import (
     path_substituent,
     star_host,
 )
-from edgesub.graph import Orientation, WeightedGraph
+from edgesub.graph import Orientation, WeightedGraph, fundamental_cycle_base
 from edgesub.oracle import direct_spectrum
+from edgesub.substitution import substitute
 
 from randinst import random_host, random_substituent
 
@@ -265,6 +268,53 @@ class TestEdgeCases:
             second = sorted(result.report.values(), reverse=True)[1]
             assert abs(lam1_star - second) < 1e-9
             assert abs(result.transfer.phi.eval_float(lam1_star) - lam1) < 1e-8
+
+
+class TestLazySubstitutedGraph:
+    def test_spectrum_only_builds_no_substituted_graph(self, monkeypatch):
+        module = sys.modules["edgesub.assemble"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum-only assemble must not build it")
+
+        X, s = cycle_host(7), chorded_square_substituent()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "substitute", refuse)
+            patch.setattr(module, "fundamental_cycle_base", refuse)
+            result = _run(X, s, build_families=False)
+        assert result.report.total == result.report.expected_total
+        want = substitute(X, Orientation.default(X), s)
+        assert result.substituted.graph == want.graph
+        assert result.substituted is result.substituted
+        assert result.cycle_base.cycles == fundamental_cycle_base(X).cycles
+
+    def test_host_flags_agree_with_the_cycle_base(self):
+        one = Fraction(1)
+        hosts = {
+            "tree": star_host(5),
+            "odd-unicyclic": WeightedGraph(
+                list(range(5)), [(0, 1, one), (1, 2, one), (2, 0, one), (2, 3, one), (3, 4, one)]
+            ),
+            "even-unicyclic": cycle_host(6),
+            "multi-cycle": WeightedGraph(
+                list(range(5)),
+                [(0, 1, one), (1, 2, one), (2, 0, one), (2, 3, one), (3, 4, one), (4, 2, one)],
+            ),
+            "parallel-edge": WeightedGraph(
+                list(range(3)), [(0, 1, one), (1, 0, Fraction(1, 2)), (1, 2, one)]
+            ),
+            "parallel-edge-and-odd-cycle": WeightedGraph(
+                list(range(3)), [(0, 1, one), (1, 2, one), (2, 0, one), (1, 2, Fraction(2))]
+            ),
+        }
+        shapes = set()
+        for name, X in hosts.items():
+            cycles = fundamental_cycle_base(X).cycles
+            want = (len(cycles) == 0, len(cycles) == 1 and not cycles[0].is_even)
+            report = _run(X, path_substituent(2), build_families=False).report
+            assert (report.host_is_tree, report.host_is_odd_unicyclic) == want, name
+            shapes.add(want)
+        assert shapes == {(True, False), (False, True), (False, False)}
 
 
 def _randinst(seed, index):

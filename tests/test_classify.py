@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from edgesub.fixtures import (
     circle_substituent,
     path_substituent,
 )
-from edgesub.graph import Substituent
-from edgesub.operators import ReversibleOperator, eigen
+from edgesub.graph import Substituent, WeightedGraph
+from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
 
 from randinst import random_substituent
 
@@ -145,3 +146,49 @@ class TestSymmetryProperties:
                 rank = {"I": 0, "II": 1, "III": 1, "IV": 2}[t.type]
                 assert t.nu_prime == t.nu - rank
                 assert t.basis.shape[1] == t.nu
+
+
+def _relabelled_antipodal_circle() -> Substituent:
+    """circle_substituent(3, "antipodal") with its vertices in another order.
+
+    Q has -1/2 with nu = 2 and type II; the second singular value of its
+    boundary matrix is rounding noise (~1e-16), which a least-squares cutoff
+    kept or dropped depending on the basis."""
+    one = Fraction(1)
+    g = WeightedGraph(
+        ["v1", "v4", "v3", "v5", "v0", "v2"],
+        [(2, 5, one), (0, 5, one), (2, 1, one), (1, 3, one), (0, 4, one), (3, 4, one)],
+    )
+    return Substituent(g, 4, 2, (1, 0, 4, 5, 2, 3))
+
+
+class TestBasisIndependence:
+    @pytest.mark.parametrize(
+        "s",
+        [
+            _relabelled_antipodal_circle(),
+            circle_substituent(3, "antipodal"),
+            circle_substituent(3, "adjacent"),
+            chorded_square_substituent(),
+            path_substituent(4),
+            *(random_substituent(random.Random(seed), max_v=7) for seed in range(58, 62)),
+        ],
+    )
+    def test_tails_do_not_depend_on_the_eigenbasis(self, s):
+        """The normal form is a function of the eigenspace: rotating each
+        cluster's basis inside the eigenspace leaves the tails unchanged."""
+        rng = np.random.default_rng(3)
+        for op, classify in (
+            (ReversibleOperator.full(s.graph), classify_Q),
+            (ReversibleOperator.restricted(s.graph, s.interior), classify_Qinterior),
+        ):
+            dec = eigen(op)
+            rotated = EigenDecomposition(
+                op,
+                dec.values,
+                dec.multiplicities,
+                tuple(b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0] for b in dec.bases),
+            )
+            for t, r in zip(classify(s, dec), classify(s, rotated)):
+                assert (t.type, t.nu, t.nu_prime) == (r.type, r.nu, r.nu_prime)
+                np.testing.assert_allclose(r.tails(), t.tails(), rtol=0, atol=1e-12)

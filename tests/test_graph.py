@@ -44,6 +44,27 @@ class TestWeightedGraph:
         assert g.m(1) == Fraction(5, 2)
         assert g.degree(1) == 3
 
+        # two cycles through vertex 2, a doubled and a tripled edge
+        edges = [
+            (0, 1, ONE), (1, 2, Fraction(1, 3)), (2, 0, Fraction(2)), (1, 0, Fraction(1, 2)),
+            (2, 3, ONE), (3, 4, Fraction(3, 4)), (4, 2, ONE), (3, 4, ONE), (4, 3, Fraction(1, 5)),
+        ]
+        g = WeightedGraph(list("pqrst"), edges)
+        for x in range(g.n):
+            star = [k for k, (u, v, _) in enumerate(edges) if x in (u, v)]
+            assert g.incident(x) == star
+            assert g.degree(x) == len(star)
+            assert g.neighbors(x) == sorted({u if v == x else v for u, v, _ in (edges[k] for k in star)})
+            assert g.m(x) == sum(edges[k][2] for k in star)
+            for y in range(g.n):
+                assert g.conductance(x, y) == sum(
+                    (c for u, v, c in edges if {u, v} == {x, y}), Fraction(0)
+                )
+        assert g.conductance(3, 4) == Fraction(39, 20)
+        assert g.connected_on([0, 1, 2]) and g.connected_on([2, 3, 4])
+        assert not g.connected_on([0, 1, 3, 4])
+        assert g.connected_on([]) and g.connected_on([4])
+
     def test_bipartition(self):
         assert cycle_host(5).bipartition() is None
         assert cycle_host(5).delta_b == 0

@@ -9,6 +9,7 @@ from edgesub.fixtures import (
     cycle_host,
     path_host,
     path_substituent,
+    star_host,
 )
 from edgesub.graph import WeightedGraph
 from edgesub.operators import (
@@ -109,6 +110,18 @@ class TestEigen:
             p = op.matrix_float()
             for v, basis in zip(dec.values, dec.bases):
                 assert np.max(np.abs(p @ basis - v * basis)) < 1e-9
+
+    def test_large_cluster_is_m_orthonormal(self):
+        # the star's eigenvalue 0 has multiplicity 58
+        op = ReversibleOperator.full(star_host(60))
+        dec = eigen(op)
+        assert max(dec.multiplicities) == 58
+        m = np.array([float(op.measure(i)) for i in range(op.dim)])
+        h = np.hstack(dec.bases)
+        assert np.max(np.abs(h.T @ (m[:, None] * h) - np.eye(op.dim))) < 1e-12
+        p = op.matrix_float()
+        for v, basis in zip(dec.values, dec.bases):
+            assert np.max(np.abs(p @ basis - v * basis)) < 1e-9
 
     def test_cluster_near(self):
         dec = eigen(ReversibleOperator.full(cycle_host(4)))

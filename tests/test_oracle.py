@@ -8,17 +8,13 @@ from edgesub.errors import NoSuchCluster, TooLarge
 from edgesub.fixtures import (
     chorded_square_substituent,
     cycle_host,
+    fixture_circle,
     path_host,
     path_substituent,
 )
 from edgesub.graph import Orientation
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
-from edgesub.oracle import (
-    direct_spectrum,
-    dominance_report,
-    fixture_circle,
-    nodal_dimension,
-)
+from edgesub.oracle import direct_spectrum, dominance_report, nodal_dimension
 from edgesub.substitution import substitute
 
 
