@@ -363,7 +363,7 @@ def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial
     return Polynomial(coeffs)
 
 
-def _det_and_adjugate_columns(
+def det_and_adjugate_columns(
     matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
 ) -> tuple[Polynomial, list[list[Polynomial]]]:
     """det(zI - M) and the columns det(zI - M) (zI - M)^{-1} c, exactly.
@@ -393,13 +393,13 @@ def resolvent_matrix(
 ) -> list[list[RationalFunction]]:
     """The columns (zI - M)^{-1} c for each given column c, as reduced
     rational functions over det(zI - M)."""
-    det, adjugate_columns = _det_and_adjugate_columns(matrix, columns)
+    det, adjugate_columns = det_and_adjugate_columns(matrix, columns)
     return [[RationalFunction(p, det) for p in col] for col in adjugate_columns]
 
 
 def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
     """det(zI - M), interpolated from exact determinants at integer nodes."""
-    return _det_and_adjugate_columns(matrix, [])[0]
+    return det_and_adjugate_columns(matrix, [])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The spectrum decomposes into three parts:
 
 * S1 — solutions of phi(lambda*) = lambda for host eigenvalues lambda,
-  away from the interior spectrum, with multiplicity nu_P(lambda);
-* S2 — eigenvalues of Q of multiplicity two outside the interior spectrum
-  (equivalently psi(lambda*) = 0 and theta(lambda*) = lambda*), with
-  multiplicity |X|;
+  with multiplicity nu_P(lambda), except at the points that S2 or the
+  interior table already count;
+* S2 — the common real zeros of psi and z - theta outside the interior
+  spectrum, decided exactly as the roots of gcd(psi.num, (z - theta).num),
+  with multiplicity |X| (they are the eigenvalues of Q of type IV with
+  nu = 2 outside the interior spectrum);
 * interior — eigenvalues of the interior restriction, with multiplicity
   given by a table over the (Q-type, interior-type) pair; tree and
   odd-unicyclic hosts can drop some candidates (the exceptional set).
@@ -22,14 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import chebyshev_coeffs, real_roots_in_interval
+from .algebra import chebyshev_coeffs, poly_gcd, real_roots_in_interval
 from .classify import TypedEigenvalue, classify_Q, classify_Qinterior
-from .errors import (
-    InvalidTypeCombination,
-    PreconditionNotMet,
-    S2ConsistencyFailure,
-    TotalMismatch,
-)
+from .errors import InvalidTypeCombination, PreconditionNotMet, TotalMismatch
 from .extensions import ExtensionFunction, nodal_from_interior
 from .graph import (
     CycleBase,
@@ -48,7 +45,7 @@ from .operators import (
 from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
-S2_EQ_TOL = 1e-7
+EXCLUSION_TOL = 1e-8  # an S1 root this close to a point counted elsewhere is dropped
 TOUCH_TOL = 1e-10  # a breakpoint b of phi with |phi(b) - lambda| <= TOUCH_TOL is a root
 BISECTION_STEPS = 64  # halvings of a branch, whose width is at most 2, down to 2^-63
 
@@ -116,10 +113,12 @@ def _chebval(coeffs, x: np.ndarray) -> np.ndarray:
 def solve_S1(
     tf: TransferFunctions,
     spec_P: EigenDecomposition,
-    interior_spec: list[float],
-    exclusion_tol: float = 1e-8,
+    excluded: list[tuple[float, Optional[float]]],
 ) -> list[tuple[float, float, int]]:
-    """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda.
+    """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda, except
+    the roots counted elsewhere: `excluded` holds pairs (p, v), and a root
+    within EXCLUSION_TOL of p is dropped when its lambda is v, or for every
+    lambda when v is None.
 
     The poles and critical points of phi, isolated exactly, split [-1, 1]
     into branches on which phi is monotone, so each branch holds at most one
@@ -161,10 +160,12 @@ def solve_S1(
     touch_idx, touch_at = np.nonzero(touch)
     roots = np.concatenate([breaks[touch_at], 0.5 * (lo + hi)])
     owner = np.concatenate([touch_idx, lam_idx])
-    excluded = list(interior_spec) + real_roots_in_interval(tf.psi.num, -1, 1)
     if excluded:
-        gaps = np.abs(roots[:, None] - np.array(excluded)[None, :])
-        keep = np.min(gaps, axis=1) > exclusion_tol
+        points = np.array([p for p, _ in excluded])
+        values = np.array([np.nan if v is None else v for _, v in excluded])
+        near = np.abs(roots[:, None] - points[None, :]) <= EXCLUSION_TOL
+        same = np.isnan(values) | (np.abs(lams[owner][:, None] - values[None, :]) <= CLUSTER_TOL)
+        keep = ~np.any(near & same, axis=1)
         roots, owner = roots[keep], owner[keep]
     order = np.lexsort((roots, owner))
     return [
@@ -179,41 +180,25 @@ def solve_S1(
 
 
 def solve_S2(
-    classified_Q: list[TypedEigenvalue],
-    interior_spec: list[float],
-    tf: TransferFunctions,
-    tol: float = CLUSTER_TOL,
+    tf: TransferFunctions, interior_spec: list[float], tol: float = CLUSTER_TOL
 ) -> list[float]:
-    """Eigenvalues of Q outside the interior spectrum with multiplicity two.
-
-    Membership is cross-checked against the defining equations
-    psi(lambda*) = 0 and theta(lambda*) = lambda* on the unreduced pair.
-    """
-    members = []
-    for t in classified_Q:
-        interior_hit = any(abs(t.value - mu) <= tol for mu in interior_spec)
-        is_member = (not interior_hit) and t.nu == 2 and t.type == "IV"
-
-        psi_small = _vanishes_at(tf.psi, t.value)
-        theta_fixed = _vanishes_at(tf.z_minus_theta, t.value)
-        eq_member = (not interior_hit) and psi_small and theta_fixed
-
-        if is_member != eq_member:
-            raise S2ConsistencyFailure(
-                f"lambda*={t.value}: type test {is_member} vs equation test {eq_member}"
-            )
-        if is_member:
-            members.append(t.value)
-    return members
+    """The real roots in [-1, 1] of gcd(psi.num, (z - theta).num) that are
+    not within `tol` of an interior eigenvalue: the points where
+    psi(lambda*) = 0 and theta(lambda*) = lambda*, found exactly."""
+    common = poly_gcd(tf.psi.num, tf.z_minus_theta.num)
+    return [
+        root for root in real_roots_in_interval(common, -1, 1)
+        if all(abs(root - mu) > tol for mu in interior_spec)
+    ]
 
 
-def _vanishes_at(rf, z: float) -> bool:
-    num = rf.num.eval_float(z)
-    den = rf.den.eval_float(z)
-    if abs(den) < 1e-12:
-        # pole of the representation; decide by the numerator alone
-        return abs(num) <= S2_EQ_TOL
-    return abs(num / den) <= S2_EQ_TOL
+# The interior table counts, at an interior eigenvalue mu, the S1 roots of
+# phi(z) = lambda for these host eigenvalues lambda, by the Q row and by the
+# interior type of mu (None: every lambda); the counts of the two add up.
+# A type-II° (III°) mu is a simple pole of theta and psi with equal (opposite)
+# residues, so phi(mu) = -1 (+1).  The (I, I°) cell counts no S1 root.
+_ROW_COUNTS = {"II": [1.0], "III": [-1.0], "IV": [None]}
+_TYPE_COUNTS = {"II": [-1.0], "III": [1.0], "IV": [None]}
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +216,18 @@ def _host_shape(X: WeightedGraph) -> tuple[bool, bool]:
 
 def exceptional_set(
     X: WeightedGraph,
-    classified_interior: list[TypedEigenvalue],
-    classified_Q: list[TypedEigenvalue],
-    tol: float = CLUSTER_TOL,
+    interior_rows: list[tuple[TypedEigenvalue, Optional[TypedEigenvalue]]],
 ) -> list[tuple[float, str]]:
+    """Interior candidates that a tree or odd-unicyclic host drops, from each
+    interior eigenvalue paired with the eigenvalue of Q at it, or None."""
     is_tree, is_odd_unicyclic = _host_shape(X)
     if not (is_tree or is_odd_unicyclic):
         return []
 
-    def q_match(value):
-        return next((t for t in classified_Q if abs(t.value - value) <= tol), None)
-
     out = []
-    for t in classified_interior:
+    for t, qt in interior_rows:
         if t.nu != 1:
             continue
-        qt = q_match(t.value)
         if is_tree:
             if t.type in ("II", "III") and qt is None:
                 out.append((t.value, "A"))
@@ -363,23 +344,30 @@ def assemble(
     spec_int = eigen(ReversibleOperator.restricted(s.graph, s.interior), cluster_tol)
     cQ = classify_Q(s, spec_Q)
     cI = classify_Qinterior(s, spec_int)
-    interior_spec = list(spec_int.values)
+    # each interior eigenvalue with its Q row: the eigenvalue of Q at it, or None
+    rows = [
+        (t, next((q for q in cQ if abs(q.value - t.value) <= cluster_tol), None)) for t in cI
+    ]
 
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
-    s1 = solve_S1(tf, spec_P, interior_spec)
+    s2 = solve_S2(tf, list(spec_int.values), tol=cluster_tol)
+    counted = [(p, None) for p in s2]  # S2 counts the roots of every lambda
+    for t, qt in rows:
+        by_row = _ROW_COUNTS.get(qt.type, []) if qt is not None else []
+        counted += [(t.value, lam) for lam in by_row + _TYPE_COUNTS.get(t.type, [])]
+    s1 = solve_S1(tf, spec_P, counted)
     entries: list[SpectrumEntry] = []
     for root, lam, nu in s1:
         entries.append(
             SpectrumEntry(root, nu, (f"S1: phi({root:.6f}) = {lam:.6f}, nu_P={nu}",))
         )
-    for lam_star in solve_S2(cQ, interior_spec, tf, tol=cluster_tol):
+    for lam_star in s2:
         entries.append(SpectrumEntry(lam_star, n_X, ("S2",)))
 
-    exc = exceptional_set(X, cI, cQ, tol=cluster_tol)
-    for t in cI:
-        qt = next((q for q in cQ if abs(q.value - t.value) <= cluster_tol), None)
+    exc = exceptional_set(X, rows)
+    for t, qt in rows:
         row = qt.type if qt is not None else "0"
         nu_star = interior_multiplicity(row, t.type, t.nu, n_X, n_E, delta_b)
         assert nu_star >= 0, "table produced a negative multiplicity"

@@ -171,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if sub_file:
             p.add_argument("--sub", required=True, help="substituent graph file")
         p.add_argument("--out", help="write output to this file")
-        p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
 
     p = sub.add_parser("substitute", help="build the substituted graph")
     common(p, host=True, sub_file=True)
@@ -184,10 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="assemble the substituted spectrum")
     common(p, host=True, sub_file=True)
+    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     p.add_argument("--verify", action="store_true", help="compare with brute force")
 
     p = sub.add_parser("verify", help="side-by-side assembled vs direct spectra")
     common(p, host=True, sub_file=True)
+    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
 
     p = sub.add_parser("fixture", help="emit a ready-made graph file")
     p.add_argument(

@@ -42,11 +42,7 @@ class TooCloseToInteriorSpectrum(EdgeSubError):
 
 
 class KernelPole(EdgeSubError):
-    """Transfer extension requested at an interior eigenvalue."""
-
-
-class S2ConsistencyFailure(EdgeSubError):
-    """Set-membership and equation characterizations of S2 disagree."""
+    """Transfer extension requested at a pole of the boundary kernels."""
 
 
 class InvalidTypeCombination(EdgeSubError):

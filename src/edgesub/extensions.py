@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import TypedEigenvalue
-from .errors import InvalidTypeCombination, KernelPole
+from .errors import InvalidTypeCombination, KernelPole, TooCloseToInteriorSpectrum
 from .graph import CycleBase, NonBacktrackingPath, cycle_path, even_joined_path
 from .operators import ReversibleOperator
 from .substitution import SubstitutedGraph
@@ -87,12 +87,18 @@ def transfer_extension(
     lam_star: float,
     interior_spec,
 ) -> ExtensionFunction:
-    """Extend a host eigenfunction to X[V] through the boundary kernels."""
-    if any(abs(lam_star - mu) < 1e-9 for mu in interior_spec):
-        raise KernelPole(f"lambda*={lam_star} is within 1e-9 of the interior spectrum")
+    """Extend a host eigenfunction to X[V] through the boundary kernels.
+
+    Raises KernelPole when lambda* is at a pole of a kernel.  An interior
+    eigenvalue of type I° is a pole of none, so lambda* may equal it.
+    `interior_spec` is not read; it is kept for existing callers.
+    """
     s = sub.substituent
-    fa = {u: kernels.to_a[u].eval_float(lam_star) for u in s.interior}
-    fb = {u: kernels.to_b[u].eval_float(lam_star) for u in s.interior}
+    try:
+        fa = {u: kernels.to_a[u].eval_float(lam_star) for u in s.interior}
+        fb = {u: kernels.to_b[u].eval_float(lam_star) for u in s.interior}
+    except TooCloseToInteriorSpectrum as exc:
+        raise KernelPole(f"lambda*={lam_star} is at a pole of the boundary kernels: {exc}") from exc
     values = np.zeros(sub.graph.n)
     values[: sub.host.n] = f_host
     for e in range(sub.host.num_edges):

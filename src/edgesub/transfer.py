@@ -7,8 +7,13 @@ resolvent of the interior restriction Q_{V°}:
     theta(z) = sum_{u,v interior} q(a,u) G(u,v|z) q(v,a)
     phi(z)   = (z - theta(z)) / psi(z), reduced
 
+psi and theta are each built as one polynomial over det(zI - Q_{V°}), from
+the adjugate columns of the two boundary kernels, and reduced once.
+
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
+The common real zeros of psi and z - theta outside the interior spectrum are
+the set S2 (`assemble.solve_S2`).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from fractions import Fraction
 from .algebra import (
     Polynomial,
     RationalFunction,
+    det_and_adjugate_columns,
     resolvent_matrix,
     solve_fraction_system,
 )
@@ -33,31 +39,28 @@ class TransferFunctions:
     phi: RationalFunction            # reduced quotient
     psi: RationalFunction
     theta: RationalFunction
-    z_minus_theta: RationalFunction  # kept unreduced against psi for S2 logic
+    z_minus_theta: RationalFunction
     lambda0_V_minus_b: float
     lambda0_interior: float
 
 
-def _kernel_columns(s: Substituent, q: list[list[Fraction]]) -> list[list[RationalFunction]]:
-    """(zI - Q_{V°})^{-1} q(., a) and (zI - Q_{V°})^{-1} q(., b) on the interior."""
+def _kernel_system(s: Substituent, q: list[list[Fraction]]) -> tuple[list, list]:
+    """Q_{V°} and the boundary columns q(., a), q(., b) on the interior."""
     M = [[q[u][v] for v in s.interior] for u in s.interior]
-    return resolvent_matrix(M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)])
+    return M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
 
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
     V = s.graph
     q = ReversibleOperator.full(V).matrix_exact()
     interior = s.interior
-    to_a, to_b = _kernel_columns(s, q)
+    det, (adj_a, adj_b) = det_and_adjugate_columns(*_kernel_system(s, q))
 
-    psi = RationalFunction.const(q[s.a][s.b])
-    theta = RationalFunction.const(0)
-    for iu, u in enumerate(interior):
-        qa = q[s.a][u]
-        if qa != 0:
-            psi = psi + qa * to_b[iu]
-            theta = theta + qa * to_a[iu]
+    def q_a_dot(column: list[Polynomial], start: Polynomial) -> Polynomial:
+        return sum((p.scale(q[s.a][u]) for u, p in zip(interior, column)), start)
 
+    theta = RationalFunction(q_a_dot(adj_a, Polynomial()), det)
+    psi = RationalFunction(q_a_dot(adj_b, det.scale(q[s.a][s.b])), det)
     z_minus_theta = RationalFunction.z() - theta
     phi = z_minus_theta / psi
 
@@ -83,7 +86,8 @@ class BoundaryKernels:
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
-    col_a, col_b = _kernel_columns(s, ReversibleOperator.full(s.graph).matrix_exact())
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    col_a, col_b = resolvent_matrix(*_kernel_system(s, q))
     one = RationalFunction.const(1)
     zero = RationalFunction.const(0)
     to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}

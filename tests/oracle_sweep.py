@@ -1,0 +1,64 @@
+"""Oracle sweep over the `randinst` recipe with |X| <= 12 and |V| <= 10.
+
+For each seed, takes the first `--count` pairs of
+`randinst.sweep_instances(seed, ...)`, runs spectrum-only `assemble` and
+compares the report with `direct_spectrum`.  Prints each mismatching
+(seed, index, error class) and exits non-zero if there is any.  Not collected by pytest; run it as
+
+    PYTHONPATH=src python tests/oracle_sweep.py --seeds 1-4 --count 338
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from edgesub.assemble import assemble
+from edgesub.errors import EdgeSubError
+from edgesub.graph import Orientation
+from edgesub.oracle import direct_spectrum
+
+from randinst import sweep_instances
+
+TOL = 1e-8  # eigenvalue tolerance of the acceptance suite
+
+
+def seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def mismatch(X, s) -> str | None:
+    """None if assemble agrees with the oracle, else the error class."""
+    try:
+        result = assemble(X, Orientation.default(X), s, build_families=False)
+    except EdgeSubError as exc:
+        return type(exc).__name__
+    got = sorted(result.report.multiset())
+    want = sorted(direct_spectrum(result.substituted).value_multiset())
+    if len(got) != len(want) or any(
+        abs(gv - wv) > TOL or gn != wn for (gv, gn), (wv, wn) in zip(got, want)
+    ):
+        return "OracleDisagreement"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-4"), help="e.g. 1-4 or 2")
+    parser.add_argument("--count", type=int, default=338, help="instances per seed")
+    args = parser.parse_args(argv)
+    bad = 0
+    for seed in args.seeds:
+        for index, (X, s) in enumerate(sweep_instances(seed, args.count)):
+            error = mismatch(X, s)
+            if error is not None:
+                bad += 1
+                print(f"seed {seed} index {index}: {error}", flush=True)
+    total = len(args.seeds) * args.count
+    print(f"{bad} of {total} instances mismatch")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

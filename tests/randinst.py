@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from edgesub.errors import EdgeSubError
 from edgesub.graph import Substituent, WeightedGraph, validate_substituent
@@ -58,3 +59,16 @@ def random_substituent(rng: random.Random, max_v: int = 8, min_interior: int = 1
         except EdgeSubError:
             continue
         return s
+
+
+def sweep_instances(seed: int, count: int):
+    """The first `count` (host, substituent) pairs of one `random.Random(seed)`,
+    with |X| <= 12 and |V| <= 10: the recipe of the oracle sweep."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_host(rng, max_n=12), random_substituent(rng, max_v=10)
+
+
+def sweep_instance(seed: int, index: int):
+    """The index-th (host, substituent) pair of `sweep_instances(seed, ...)`."""
+    return next(islice(sweep_instances(seed, index + 1), index, None))

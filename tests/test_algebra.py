@@ -263,7 +263,7 @@ class TestRootFinder:
 
     def test_s1_and_gap_are_python_floats(self):
         result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), chorded_square_substituent())
-        s1 = solve_S1(result.transfer, result.spec_P, list(result.spec_interior.values))
+        s1 = solve_S1(result.transfer, result.spec_P, [(mu, None) for mu in result.spec_interior.values])
         assert s1 and all(type(r) is float and type(lam) is float and type(nu) is int for r, lam, nu in s1)
         assert result.report.gap is not None
         assert all(type(v) is float for v in result.report.gap)

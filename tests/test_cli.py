@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from edgesub.cli import main
 from edgesub.fileformat import dump_graph, dump_substituent
 from edgesub.fixtures import (
@@ -64,6 +66,19 @@ class TestSubcommands:
         out = tmp_path / "report.txt"
         assert main(["spectrum", "--host", host, "--sub", sub, "--out", str(out)]) == 0
         assert "spectrum-report" in out.read_text()
+
+    def test_cluster_tol_only_where_it_is_read(self, tmp_path, capsys):
+        host, sub = _host_and_sub(tmp_path)
+        for argv in (
+            ["substitute", "--host", host, "--sub", sub],
+            ["transfer", "--sub", sub],
+            ["classify", "--sub", sub],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--cluster-tol", "1e-8"])
+            assert exc.value.code == 2
+        for command in ("spectrum", "verify"):
+            assert main([command, "--host", host, "--sub", sub, "--cluster-tol", "1e-8"]) == 0
 
 
 class TestFixtureCommand:

@@ -32,7 +32,7 @@ from edgesub.oracle import direct_spectrum, nodal_dimension
 from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
-from randinst import random_host, random_substituent
+from randinst import random_host, random_substituent, sweep_instance
 
 RESIDUAL_TOL = 1e-9
 
@@ -69,6 +69,18 @@ class TestTransferExtension:
         kernels = boundary_kernels(s)
         with pytest.raises(KernelPole):
             transfer_extension(sub, kernels, np.ones(4), 1 / 3, _interior_spec(s))
+
+    def test_root_at_a_type_I_interior_eigenvalue(self):
+        # sweep seed 2 instance 96: phi(0) = 0 is a host eigenvalue, and 0 is a
+        # type-I° interior eigenvalue, at which no boundary kernel has a pole
+        X, s = sweep_instance(2, 96)
+        sub = _sub(X, s)
+        mu = next(t.value for t in classify_Qinterior(s) if t.type == "I")
+        assert abs(mu) < 1e-12 and abs(compute_transfer(s).phi.eval_float(mu)) < 1e-12
+        host = eigen(ReversibleOperator.full(X))
+        f_host = host.bases[host.cluster_near(0.0)][:, 0]
+        fn = transfer_extension(sub, boundary_kernels(s), f_host, mu, _interior_spec(s))
+        assert residual(sub, fn) < RESIDUAL_TOL
 
     def test_random_instances(self):
         rng = random.Random(71)

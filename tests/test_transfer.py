@@ -13,6 +13,7 @@ from edgesub.fixtures import (
     path_substituent,
 )
 from edgesub.graph import Orientation
+from edgesub.operators import ReversibleOperator
 from edgesub.substitution import substitute
 from edgesub.transfer import (
     boundary_kernels,
@@ -86,6 +87,28 @@ class TestTransferInvariants:
         for L in (3, 5):
             tf = compute_transfer(path_substituent(L))
             assert tf.phi.eval_exact(Fraction(0)) == 0
+
+
+class TestAgainstTheKernels:
+    def test_psi_and_theta_are_sums_over_the_kernels(self):
+        # psi = q(a,b) + sum_u q(a,u) to_b[u] and theta = sum_u q(a,u) to_a[u],
+        # summed term by term over the boundary-kernel columns
+        rng = random.Random(9)
+        subs = [chorded_square_substituent(), path_substituent(7)]
+        subs += [circle_substituent(L, kind) for L in (3, 4) for kind in ("antipodal", "adjacent")]
+        subs += [random_substituent(rng, max_v=10) for _ in range(30)]
+        for s in subs:
+            tf = compute_transfer(s)
+            k = boundary_kernels(s)
+            q = ReversibleOperator.full(s.graph).matrix_exact()
+            psi, theta = RF.const(q[s.a][s.b]), RF.const(0)
+            for u in s.interior:
+                psi = psi + q[s.a][u] * k.to_b[u]
+                theta = theta + q[s.a][u] * k.to_a[u]
+            assert tf.psi == psi
+            assert tf.theta == theta
+            assert tf.z_minus_theta == RF.z() - theta
+            assert tf.phi == (RF.z() - theta) / psi
 
 
 class TestBoundaryKernels:
