@@ -92,20 +92,18 @@ def transfer_extension(
     Raises KernelPole when lambda* is at a pole of a kernel.  An interior
     eigenvalue of type I° is a pole of none, so lambda* may equal it.
     `interior_spec` is not read; it is kept for existing callers.
+
+    The interior vertices of X[V] follow the host vertices in (edge,
+    interior index) order, so they are filled in one broadcast.
     """
-    s = sub.substituent
     try:
-        fa = {u: kernels.to_a[u].eval_float(lam_star) for u in s.interior}
-        fb = {u: kernels.to_b[u].eval_float(lam_star) for u in s.interior}
+        fa, fb = kernels.eval_interior(lam_star)
     except TooCloseToInteriorSpectrum as exc:
         raise KernelPole(f"lambda*={lam_star} is at a pole of the boundary kernels: {exc}") from exc
-    values = np.zeros(sub.graph.n)
+    ea, eb = sub.edge_ends
+    values = np.empty(sub.graph.n)
     values[: sub.host.n] = f_host
-    for e in range(sub.host.num_edges):
-        va = f_host[sub.orientation.ea(e)]
-        vb = f_host[sub.orientation.eb(e)]
-        for u in s.interior:
-            values[sub.pi(e, u)] = va * fa[u] + vb * fb[u]
+    values[sub.host.n :] = (f_host[ea][:, None] * fa + f_host[eb][:, None] * fb).ravel()
     return ExtensionFunction(values, lam_star, TAG_TRANSFER, "host eigenfunction")
 
 
@@ -137,12 +135,11 @@ def _interior_dicts(sub: SubstitutedGraph, t: TypedEigenvalue, columns) -> list[
         support = list(range(s.graph.n))
     else:
         support = sorted(s.interior)
-    out = []
-    for j in range(columns.shape[1]):
-        out.append(
-            {v: float(columns[i, j]) for i, v in enumerate(support) if v in set(s.interior)}
-        )
-    return out
+    inner = set(s.interior)
+    return [
+        {v: float(columns[i, j]) for i, v in enumerate(support) if v in inner}
+        for j in range(columns.shape[1])
+    ]
 
 
 def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunction]:

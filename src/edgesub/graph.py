@@ -177,16 +177,16 @@ class Substituent:
     a: int
     b: int
     gamma: tuple[int, ...]
+    interior: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, graph, a, b, gamma):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "gamma", tuple(gamma))
-
-    @property
-    def interior(self) -> list[int]:
-        return [v for v in range(self.graph.n) if v not in (self.a, self.b)]
+        object.__setattr__(
+            self, "interior", tuple(v for v in range(graph.n) if v not in (a, b))
+        )
 
     def gamma_order(self) -> int:
         order = 1

@@ -3,13 +3,17 @@
 Every host edge is replaced by a copy of the substituent V, identifying the
 marked vertices a and b with the oriented endpoints of the edge.  Vertex
 ordering is deterministic: host vertices first in X order, then interior
-vertices in (edge index, interior index) lexicographic order.
+vertices in (edge index, interior index) lexicographic order, so interior
+vertex i of edge e is vertex |X| + e |V°| + i.  Code may rely on this
+contract: `extensions.transfer_extension` fills all interior vertices of X[V]
+in one broadcast over (edge, interior index).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +32,16 @@ class SubstitutedGraph:
     @property
     def host_count(self) -> int:
         return self.host.n
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays of e^a and e^b over the host edges, in edge order."""
+        edges = range(self.host.num_edges)
+        o = self.orientation
+        return (
+            np.array([o.ea(e) for e in edges], dtype=np.intp),
+            np.array([o.eb(e) for e in edges], dtype=np.intp),
+        )
 
     def vertex_kind(self, x: int):
         """('host', x) or ('interior', edge index, substituent vertex)."""

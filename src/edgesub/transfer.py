@@ -18,10 +18,13 @@ the set S2 (`assemble.solve_S2`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (
+    POLE_GUARD,
     Polynomial,
     RationalFunction,
     det_and_adjugate_columns,
@@ -78,11 +81,46 @@ class BoundaryKernels:
     to_a[u] = F_{V-b}(u, a | z) and to_b[u] = F_{V-a}(u, b | z), defined for
     every vertex u of V with the conventions to_a[a] = 1, to_a[b] = 0 and
     symmetrically for to_b.
+
+    The numerators and reduced denominators of the interior kernels (to_a
+    then to_b, each in `substituent.interior` order) are also held as one
+    float coefficient table, one column per polynomial, highest degree in
+    the first row; short polynomials are padded with zeros at the
+    high-degree end.  `eval_interior` runs Horner down the rows, in the
+    order of `RationalFunction.eval_float` and on the same float
+    coefficients, so its values are bit-identical to evaluating each kernel
+    on its own.  It raises `TooCloseToInteriorSpectrum` under the same rule:
+    some reduced denominator has magnitude below POLE_GUARD.
     """
 
     substituent: Substituent
     to_a: dict[int, RationalFunction]
     to_b: dict[int, RationalFunction]
+    _horner: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        interior = self.substituent.interior
+        kernels = [self.to_a[u] for u in interior] + [self.to_b[u] for u in interior]
+        polys = [k.num for k in kernels] + [k.den for k in kernels]
+        table = np.zeros((max((len(p.coeffs) for p in polys), default=0), len(polys)))
+        for column, p in zip(table.T, polys):
+            column[: len(p.coeffs)] = [float(c) for c in p.coeffs]
+        object.__setattr__(self, "_horner", tuple(table[::-1].copy()))
+
+    def eval_interior(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """(to_a[u](z), to_b[u](z)) over u in `substituent.interior` order."""
+        k = len(self.substituent.interior)
+        acc = np.zeros(4 * k)
+        for coeffs in self._horner:
+            acc *= z
+            acc += coeffs
+        den = acc[2 * k :]
+        if (np.abs(den) < POLE_GUARD).any():
+            raise TooCloseToInteriorSpectrum(
+                f"denominator magnitude {np.min(np.abs(den)):.3e} at z={z!r}"
+            )
+        values = acc[: 2 * k] / den
+        return values[:k], values[k:]
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
@@ -109,10 +147,8 @@ def solve_boundary(
     if any(abs(z - mu) <= 1e-9 for mu in interior_spec):
         raise TooCloseToInteriorSpectrum(f"z={z} is within 1e-9 of an interior eigenvalue")
     k = kernels if kernels is not None else boundary_kernels(s)
-    return {
-        u: alpha * k.to_a[u].eval_float(z) + beta * k.to_b[u].eval_float(z)
-        for u in range(s.graph.n)
-    }
+    fa, fb = k.eval_interior(z)
+    return {s.a: alpha, s.b: beta, **dict(zip(s.interior, (alpha * fa + beta * fb).tolist()))}
 
 
 def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:

@@ -101,6 +101,34 @@ class TestTransferExtension:
             )
             assert residual(sub, fn) < 1e-7
 
+    def test_equals_per_vertex_formula_under_random_orientations(self):
+        # the broadcast fill relies on the vertex order of X[V]; random
+        # orientations often make the larger endpoint the head e^a
+        rng = random.Random(73)
+        reversed_heads = 0
+        for _ in range(8):
+            X = random_host(rng, max_n=6)
+            s = random_substituent(rng, max_v=6)
+            orient = Orientation.random(X, rng)
+            reversed_heads += sum(orient.ea(e) > orient.eb(e) for e in range(X.num_edges))
+            sub = substitute(X, orient, s)
+            kernels = boundary_kernels(s)
+            host_dec = eigen(ReversibleOperator.full(X))
+            top = eigen(ReversibleOperator.full(sub.graph)).values[0]
+            for lam_star in (top, rng.uniform(-1, 1), rng.uniform(-1, 1)):
+                f_host = host_dec.bases[0][:, 0] + rng.random() * host_dec.bases[-1][:, 0]
+                fn = transfer_extension(sub, kernels, f_host, lam_star, None)
+                want = np.zeros(sub.graph.n)
+                want[: X.n] = f_host
+                for e in range(X.num_edges):
+                    fa, fb = f_host[orient.ea(e)], f_host[orient.eb(e)]
+                    for u in s.interior:
+                        want[sub.pi(e, u)] = fa * kernels.to_a[u].eval_float(
+                            lam_star
+                        ) + fb * kernels.to_b[u].eval_float(lam_star)
+                assert fn.values.tobytes() == want.tobytes()
+        assert reversed_heads > 0
+
 
 class TestEmbeddings:
     def test_type_II_constant(self):

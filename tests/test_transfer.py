@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgesub.algebra import Polynomial, RationalFunction, chebyshev
@@ -13,7 +14,7 @@ from edgesub.fixtures import (
     path_substituent,
 )
 from edgesub.graph import Orientation
-from edgesub.operators import ReversibleOperator
+from edgesub.operators import ReversibleOperator, eigen
 from edgesub.substitution import substitute
 from edgesub.transfer import (
     boundary_kernels,
@@ -148,6 +149,57 @@ class TestBoundaryKernels:
         s = chorded_square_substituent()
         with pytest.raises(TooCloseToInteriorSpectrum):
             solve_boundary(s, 1.0, 0.0, 1 / 3)
+
+
+def _kernel_values(k, z):
+    """Each interior kernel by `eval_float`, to_a then to_b; None at a pole."""
+    interior = k.substituent.interior
+    try:
+        return [k.to_a[u].eval_float(z) for u in interior] + [
+            k.to_b[u].eval_float(z) for u in interior
+        ]
+    except TooCloseToInteriorSpectrum:
+        return None
+
+
+class TestKernelTable:
+    @staticmethod
+    def _substituents():
+        rng = random.Random(47)
+        fixed = [
+            chorded_square_substituent(),
+            path_substituent(7),
+            circle_substituent(6, "antipodal"),
+            circle_substituent(5, "adjacent"),
+        ]
+        return fixed + [random_substituent(rng, max_v=8) for _ in range(30)]
+
+    def test_table_equals_each_kernel_bitwise(self):
+        rng = random.Random(48)
+        padded = 0
+        for s in self._substituents():
+            k = boundary_kernels(s)
+            kernels = [k.to_a[u] for u in s.interior] + [k.to_b[u] for u in s.interior]
+            padded += len({f.num.degree for f in kernels}) > 1
+            padded += len({f.den.degree for f in kernels}) > 1
+            interior_spec = eigen(ReversibleOperator.restricted(s.graph, s.interior)).values
+            points = [0.0, -1.0, 1.0, 0.5, -2 / 3] + [rng.uniform(-1, 1) for _ in range(20)]
+            for z in points + list(interior_spec):
+                want = _kernel_values(k, z)
+                try:
+                    got = np.concatenate(k.eval_interior(z))
+                except TooCloseToInteriorSpectrum:
+                    got = None
+                assert (got is None) == (want is None), (s, z)
+                if want is not None:
+                    assert got.tobytes() == np.array(want).tobytes(), (s, z)
+        # polynomials of differing degree are padded, so the padding is exercised
+        assert padded > 0
+
+    def test_chorded_square_pole_raises(self):
+        k = boundary_kernels(chorded_square_substituent())
+        with pytest.raises(TooCloseToInteriorSpectrum):
+            k.eval_interior(1 / 3)
 
 
 class TestResolventIdentity:
