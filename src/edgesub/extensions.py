@@ -61,17 +61,14 @@ def residual(sub: SubstitutedGraph, fn: ExtensionFunction) -> float:
 def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     """Weighted sum of one-step interior averages into host vertex x."""
     s = sub.substituent
-    X = sub.host
     q = ReversibleOperator.full(s.graph).matrix_exact()
-    q_a = {v: float(q[s.a][v]) for v in s.interior}
-    q_b = {v: float(q[s.b][v]) for v in s.interior}
+    ax = np.array([float(c) for _, _, c in sub.host.edges])
+    block = sub.interior_block(f)
     total = 0.0
-    for e in range(X.num_edges):
-        ax = float(X.edges[e][2])
-        if sub.orientation.ea(e) == x:
-            total += ax * sum(q_a[v] * f[sub.pi(e, v)] for v in s.interior)
-        if sub.orientation.eb(e) == x:
-            total += ax * sum(q_b[v] * f[sub.pi(e, v)] for v in s.interior)
+    for ends, end in zip(sub.edge_ends, (s.a, s.b)):
+        at_x = ends == x
+        q_end = np.array([float(q[end][v]) for v in s.interior])
+        total += float(ax[at_x] @ (block[at_x] @ q_end))
     return total
 
 
@@ -93,8 +90,7 @@ def transfer_extension(
     eigenvalue of type I° is a pole of none, so lambda* may equal it.
     `interior_spec` is not read; it is kept for existing callers.
 
-    The interior vertices of X[V] follow the host vertices in (edge,
-    interior index) order, so they are filled in one broadcast.
+    The interior block of X[V] is filled in one broadcast.
     """
     try:
         fa, fb = kernels.eval_interior(lam_star)
@@ -103,7 +99,7 @@ def transfer_extension(
     ea, eb = sub.edge_ends
     values = np.empty(sub.graph.n)
     values[: sub.host.n] = f_host
-    values[sub.host.n :] = (f_host[ea][:, None] * fa + f_host[eb][:, None] * fb).ravel()
+    sub.interior_block(values)[:] = f_host[ea][:, None] * fa + f_host[eb][:, None] * fb
     return ExtensionFunction(values, lam_star, TAG_TRANSFER, "host eigenfunction")
 
 
@@ -112,82 +108,64 @@ def transfer_extension(
 # ---------------------------------------------------------------------------
 
 
+def _interior_basis(sub: SubstitutedGraph, t: TypedEigenvalue) -> np.ndarray:
+    """Rows of the normal-form basis at the interior vertices, in
+    `substituent.interior` order: every row for Q°, whose support is the
+    interior."""
+    if t.source == "Q":
+        return t.basis[list(sub.substituent.interior)]
+    return t.basis
+
+
 def _per_edge_functions(
-    sub: SubstitutedGraph, t: TypedEigenvalue, interior_values
+    sub: SubstitutedGraph, t: TypedEigenvalue, basis: np.ndarray
 ) -> list[ExtensionFunction]:
     """One nodal function per (zero-boundary eigenfunction, host edge)."""
     out = []
-    for j, fvec in enumerate(interior_values):
+    for j in range(t.nu_prime):
         for e in range(sub.host.num_edges):
             values = np.zeros(sub.graph.n)
-            for v, fv in fvec.items():
-                values[sub.pi(e, v)] = fv
+            sub.interior_block(values)[e] = basis[:, j]
             out.append(
                 ExtensionFunction(values, t.value, TAG_PER_EDGE, f"f_{j + 1} on edge {e}")
             )
     return out
 
 
-def _interior_dicts(sub: SubstitutedGraph, t: TypedEigenvalue, columns) -> list[dict]:
-    """Columns of the normal-form basis as {interior vertex: value} maps."""
-    s = sub.substituent
-    if t.source == "Q":
-        support = list(range(s.graph.n))
-    else:
-        support = sorted(s.interior)
-    inner = set(s.interior)
-    return [
-        {v: float(columns[i, j]) for i, v in enumerate(support) if v in inner}
-        for j in range(columns.shape[1])
-    ]
-
-
 def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunction]:
     """All extensions of a classified eigenvalue of Q to X[V]."""
     if t.source != "Q":
         raise InvalidTypeCombination("embed_specQ expects a Q-classified eigenvalue")
-    s = sub.substituent
     X = sub.host
-    support = list(range(s.graph.n))
-    fns = _per_edge_functions(sub, t, _interior_dicts(sub, t, t.zero_block()))
+    basis = _interior_basis(sub, t)
+    tails = basis[:, t.nu_prime :]
+    ea, eb = sub.edge_ends
+    fns = _per_edge_functions(sub, t, basis)
 
     if t.type == "II":
-        tail = t.tails()[:, 0]
         values = np.zeros(sub.graph.n)
-        values[: X.n] = tail[support.index(s.a)]
-        for e in range(X.num_edges):
-            for v in s.interior:
-                values[sub.pi(e, v)] = tail[v]
+        values[: X.n] = t.tails()[sub.substituent.a, 0]
+        sub.interior_block(values)[:] = tails[:, 0]
         fns.append(ExtensionFunction(values, t.value, TAG_CONSTANT, "symmetric tail"))
     elif t.type == "III":
         classes = X.bipartition()
         if classes is not None:
             part1, _ = classes
-            tail = t.tails()[:, 0]
+            sign = np.array([1.0 if x in part1 else -1.0 for x in range(X.n)])
             values = np.zeros(sub.graph.n)
-            for x in range(X.n):
-                values[x] = 1.0 if x in part1 else -1.0
-            for e in range(X.num_edges):
-                sign = 1.0 if sub.orientation.ea(e) in part1 else -1.0
-                for v in s.interior:
-                    values[sub.pi(e, v)] = sign * tail[v]
+            values[: X.n] = sign
+            sub.interior_block(values)[:] = sign[ea][:, None] * tails[:, 0]
             fns.append(
                 ExtensionFunction(values, t.value, TAG_BIPARTITE, "antisymmetric tail")
             )
     elif t.type == "IV":
-        f_prev, f_top = t.tails()[:, 0], t.tails()[:, 1]
+        f_prev, f_top = tails[:, 0], tails[:, 1]
         for x in range(X.n):
             values = np.zeros(sub.graph.n)
             values[x] = 1.0
-            for e in range(X.num_edges):
-                if sub.orientation.ea(e) == x:
-                    copy = f_top
-                elif sub.orientation.eb(e) == x:
-                    copy = f_prev
-                else:
-                    continue
-                for v in s.interior:
-                    values[sub.pi(e, v)] = copy[v]
+            block = sub.interior_block(values)
+            block[eb == x] = f_prev
+            block[ea == x] = f_top
             fns.append(
                 ExtensionFunction(values, t.value, TAG_PER_VERTEX, f"star of vertex {x}")
             )
@@ -200,31 +178,30 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
 
 
 def _signed_cycle_function(
-    sub: SubstitutedGraph, t: TypedEigenvalue, tail: dict, cycle, label: str
+    sub: SubstitutedGraph, t: TypedEigenvalue, tail: np.ndarray, cycle, label: str
 ) -> ExtensionFunction:
     X = sub.host
     values = np.zeros(sub.graph.n)
-    for pos in range(cycle.length):
-        e = cycle.edge_indices[pos]
-        xj = cycle.vertices[pos]
+    block = sub.interior_block(values)
+    for e, xj in zip(cycle.edge_indices, cycle.vertices):
         sign = 1.0 if sub.orientation.ea(e) == xj else -1.0
-        w = sign / float(X.edges[e][2])
-        for v, fv in tail.items():
-            values[sub.pi(e, v)] += w * fv
+        block[e] += sign / float(X.edges[e][2]) * tail
     return ExtensionFunction(values, t.value, TAG_ODD_CYCLE, label)
 
 
 def _defect_function(
-    sub: SubstitutedGraph, t: TypedEigenvalue, tail: dict, walk: NonBacktrackingPath, label: str
+    sub: SubstitutedGraph,
+    t: TypedEigenvalue,
+    tail: np.ndarray,
+    walk: NonBacktrackingPath,
+    label: str,
 ) -> ExtensionFunction:
     X = sub.host
     values = np.zeros(sub.graph.n)
+    block = sub.interior_block(values)
     for e, df in walk.defects.items():
-        if df == 0:
-            continue
-        w = df / float(X.edges[e][2])
-        for v, fv in tail.items():
-            values[sub.pi(e, v)] = w * fv
+        if df != 0:
+            block[e] = df / float(X.edges[e][2]) * tail
     return ExtensionFunction(values, t.value, TAG_DEFECT, label)
 
 
@@ -235,19 +212,21 @@ def nodal_from_interior(
     if t.source != "Qo":
         raise InvalidTypeCombination("nodal_from_interior expects an interior eigenvalue")
     X = sub.host
-    fns = _per_edge_functions(sub, t, _interior_dicts(sub, t, t.zero_block()))
+    basis = _interior_basis(sub, t)
+    tails = basis[:, t.nu_prime :]
+    fns = _per_edge_functions(sub, t, basis)
 
     if t.type == "I":
         return fns
 
     if t.type == "III":
-        tail = _interior_dicts(sub, t, t.tails())[0]
+        tail = tails[:, 0]
         for i, c in enumerate(base.cycles):
             fns.append(_signed_cycle_function(sub, t, tail, c, f"cycle {i}"))
         return fns
 
     if t.type == "II":
-        tail = _interior_dicts(sub, t, t.tails())[0]
+        tail = tails[:, 0]
         even = [i for i, c in enumerate(base.cycles) if c.is_even]
         odd = [i for i, c in enumerate(base.cycles) if not c.is_even]
         for i in even:
@@ -263,8 +242,7 @@ def nodal_from_interior(
         return fns
 
     # type IV: mixed pairs over each vertex star
-    tails = _interior_dicts(sub, t, t.tails())
-    f_prev, f_top = tails[0], tails[1]
+    f_prev, f_top = tails[:, 0], tails[:, 1]
     for x in range(X.n):
         star = X.incident(x)
         if len(star) < 2:
@@ -272,11 +250,10 @@ def nodal_from_interior(
         e_last = star[-1]
         for e in star[:-1]:
             values = np.zeros(sub.graph.n)
+            block = sub.interior_block(values)
             for e_k, sign in ((e, 1.0), (e_last, -1.0)):
                 copy = f_top if sub.orientation.ea(e_k) == x else f_prev
-                w = sign / float(X.edges[e_k][2])
-                for v, fv in copy.items():
-                    values[sub.pi(e_k, v)] = w * fv
+                block[e_k] = sign / float(X.edges[e_k][2]) * copy
             fns.append(
                 ExtensionFunction(
                     values, t.value, TAG_MIXED, f"edges {e},{e_last} at vertex {x}"

@@ -33,7 +33,8 @@ from .algebra import (
 )
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
-from .operators import ReversibleOperator, eigen, spectral_radius
+# eigen is unused here but stays importable: bench/spans.py traces transfer.eigen
+from .operators import ReversibleOperator, eigen, spectral_radius  # noqa: F401
 from .substitution import SubstitutedGraph
 
 
@@ -140,12 +141,14 @@ def solve_boundary(
     z: float,
     kernels: BoundaryKernels | None = None,
 ) -> dict[int, float]:
-    """The unique f with Qf = z f on the interior, f(a) = alpha, f(b) = beta."""
-    interior_spec = eigen(
-        ReversibleOperator.restricted(s.graph, s.interior)
-    ).values
-    if any(abs(z - mu) <= 1e-9 for mu in interior_spec):
-        raise TooCloseToInteriorSpectrum(f"z={z} is within 1e-9 of an interior eigenvalue")
+    """The f with Qf = z f on the interior, f(a) = alpha, f(b) = beta.
+
+    f is read off the boundary kernels at z, so this raises
+    TooCloseToInteriorSpectrum exactly where `BoundaryKernels.eval_interior`
+    does.  Off the interior spectrum f is unique.  At a type-I° interior
+    eigenvalue, a pole of no kernel, f is the kernels' particular solution,
+    one of many: adding any eigenfunction of Q° at z gives another.
+    """
     k = kernels if kernels is not None else boundary_kernels(s)
     fa, fb = k.eval_interior(z)
     return {s.a: alpha, s.b: beta, **dict(zip(s.interior, (alpha * fa + beta * fb).tolist()))}

@@ -8,9 +8,12 @@ from edgesub.errors import KernelPole
 from edgesub.extensions import (
     TAG_BIPARTITE,
     TAG_CONSTANT,
+    TAG_DEFECT,
     TAG_MIXED,
     TAG_ODD_CYCLE,
+    TAG_PER_EDGE,
     TAG_PER_VERTEX,
+    ExtensionFunction,
     balance,
     embed_specQ,
     independence_rank,
@@ -26,7 +29,7 @@ from edgesub.fixtures import (
     path_substituent,
     star_host,
 )
-from edgesub.graph import Orientation, fundamental_cycle_base
+from edgesub.graph import Orientation, cycle_path, even_joined_path, fundamental_cycle_base
 from edgesub.operators import ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum, nodal_dimension
 from edgesub.substitution import substitute
@@ -272,3 +275,196 @@ class TestNodalFamilies:
         self._check(sub, fns)
         expect = X.num_edges - X.n + X.delta_b  # = 7 - 6 + 0 = 1
         assert independence_rank(fns) == expect
+
+
+# ---------------------------------------------------------------------------
+# Per-vertex references: every family written one X[V] vertex at a time
+# through the identification map sub.pi, as the constructions were first
+# written.  The library writes rows of the (edge, interior index) block.
+# ---------------------------------------------------------------------------
+
+
+def _ref_interior_dicts(sub, t, columns):
+    s = sub.substituent
+    support = list(range(s.graph.n)) if t.source == "Q" else sorted(s.interior)
+    inner = set(s.interior)
+    return [
+        {v: float(columns[i, j]) for i, v in enumerate(support) if v in inner}
+        for j in range(columns.shape[1])
+    ]
+
+
+def _ref_per_edge(sub, t):
+    out = []
+    for j, fvec in enumerate(_ref_interior_dicts(sub, t, t.zero_block())):
+        for e in range(sub.host.num_edges):
+            values = np.zeros(sub.graph.n)
+            for v, fv in fvec.items():
+                values[sub.pi(e, v)] = fv
+            out.append(ExtensionFunction(values, t.value, TAG_PER_EDGE, f"f_{j + 1} on edge {e}"))
+    return out
+
+
+def _ref_embed_specQ(sub, t):
+    s, X, o = sub.substituent, sub.host, sub.orientation
+    fns = _ref_per_edge(sub, t)
+    if t.type == "II":
+        tail = t.tails()[:, 0]
+        values = np.zeros(sub.graph.n)
+        values[: X.n] = tail[s.a]
+        for e in range(X.num_edges):
+            for v in s.interior:
+                values[sub.pi(e, v)] = tail[v]
+        fns.append(ExtensionFunction(values, t.value, TAG_CONSTANT, "symmetric tail"))
+    elif t.type == "III" and X.bipartition() is not None:
+        part1, _ = X.bipartition()
+        tail = t.tails()[:, 0]
+        values = np.zeros(sub.graph.n)
+        for x in range(X.n):
+            values[x] = 1.0 if x in part1 else -1.0
+        for e in range(X.num_edges):
+            sign = 1.0 if o.ea(e) in part1 else -1.0
+            for v in s.interior:
+                values[sub.pi(e, v)] = sign * tail[v]
+        fns.append(ExtensionFunction(values, t.value, TAG_BIPARTITE, "antisymmetric tail"))
+    elif t.type == "IV":
+        f_prev, f_top = t.tails()[:, 0], t.tails()[:, 1]
+        for x in range(X.n):
+            values = np.zeros(sub.graph.n)
+            values[x] = 1.0
+            for e in range(X.num_edges):
+                if o.ea(e) == x:
+                    copy = f_top
+                elif o.eb(e) == x:
+                    copy = f_prev
+                else:
+                    continue
+                for v in s.interior:
+                    values[sub.pi(e, v)] = copy[v]
+            fns.append(ExtensionFunction(values, t.value, TAG_PER_VERTEX, f"star of vertex {x}"))
+    return fns
+
+
+def _ref_defect(sub, t, tail, walk, label):
+    values = np.zeros(sub.graph.n)
+    for e, df in walk.defects.items():
+        if df == 0:
+            continue
+        w = df / float(sub.host.edges[e][2])
+        for v, fv in tail.items():
+            values[sub.pi(e, v)] = w * fv
+    return ExtensionFunction(values, t.value, TAG_DEFECT, label)
+
+
+def _ref_nodal(sub, t, base):
+    X, o = sub.host, sub.orientation
+    fns = _ref_per_edge(sub, t)
+    tails = _ref_interior_dicts(sub, t, t.tails())
+    if t.type == "III":
+        for i, c in enumerate(base.cycles):
+            values = np.zeros(sub.graph.n)
+            for pos in range(c.length):
+                e, xj = c.edge_indices[pos], c.vertices[pos]
+                w = (1.0 if o.ea(e) == xj else -1.0) / float(X.edges[e][2])
+                for v, fv in tails[0].items():
+                    values[sub.pi(e, v)] += w * fv
+            fns.append(ExtensionFunction(values, t.value, TAG_ODD_CYCLE, f"cycle {i}"))
+    elif t.type == "II":
+        odd = [i for i, c in enumerate(base.cycles) if not c.is_even]
+        for i, c in enumerate(base.cycles):
+            if c.is_even:
+                walk = cycle_path(X, c)
+                fns.append(_ref_defect(sub, t, tails[0], walk, f"even cycle {i}"))
+        for i in odd[:-1]:
+            walk = even_joined_path(base, i, odd[-1])
+            fns.append(_ref_defect(sub, t, tails[0], walk, f"joined cycles {i},{odd[-1]}"))
+    elif t.type == "IV":
+        f_prev, f_top = tails
+        for x in range(X.n):
+            star = X.incident(x)
+            for e in star[:-1] if len(star) >= 2 else []:
+                values = np.zeros(sub.graph.n)
+                for e_k, sign in ((e, 1.0), (star[-1], -1.0)):
+                    copy = f_top if o.ea(e_k) == x else f_prev
+                    w = sign / float(X.edges[e_k][2])
+                    for v, fv in copy.items():
+                        values[sub.pi(e_k, v)] = w * fv
+                label = f"edges {e},{star[-1]} at vertex {x}"
+                fns.append(ExtensionFunction(values, t.value, TAG_MIXED, label))
+    return fns
+
+
+def _ref_balance(sub, f, x):
+    s, X, o = sub.substituent, sub.host, sub.orientation
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    total = 0.0
+    for e in range(X.num_edges):
+        ax = float(X.edges[e][2])
+        if o.ea(e) == x:
+            total += ax * sum(float(q[s.a][v]) * f[sub.pi(e, v)] for v in s.interior)
+        if o.eb(e) == x:
+            total += ax * sum(float(q[s.b][v]) * f[sub.pi(e, v)] for v in s.interior)
+    return total
+
+
+def _family_pairs():
+    """Ten random host x substituent pairs under random orientations; seed 83
+    gives every Q and Q° type, a tree, and hosts with odd and even cycles."""
+    rng = random.Random(83)
+    for _ in range(10):
+        X = random_host(rng, max_n=6)
+        s = random_substituent(rng, max_v=7)
+        yield substitute(X, Orientation.random(X, rng), s), fundamental_cycle_base(X)
+
+
+def _assert_same_functions(got, want):
+    assert [(f.tag, f.provenance) for f in got] == [(f.tag, f.provenance) for f in want]
+    for f, g in zip(got, want):
+        assert f.eigenvalue == g.eigenvalue
+        assert np.array_equal(f.values, g.values)
+
+
+class TestBlockRowsEqualPerVertexReference:
+    def test_pairs_cover_every_type_and_host_shape(self):
+        q_types, qo_types, fns, hosts = set(), set(), [], set()
+        distinct_IV_tails = False
+        for sub, base in _family_pairs():
+            s = sub.substituent
+            for t in classify_Q(s):
+                q_types.add(t.type)
+                fns += embed_specQ(sub, t)
+                if t.type == "IV":
+                    tails = t.tails()[list(s.interior)]
+                    distinct_IV_tails |= not np.array_equal(tails[:, 0], tails[:, 1])
+            for t in classify_Qinterior(s):
+                qo_types.add(t.type)
+                fns += nodal_from_interior(sub, t, base)
+            hosts |= {"even" if c.is_even else "odd" for c in base.cycles} or {"tree"}
+        assert q_types == qo_types == {"I", "II", "III", "IV"}
+        # the per-vertex star copies a different tail toward e^a than toward e^b
+        assert distinct_IV_tails
+        assert hosts == {"tree", "even", "odd"}
+        assert {f.tag for f in fns} == {
+            TAG_PER_EDGE, TAG_CONSTANT, TAG_BIPARTITE, TAG_PER_VERTEX,
+            TAG_ODD_CYCLE, TAG_DEFECT, TAG_MIXED,
+        }
+        # defect paths of both kinds: around an even cycle, and two odd cycles joined
+        assert {f.provenance.split()[0] for f in fns if f.tag == TAG_DEFECT} == {"even", "joined"}
+
+    def test_embed_specQ(self):
+        for sub, _ in _family_pairs():
+            for t in classify_Q(sub.substituent):
+                _assert_same_functions(embed_specQ(sub, t), _ref_embed_specQ(sub, t))
+
+    def test_nodal_from_interior(self):
+        for sub, base in _family_pairs():
+            for t in classify_Qinterior(sub.substituent):
+                _assert_same_functions(nodal_from_interior(sub, t, base), _ref_nodal(sub, t, base))
+
+    def test_balance(self):
+        rng = np.random.default_rng(83)
+        for sub, _ in _family_pairs():
+            f = rng.standard_normal(sub.graph.n)
+            for x in range(sub.host.n):
+                want = _ref_balance(sub, f, x)
+                assert abs(balance(sub, f, x) - want) <= 1e-12 * max(1.0, abs(want))

@@ -22,6 +22,25 @@ def _sub(X, s):
     return substitute(X, Orientation.default(X), s)
 
 
+def _per_vertex_substitute(X, orient, s):
+    """X[V] built one vertex at a time: the interior vertices of each edge's
+    copy numbered in turn, then every edge of V mapped through that copy."""
+    V = s.graph
+    labels = list(X.vertices)
+    index = {}
+    for e in range(X.num_edges):
+        for v in s.interior:
+            index[(e, v)] = len(labels)
+            labels.append(f"({e}:{V.vertices[v]})")
+        index[(e, s.a)], index[(e, s.b)] = orient.ea(e), orient.eb(e)
+    edges = [
+        (index[(e, u)], index[(e, v)], X.edges[e][2] * c)
+        for e in range(X.num_edges)
+        for u, v, c in V.edges
+    ]
+    return WeightedGraph(labels, edges)
+
+
 class TestConstruction:
     def test_chorded_square_on_pentagon_counts(self):
         sub = _sub(cycle_host(5), chorded_square_substituent())
@@ -30,19 +49,28 @@ class TestConstruction:
         assert sub.graph.num_edges == 5 * 5 == 25
 
     def test_vertex_kinds_and_pi(self):
-        sub = _sub(cycle_host(4), chorded_square_substituent())
-        s = sub.substituent
-        for x in range(sub.graph.n):
-            kind = sub.vertex_kind(x)
-            if x < 4:
-                assert kind == ("host", x)
-            else:
-                assert kind[0] == "interior"
-                e, v = kind[1], kind[2]
-                assert sub.pi(e, v) == x
-        for e in range(4):
-            assert sub.pi(e, s.a) == sub.orientation.ea(e)
-            assert sub.pi(e, s.b) == sub.orientation.eb(e)
+        rng = random.Random(19)
+        pairs = [(cycle_host(4), chorded_square_substituent())] + [
+            (random_host(rng, max_n=6), random_substituent(rng, max_v=7)) for _ in range(6)
+        ]
+        for X, s in pairs:
+            sub = substitute(X, Orientation.random(X, rng), s)
+            for x in range(sub.graph.n):
+                kind = sub.vertex_kind(x)
+                if x < X.n:
+                    assert kind == ("host", x)
+                else:
+                    assert kind[0] == "interior"
+                    e, v = kind[1], kind[2]
+                    assert sub.pi(e, v) == x
+            block = sub.interior_block(np.arange(sub.graph.n))
+            assert block.shape == (X.num_edges, len(s.interior))
+            for e in range(X.num_edges):
+                assert sub.pi(e, s.a) == sub.orientation.ea(e)
+                assert sub.pi(e, s.b) == sub.orientation.eb(e)
+                for i, v in enumerate(s.interior):
+                    assert block[e, i] == sub.pi(e, v)
+            assert sub.graph == _per_vertex_substitute(X, sub.orientation, s)
 
     def test_single_edge_host_reproduces_substituent(self):
         X = WeightedGraph(["x0", "x1"], [(0, 1, ONE)])

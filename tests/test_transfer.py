@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from edgesub.algebra import Polynomial, RationalFunction, chebyshev
+from edgesub.classify import classify_Qinterior
 from edgesub.errors import TooCloseToInteriorSpectrum
 from edgesub.fixtures import (
     chorded_square_substituent,
@@ -23,7 +24,7 @@ from edgesub.transfer import (
     verify_resolvent_identity,
 )
 
-from randinst import random_host, random_substituent
+from randinst import random_host, random_substituent, sweep_instance
 
 RF = RationalFunction
 ONE = RF(Polynomial([1]))
@@ -144,6 +145,23 @@ class TestBoundaryKernels:
                     float(V.conductance(u, v) / V.m(u)) * f[v] for v in range(V.n)
                 )
                 assert abs(qf - z * f[u]) < 1e-9
+
+    def test_solve_boundary_at_a_type_I_interior_eigenvalue(self):
+        # sweep seed 2 instance 96: mu ~ 0 is a type-I° interior eigenvalue, a
+        # pole of no boundary kernel, so the kernels' particular solution exists
+        _, s = sweep_instance(2, 96)
+        mu = next(t.value for t in classify_Qinterior(s) if t.type == "I")
+        assert abs(mu) < 1e-12
+        kernels = boundary_kernels(s)
+        f = solve_boundary(s, 1.0, 0.0, mu, kernels)
+        fa, _ = kernels.eval_interior(mu)
+        got = np.array([f[u] for u in s.interior])
+        assert np.all(np.isfinite(got)) and np.array_equal(got, fa)
+        assert (f[s.a], f[s.b]) == (1.0, 0.0)
+        V = s.graph
+        for u in s.interior:
+            qf = sum(float(V.conductance(u, v) / V.m(u)) * f[v] for v in range(V.n))
+            assert abs(qf - mu * f[u]) < 1e-12
 
     def test_solve_boundary_rejects_interior_eigenvalue(self):
         s = chorded_square_substituent()
