@@ -280,9 +280,9 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.eval_exact(x) / d
 
-    def eval_float(self, x: float, guard: float = POLE_GUARD) -> float:
+    def eval_float(self, x: float) -> float:
         d = self.den.eval_float(x)
-        if abs(d) < guard:
+        if abs(d) < POLE_GUARD:
             raise TooCloseToInteriorSpectrum(
                 f"denominator magnitude {abs(d):.3e} at z={x!r}"
             )

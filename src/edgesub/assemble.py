@@ -179,16 +179,14 @@ def solve_S1(
 # ---------------------------------------------------------------------------
 
 
-def solve_S2(
-    tf: TransferFunctions, interior_spec: list[float], tol: float = CLUSTER_TOL
-) -> list[float]:
+def solve_S2(tf: TransferFunctions, interior_spec: list[float]) -> list[float]:
     """The real roots in [-1, 1] of gcd(psi.num, (z - theta).num) that are
-    not within `tol` of an interior eigenvalue: the points where
+    not within CLUSTER_TOL of an interior eigenvalue: the points where
     psi(lambda*) = 0 and theta(lambda*) = lambda*, found exactly."""
     common = poly_gcd(tf.psi.num, tf.z_minus_theta.num)
     return [
         root for root in real_roots_in_interval(common, -1, 1)
-        if all(abs(root - mu) > tol for mu in interior_spec)
+        if all(abs(root - mu) > CLUSTER_TOL for mu in interior_spec)
     ]
 
 
@@ -249,7 +247,9 @@ def interior_multiplicity(
 ) -> int:
     """nu_* of an interior eigenvalue by (Q-type row, interior-type column).
 
-    Row "0" means the value is not an eigenvalue of Q.
+    Row "0" means the value is not an eigenvalue of Q.  Raises
+    InvalidTypeCombination for a cell that cannot occur and for a negative
+    count, which sizes inconsistent with the types produce.
     """
     E, X, d = n_E, n_X, delta_b
     table = {
@@ -279,6 +279,8 @@ def interior_multiplicity(
     value = table[(row, col)]
     if value is None:
         raise InvalidTypeCombination(f"({row}, {col}°) cannot occur")
+    if value < 0:
+        raise InvalidTypeCombination(f"({row}, {col}°) gives the negative multiplicity {value}")
     return value
 
 
@@ -314,10 +316,10 @@ class PipelineResult:
         return fundamental_cycle_base(self.host)
 
 
-def _merge(entries: list[SpectrumEntry], tol: float) -> list[SpectrumEntry]:
+def _merge(entries: list[SpectrumEntry]) -> list[SpectrumEntry]:
     merged: list[SpectrumEntry] = []
     for e in sorted(entries, key=lambda x: -x.value):
-        if merged and abs(merged[-1].value - e.value) <= tol:
+        if merged and abs(merged[-1].value - e.value) <= CLUSTER_TOL:
             prev = merged[-1]
             merged[-1] = SpectrumEntry(
                 prev.value,
@@ -333,26 +335,25 @@ def assemble(
     X: WeightedGraph,
     orient: Orientation,
     s: Substituent,
-    cluster_tol: float = CLUSTER_TOL,
     build_families: bool = True,
 ) -> PipelineResult:
     validate_substituent(s)
     tf = compute_transfer(s)
 
-    spec_P = eigen(ReversibleOperator.full(X), cluster_tol)
-    spec_Q = eigen(ReversibleOperator.full(s.graph), cluster_tol)
-    spec_int = eigen(ReversibleOperator.restricted(s.graph, s.interior), cluster_tol)
+    spec_P = eigen(ReversibleOperator.full(X))
+    spec_Q = eigen(ReversibleOperator.full(s.graph))
+    spec_int = eigen(ReversibleOperator.restricted(s.graph, s.interior))
     cQ = classify_Q(s, spec_Q)
     cI = classify_Qinterior(s, spec_int)
     # each interior eigenvalue with its Q row: the eigenvalue of Q at it, or None
     rows = [
-        (t, next((q for q in cQ if abs(q.value - t.value) <= cluster_tol), None)) for t in cI
+        (t, next((q for q in cQ if abs(q.value - t.value) <= CLUSTER_TOL), None)) for t in cI
     ]
 
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
-    s2 = solve_S2(tf, list(spec_int.values), tol=cluster_tol)
+    s2 = solve_S2(tf, list(spec_int.values))
     counted = [(p, None) for p in s2]  # S2 counts the roots of every lambda
     for t, qt in rows:
         by_row = _ROW_COUNTS.get(qt.type, []) if qt is not None else []
@@ -370,13 +371,12 @@ def assemble(
     for t, qt in rows:
         row = qt.type if qt is not None else "0"
         nu_star = interior_multiplicity(row, t.type, t.nu, n_X, n_E, delta_b)
-        assert nu_star >= 0, "table produced a negative multiplicity"
         if nu_star > 0:
             entries.append(
                 SpectrumEntry(t.value, nu_star, (f"Interior: ({row}, {t.type}°)",))
             )
 
-    entries = _merge(entries, cluster_tol)
+    entries = _merge(entries)
     total = sum(e.nu for e in entries)
     expected = n_X + n_E * (s.graph.n - 2)
     is_tree, is_odd_unicyclic = _host_shape(X)
@@ -389,7 +389,7 @@ def assemble(
         delta_b=delta_b,
         host_is_tree=is_tree,
         host_is_odd_unicyclic=is_odd_unicyclic,
-        settings={"cluster_tol": cluster_tol},
+        settings={"cluster_tol": CLUSTER_TOL},
     )
     if total != expected:
         raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {expected}\n" + report.to_text())

@@ -17,7 +17,7 @@ from .classify import classify_Q, classify_Qinterior
 from .errors import EdgeSubError, GraphFormatError, GraphInvariantError, SubstituentInvalid
 from .fileformat import dump_graph, dump_substituent, load_graph, load_substituent
 from .graph import Orientation, validate_substituent
-from .operators import CLUSTER_TOL
+from .operators import CLUSTER_TOL, ReversibleOperator, spectral_radius
 from .oracle import direct_spectrum
 from .substitution import substitute
 from .transfer import compute_transfer
@@ -57,12 +57,15 @@ def _cmd_transfer(args) -> int:
     s = load_substituent(_read(args.sub))
     validate_substituent(s)
     tf = compute_transfer(s)
+    V = s.graph
+    lam_vmb = spectral_radius(ReversibleOperator.restricted(V, [x for x in range(V.n) if x != s.b]))
+    lam_int = spectral_radius(ReversibleOperator.restricted(V, s.interior))
     lines = [
         f"phi   = {tf.phi}",
         f"psi   = {tf.psi}",
         f"theta = {tf.theta}",
-        f"lambda0(V minus b) = {tf.lambda0_V_minus_b:.12f}",
-        f"lambda0(interior)  = {tf.lambda0_interior:.12f}",
+        f"lambda0(V minus b) = {lam_vmb:.12f}",
+        f"lambda0(interior)  = {lam_int:.12f}",
     ]
     _emit("\n".join(lines), args.out)
     return 0
@@ -87,15 +90,15 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _compare_with_oracle(result, tol: float) -> list[str]:
-    oracle = direct_spectrum(result.substituted, cluster_tol=tol)
+def _compare_with_oracle(result) -> list[str]:
+    oracle = direct_spectrum(result.substituted)
     assembled = sorted(result.report.multiset())
     direct = sorted(oracle.value_multiset())
     diffs = []
     if len(assembled) != len(direct):
         diffs.append(f"cluster counts differ: {len(assembled)} vs {len(direct)}")
     for (av, an), (dv, dn) in zip(assembled, direct):
-        if abs(av - dv) > tol or an != dn:
+        if abs(av - dv) > CLUSTER_TOL or an != dn:
             diffs.append(f"assembled {av:+.10f} x{an}  vs  direct {dv:+.10f} x{dn}")
     return diffs
 
@@ -103,12 +106,10 @@ def _compare_with_oracle(result, tol: float) -> list[str]:
 def _cmd_spectrum(args) -> int:
     X = load_graph(_read(args.host))
     s = load_substituent(_read(args.sub))
-    result = assemble(
-        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, build_families=False,
-    )
+    result = assemble(X, Orientation.default(X), s, build_families=False)
     text = result.report.to_text()
     if args.verify:
-        diffs = _compare_with_oracle(result, args.cluster_tol)
+        diffs = _compare_with_oracle(result)
         if diffs:
             _emit(text + "\noracle disagreement:\n  " + "\n  ".join(diffs), args.out)
             return 1
@@ -120,10 +121,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     X = load_graph(_read(args.host))
     s = load_substituent(_read(args.sub))
-    result = assemble(
-        X, Orientation.default(X), s, cluster_tol=args.cluster_tol, build_families=False,
-    )
-    oracle = direct_spectrum(result.substituted, cluster_tol=args.cluster_tol)
+    result = assemble(X, Orientation.default(X), s, build_families=False)
+    oracle = direct_spectrum(result.substituted)
     lines = ["assembled            direct"]
     a = sorted(result.report.multiset(), reverse=True)
     d = sorted(oracle.value_multiset(), reverse=True)
@@ -131,7 +130,7 @@ def _cmd_verify(args) -> int:
         left = f"{a[k][0]:+.8f} x{a[k][1]}" if k < len(a) else " " * 14
         right = f"{d[k][0]:+.8f} x{d[k][1]}" if k < len(d) else ""
         lines.append(f"{left:20s} {right}")
-    diffs = _compare_with_oracle(result, args.cluster_tol)
+    diffs = _compare_with_oracle(result)
     lines.append("agreement: " + ("ok" if not diffs else "MISMATCH"))
     _emit("\n".join(lines), args.out)
     return 0 if not diffs else 1
@@ -183,12 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="assemble the substituted spectrum")
     common(p, host=True, sub_file=True)
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
     p.add_argument("--verify", action="store_true", help="compare with brute force")
 
     p = sub.add_parser("verify", help="side-by-side assembled vs direct spectra")
     common(p, host=True, sub_file=True)
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
 
     p = sub.add_parser("fixture", help="emit a ready-made graph file")
     p.add_argument(

@@ -46,7 +46,8 @@ class KernelPole(EdgeSubError):
 
 
 class InvalidTypeCombination(EdgeSubError):
-    """Multiplicity table queried at an impossible type pair."""
+    """Multiplicity table queried at an impossible type pair, or giving a
+    negative count."""
 
 
 class TotalMismatch(EdgeSubError):

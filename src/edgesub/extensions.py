@@ -262,9 +262,10 @@ def nodal_from_interior(
     return fns
 
 
-def independence_rank(fns: list[ExtensionFunction], tol: float = 1e-8) -> int:
+def independence_rank(fns: list[ExtensionFunction]) -> int:
+    """Rank of the functions' values: singular values above 1e-8 of the largest."""
     if not fns:
         return 0
     mat = np.stack([f.values for f in fns])
     sing = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sing > tol * sing[0]))
+    return int(np.sum(sing > 1e-8 * sing[0]))

@@ -73,6 +73,8 @@ def load_substituent(text: str) -> Substituent:
             raise GraphFormatError(f"bad gamma pair {entry!r}") from exc
         if str(src) not in index or str(dst) not in index:
             raise GraphFormatError(f"gamma pair {entry!r} references unknown vertex")
+        if index[str(src)] in seen:
+            raise GraphFormatError(f"gamma pair {entry!r} repeats the source {src!r}")
         gamma[index[str(src)]] = index[str(dst)]
         seen.add(index[str(src)])
     return Substituent(g, a, b, tuple(gamma))

@@ -199,25 +199,6 @@ class Substituent:
         return order
 
 
-@dataclass
-class ValidationReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append((name, ok, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def __str__(self) -> str:
-        lines = []
-        for name, ok, detail in self.checks:
-            mark = "pass" if ok else "FAIL"
-            lines.append(f"  [{mark}] {name}" + (f": {detail}" if detail else ""))
-        return "\n".join(lines)
-
-
 def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
     if sorted(perm) != list(range(g.n)):
         return False
@@ -228,12 +209,9 @@ def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
     )
 
 
-def validate_substituent(s: Substituent, raise_on_failure: bool = True) -> ValidationReport:
-    """Check all substituent invariants; raise the first violation by default."""
+def validate_substituent(s: Substituent) -> None:
+    """Check all substituent invariants; raise the first violation."""
     g = s.graph
-    report = ValidationReport()
-    errors: list[Exception] = []
-
     swaps = (
         0 <= s.a < g.n
         and 0 <= s.b < g.n
@@ -243,28 +221,14 @@ def validate_substituent(s: Substituent, raise_on_failure: bool = True) -> Valid
         and s.gamma[s.a] == s.b
         and s.gamma[s.b] == s.a
     )
-    report.add("gamma swaps a and b", swaps)
     if not swaps:
-        errors.append(GammaDoesNotSwapAB(f"a={s.a}, b={s.b}, gamma={s.gamma}"))
-
-    auto = swaps and _is_automorphism(g, s.gamma)
-    report.add("gamma is a conductance-preserving automorphism", auto)
-    if swaps and not auto:
-        errors.append(GammaNotAutomorphism(f"gamma={s.gamma}"))
-
-    conn = g.connected_on(v for v in range(g.n) if v != s.b)
-    report.add("V minus b is connected", conn)
-    if not conn:
-        errors.append(VMinusBDisconnected())
-
-    nonempty = g.n > 2
-    report.add("interior is nonempty", nonempty)
-    if not nonempty:
-        errors.append(EmptyInterior())
-
-    if errors and raise_on_failure:
-        raise errors[0]
-    return report
+        raise GammaDoesNotSwapAB(f"a={s.a}, b={s.b}, gamma={s.gamma}")
+    if not _is_automorphism(g, s.gamma):
+        raise GammaNotAutomorphism(f"gamma={s.gamma}")
+    if not g.connected_on(v for v in range(g.n) if v != s.b):
+        raise VMinusBDisconnected()
+    if g.n <= 2:
+        raise EmptyInterior()
 
 
 def find_gamma(g: WeightedGraph, a: int, b: int) -> Optional[tuple[int, ...]]:
@@ -345,15 +309,16 @@ class NonBacktrackingPath:
         return self.defects.get(e, 0)
 
 
-def bfs_spanning_tree(g: WeightedGraph, root: int = 0) -> tuple[frozenset[int], dict[int, tuple[int, int]]]:
-    """Breadth-first spanning tree, neighbors visited in edge-index order.
+def bfs_spanning_tree(g: WeightedGraph) -> tuple[frozenset[int], dict[int, tuple[int, int]]]:
+    """Breadth-first spanning tree from vertex 0, neighbors visited in
+    edge-index order.
 
     Returns (tree edge indices, parent map v -> (parent vertex, edge index)).
     """
     parent: dict[int, tuple[int, int]] = {}
-    seen = {root}
+    seen = {0}
     tree: set[int] = set()
-    queue = deque([root])
+    queue = deque([0])
     while queue:
         x = queue.popleft()
         for k in g.incident(x):
@@ -389,9 +354,9 @@ def _tree_path(parent: dict[int, tuple[int, int]], x: int, y: int) -> tuple[list
     return verts, eidx
 
 
-def fundamental_cycle_base(g: WeightedGraph, root: int = 0) -> CycleBase:
-    """Cycle per non-tree edge of the breadth-first spanning tree from `root`."""
-    tree, parent = bfs_spanning_tree(g, root)
+def fundamental_cycle_base(g: WeightedGraph) -> CycleBase:
+    """Cycle per non-tree edge of the breadth-first spanning tree."""
+    tree, parent = bfs_spanning_tree(g)
     cycles = []
     for k, (u, v, _) in enumerate(g.edges):
         if k in tree:

@@ -117,15 +117,17 @@ class EigenDecomposition:
             out.extend([v] * nu)
         return out
 
-    def cluster_near(self, value: float, tol: float = 1e-7) -> Optional[int]:
-        hits = [k for k, v in enumerate(self.values) if abs(v - value) <= tol]
+    def cluster_near(self, value: float) -> Optional[int]:
+        """The cluster nearest `value` among those within 1e-7 of it, or None."""
+        hits = [k for k, v in enumerate(self.values) if abs(v - value) <= 1e-7]
         if not hits:
             return None
         return min(hits, key=lambda k: abs(self.values[k] - value))
 
 
-def eigen(op: ReversibleOperator, cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with eigenvalue clustering."""
+def eigen(op: ReversibleOperator) -> EigenDecomposition:
+    """Full symmetric eigendecomposition; eigenvalues within CLUSTER_TOL of a
+    cluster's largest are one cluster."""
     n = op.dim
     m = np.array([float(op.measure(i)) for i in range(n)])
     s = op.symmetrized()
@@ -138,7 +140,7 @@ def eigen(op: ReversibleOperator, cluster_tol: float = CLUSTER_TOL) -> EigenDeco
     k = 0
     while k < n:
         k2 = k
-        while k2 + 1 < n and abs(w[k2 + 1] - w[k]) <= cluster_tol:
+        while k2 + 1 < n and abs(w[k2 + 1] - w[k]) <= CLUSTER_TOL:
             k2 += 1
         values.append(float(np.mean(w[k : k2 + 1])))
         mults.append(k2 + 1 - k)
@@ -152,17 +154,17 @@ def spectral_radius(op: ReversibleOperator) -> float:
     return float(np.max(np.linalg.eigvalsh(op.symmetrized())))
 
 
-def local_spectrum(op: ReversibleOperator, x: int, tol: float = 1e-9) -> list[float]:
+def local_spectrum(op: ReversibleOperator, x: int) -> list[float]:
     """Eigenvalues whose eigenspace does not vanish at support position x.
 
     Membership is decided by the residue m(x) * sum_i h_i(x)^2 of the
-    diagonal resolvent entry at x.
+    diagonal resolvent entry at x, against 1e-9.
     """
     dec = eigen(op)
     mx = float(op.measure(x))
     out = []
     for v, basis in zip(dec.values, dec.bases):
         residue = mx * float(np.sum(basis[x, :] ** 2))
-        if residue > tol:
+        if residue > 1e-9:
             out.append(v)
     return out

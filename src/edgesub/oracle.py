@@ -7,7 +7,6 @@ import numpy as np
 from .errors import NoSuchCluster, TooLarge
 from .graph import WeightedGraph
 from .operators import (
-    CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
     eigen,
@@ -18,19 +17,17 @@ from .substitution import SubstitutedGraph
 SIZE_CAP = 4000
 
 
-def direct_spectrum(
-    sub: SubstitutedGraph, cluster_tol: float = CLUSTER_TOL, cap: int = SIZE_CAP
-) -> EigenDecomposition:
-    if sub.graph.n > cap:
-        raise TooLarge(f"{sub.graph.n} vertices exceeds the cap {cap}")
-    return eigen(ReversibleOperator.full(sub.graph), cluster_tol)
+def direct_spectrum(sub: SubstitutedGraph) -> EigenDecomposition:
+    if sub.graph.n > SIZE_CAP:
+        raise TooLarge(f"{sub.graph.n} vertices exceeds the cap {SIZE_CAP}")
+    return eigen(ReversibleOperator.full(sub.graph))
 
 
-def nodal_dimension(
-    decomp: EigenDecomposition, lam_star: float, host_count: int, tol: float = 1e-7
-) -> int:
-    """Dimension of the lambda*-eigenspace part vanishing on the host vertices."""
-    k = decomp.cluster_near(lam_star, tol)
+def nodal_dimension(decomp: EigenDecomposition, lam_star: float, host_count: int) -> int:
+    """Dimension of the lambda*-eigenspace part vanishing on the host vertices:
+    the cluster within 1e-7 of lambda*, less the rank of its host rows
+    (singular values above 1e-8 * max(1, largest))."""
+    k = decomp.cluster_near(lam_star)
     if k is None:
         raise NoSuchCluster(f"no eigenvalue cluster near {lam_star}")
     basis = decomp.bases[k]
@@ -40,13 +37,13 @@ def nodal_dimension(
     return basis.shape[1] - rank
 
 
-def dominance_report(g: WeightedGraph, tol: float = 1e-9) -> list[dict]:
+def dominance_report(g: WeightedGraph) -> list[dict]:
     """Per-vertex local spectra with a flag for spectrally dominant vertices."""
     op = ReversibleOperator.full(g)
     full = eigen(op)
     out = []
     for x in range(g.n):
-        local = local_spectrum(op, x, tol)
+        local = local_spectrum(op, x)
         out.append(
             {
                 "vertex": x,

@@ -91,10 +91,8 @@ def substitute(X: WeightedGraph, orient: Orientation, s: Substituent) -> Substit
     return SubstitutedGraph(WeightedGraph(labels, edges), X, orient, s)
 
 
-def reorient_equivalence_check(
-    X: WeightedGraph, s: Substituent, trials: int, seed: int, tol: float = 1e-8
-) -> bool:
-    """Spectra of X[V] agree as multisets across random orientations.
+def reorient_equivalence_check(X: WeightedGraph, s: Substituent, trials: int, seed: int) -> bool:
+    """Spectra of X[V] agree as multisets, to 1e-8, across random orientations.
 
     A sanity test utility, not a proof of isomorphism.
     """
@@ -108,6 +106,6 @@ def reorient_equivalence_check(
         )
         if reference is None:
             reference = vals
-        elif len(vals) != len(reference) or np.max(np.abs(vals - reference)) > tol:
+        elif len(vals) != len(reference) or np.max(np.abs(vals - reference)) > 1e-8:
             return False
     return True

@@ -34,7 +34,7 @@ from .algebra import (
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
 # eigen is unused here but stays importable: bench/spans.py traces transfer.eigen
-from .operators import ReversibleOperator, eigen, spectral_radius  # noqa: F401
+from .operators import ReversibleOperator, eigen  # noqa: F401
 from .substitution import SubstitutedGraph
 
 
@@ -44,8 +44,6 @@ class TransferFunctions:
     psi: RationalFunction
     theta: RationalFunction
     z_minus_theta: RationalFunction
-    lambda0_V_minus_b: float
-    lambda0_interior: float
 
 
 def _kernel_system(s: Substituent, q: list[list[Fraction]]) -> tuple[list, list]:
@@ -55,8 +53,7 @@ def _kernel_system(s: Substituent, q: list[list[Fraction]]) -> tuple[list, list]
 
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
-    V = s.graph
-    q = ReversibleOperator.full(V).matrix_exact()
+    q = ReversibleOperator.full(s.graph).matrix_exact()
     interior = s.interior
     det, (adj_a, adj_b) = det_and_adjugate_columns(*_kernel_system(s, q))
 
@@ -67,12 +64,7 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
     psi = RationalFunction(q_a_dot(adj_b, det.scale(q[s.a][s.b])), det)
     z_minus_theta = RationalFunction.z() - theta
     phi = z_minus_theta / psi
-
-    lam_vmb = spectral_radius(
-        ReversibleOperator.restricted(V, [x for x in range(V.n) if x != s.b])
-    )
-    lam_int = spectral_radius(ReversibleOperator.restricted(V, interior))
-    return TransferFunctions(phi, psi, theta, z_minus_theta, lam_vmb, lam_int)
+    return TransferFunctions(phi, psi, theta, z_minus_theta)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,11 @@ class TestMultiplicityTable:
         with pytest.raises(InvalidTypeCombination):
             interior_multiplicity("V", "I", 1, 4, 6, 0)
 
+    def test_negative_count_raises(self):
+        # (0, II°) is E - X + delta_b = 3 - 5 + 0 on sizes no host has
+        with pytest.raises(InvalidTypeCombination, match=r"\(0, II°\).*-2"):
+            interior_multiplicity("0", "II", 1, 5, 3, 0)
+
     def test_nu_o_scaling(self):
         # doubling the interior multiplicity adds E per unit in every cell
         for row in ("I", "II", "III", "IV"):

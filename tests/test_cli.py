@@ -67,18 +67,19 @@ class TestSubcommands:
         assert main(["spectrum", "--host", host, "--sub", sub, "--out", str(out)]) == 0
         assert "spectrum-report" in out.read_text()
 
-    def test_cluster_tol_only_where_it_is_read(self, tmp_path, capsys):
+    def test_no_subcommand_takes_cluster_tol(self, tmp_path, capsys):
         host, sub = _host_and_sub(tmp_path)
         for argv in (
             ["substitute", "--host", host, "--sub", sub],
             ["transfer", "--sub", sub],
             ["classify", "--sub", sub],
+            ["spectrum", "--host", host, "--sub", sub],
+            ["verify", "--host", host, "--sub", sub],
+            ["fixture", "--kind", "cycle-host"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--cluster-tol", "1e-8"])
             assert exc.value.code == 2
-        for command in ("spectrum", "verify"):
-            assert main([command, "--host", host, "--sub", sub, "--cluster-tol", "1e-8"]) == 0
 
 
 class TestFixtureCommand:

@@ -39,7 +39,7 @@ class TestRoundTrip:
         assert back.a == s.a and back.b == s.b
         assert back.gamma == s.gamma
         assert back.graph.edges == s.graph.edges
-        assert validate_substituent(back).ok
+        validate_substituent(back)
 
     def test_random_substituents(self):
         rng = random.Random(5)
@@ -79,6 +79,18 @@ class TestErrors:
         doc = json.loads(dump_substituent(chorded_square_substituent()))
         del doc["gamma"]
         with pytest.raises(GraphFormatError):
+            load_substituent(json.dumps(doc))
+
+    def test_substituent_repeated_gamma_source(self):
+        # without the check the last pair wins: gamma = a->b, b->a, u->u
+        doc = {
+            "vertices": ["a", "u", "b"],
+            "edges": [["a", "u", "1"], ["u", "b", "1"]],
+            "a": "a",
+            "b": "b",
+            "gamma": [["a", "u"], ["a", "b"], ["b", "a"], ["u", "u"]],
+        }
+        with pytest.raises(GraphFormatError, match="repeats the source"):
             load_substituent(json.dumps(doc))
 
     def test_substituent_bad_gamma_pair(self):

@@ -80,17 +80,16 @@ class TestWeightedGraph:
 
 class TestSubstituentValidation:
     def test_chorded_square_is_valid(self):
-        report = validate_substituent(chorded_square_substituent())
-        assert report.ok
+        validate_substituent(chorded_square_substituent())
 
     def test_smallest_path_is_valid(self):
-        assert validate_substituent(path_substituent(2)).ok
+        validate_substituent(path_substituent(2))
 
     def test_triangle_with_ab_edge(self):
         # V minus b is still connected through the direct edge a-u
         g = WeightedGraph(["a", "b", "u"], [(0, 1, ONE), (0, 2, ONE), (1, 2, ONE)])
         s = Substituent(g, 0, 1, (1, 0, 2))
-        assert validate_substituent(s).ok
+        validate_substituent(s)
 
     def test_bad_gamma_weights(self):
         g = WeightedGraph(

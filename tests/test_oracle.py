@@ -14,7 +14,8 @@ from edgesub.fixtures import (
 )
 from edgesub.graph import Orientation
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
-from edgesub.oracle import direct_spectrum, dominance_report, nodal_dimension
+from edgesub import oracle
+from edgesub.oracle import SIZE_CAP, direct_spectrum, dominance_report, nodal_dimension
 from edgesub.substitution import substitute
 
 
@@ -23,10 +24,13 @@ def _sub(X, s):
 
 
 class TestDirectSpectrum:
-    def test_size_cap(self):
-        sub = _sub(cycle_host(3), chorded_square_substituent())
+    def test_size_cap(self, monkeypatch):
+        # 2001 host vertices plus one interior vertex per edge: 4002 > SIZE_CAP
+        sub = _sub(cycle_host(2001), path_substituent(2))
+        assert sub.graph.n == 4002 > SIZE_CAP
+        monkeypatch.setattr(oracle, "eigen", None)  # rejected before any eigen
         with pytest.raises(TooLarge):
-            direct_spectrum(sub, cap=5)
+            direct_spectrum(sub)
 
     def test_total_dimension(self):
         sub = _sub(cycle_host(4), path_substituent(3))

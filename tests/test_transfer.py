@@ -15,7 +15,7 @@ from edgesub.fixtures import (
     path_substituent,
 )
 from edgesub.graph import Orientation
-from edgesub.operators import ReversibleOperator, eigen
+from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
     boundary_kernels,
@@ -37,8 +37,14 @@ class TestGoldenTransferFunctions:
         assert tf.phi == RF(Polynomial([-1, -1, 3]))
         assert tf.psi == RF(Polynomial([Fraction(1, 3)]), Polynomial([Fraction(-1, 3), 1]))
         assert tf.theta == tf.psi
-        assert abs(tf.lambda0_interior - 1 / 3) < 1e-12
-        assert abs(tf.lambda0_V_minus_b - (1 + 13 ** 0.5) / 6) < 1e-12
+
+    def test_chorded_square_spectral_radii(self):
+        s = chorded_square_substituent()
+        lam_int = spectral_radius(ReversibleOperator.restricted(s.graph, s.interior))
+        keep = [x for x in range(s.graph.n) if x != s.b]
+        lam_vmb = spectral_radius(ReversibleOperator.restricted(s.graph, keep))
+        assert abs(lam_int - 1 / 3) < 1e-12
+        assert abs(lam_vmb - (1 + 13 ** 0.5) / 6) < 1e-12
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 10, 16, 24])
     def test_path_is_chebyshev(self, L):
