@@ -22,12 +22,10 @@ from .extensions import (
 )
 from .graph import (
     CycleBase,
-    NonBacktrackingPath,
     Orientation,
     Substituent,
     WeightedGraph,
     bfs_spanning_tree,
-    even_joined_path,
     find_gamma,
     fundamental_cycle_base,
     validate_substituent,

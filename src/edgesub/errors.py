@@ -33,10 +33,6 @@ class EmptyInterior(SubstituentInvalid):
     pass
 
 
-class CyclesNotOdd(EdgeSubError):
-    """Joined-path construction requires two odd cycles."""
-
-
 class TooCloseToInteriorSpectrum(EdgeSubError):
     """Float evaluation requested too close to a pole."""
 

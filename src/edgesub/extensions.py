@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import TypedEigenvalue
 from .errors import InvalidTypeCombination, KernelPole, TooCloseToInteriorSpectrum
-from .graph import CycleBase, NonBacktrackingPath, cycle_path, even_joined_path
+from .graph import CycleBase
 from .operators import ReversibleOperator
 from .substitution import SubstitutedGraph
 from .transfer import BoundaryKernels
@@ -177,32 +177,44 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
 # ---------------------------------------------------------------------------
 
 
-def _signed_cycle_function(
-    sub: SubstitutedGraph, t: TypedEigenvalue, tail: np.ndarray, cycle, label: str
-) -> ExtensionFunction:
-    X = sub.host
-    values = np.zeros(sub.graph.n)
-    block = sub.interior_block(values)
-    for e, xj in zip(cycle.edge_indices, cycle.vertices):
-        sign = 1.0 if sub.orientation.ea(e) == xj else -1.0
-        block[e] += sign / float(X.edges[e][2]) * tail
-    return ExtensionFunction(values, t.value, TAG_ODD_CYCLE, label)
+def _tree_completion(
+    sub: SubstitutedGraph, base: CycleBase, k: int, sign_b: int
+) -> tuple[list[int], int]:
+    """Integer host-edge weights w with w_k = 1, zero on the other non-tree
+    edges, and sum over edges e at x of s(e, x) w_e = 0 at every vertex x
+    but the tree root, where s(e, x) is 1 at e^a and `sign_b` at e^b.
+
+    The tree edges are solved leaves to root, each from the condition at
+    its child.  Returns w and the sum left over at the root: always 0 when
+    `sign_b` is -1; when it is 1, 0 exactly if the cycle that k closes is
+    even, and +-2 otherwise.
+    """
+    o = sub.orientation
+
+    def s(e, x):
+        return 1 if o.ea(e) == x else sign_b
+
+    w = [0] * sub.host.num_edges
+    left = [0] * sub.host.n
+    w[k] = 1
+    for x in sub.host.edges[k][:2]:
+        left[x] += s(k, x)
+    for y, (p, e) in reversed(base.parent.items()):
+        w[e] = -left[y] * s(e, y)
+        left[p] += s(e, p) * w[e]
+    return w, left[0]
 
 
-def _defect_function(
-    sub: SubstitutedGraph,
-    t: TypedEigenvalue,
-    tail: np.ndarray,
-    walk: NonBacktrackingPath,
-    label: str,
+def _weighted_function(
+    sub: SubstitutedGraph, t: TypedEigenvalue, tail: np.ndarray, w, tag: str, label: str
 ) -> ExtensionFunction:
-    X = sub.host
+    """The tail copied onto each host edge e with w_e != 0, scaled by w_e / a(e)."""
     values = np.zeros(sub.graph.n)
     block = sub.interior_block(values)
-    for e, df in walk.defects.items():
-        if df != 0:
-            block[e] = df / float(X.edges[e][2]) * tail
-    return ExtensionFunction(values, t.value, TAG_DEFECT, label)
+    for e, we in enumerate(w):
+        if we:
+            block[e] = we / float(sub.host.edges[e][2]) * tail
+    return ExtensionFunction(values, t.value, tag, label)
 
 
 def nodal_from_interior(
@@ -220,24 +232,30 @@ def nodal_from_interior(
         return fns
 
     if t.type == "III":
+        # the signed incidence kernel: the cycle space, one function per cycle
         tail = tails[:, 0]
         for i, c in enumerate(base.cycles):
-            fns.append(_signed_cycle_function(sub, t, tail, c, f"cycle {i}"))
+            w, _ = _tree_completion(sub, base, c.edge_indices[-1], -1)
+            fns.append(_weighted_function(sub, t, tail, w, TAG_ODD_CYCLE, f"cycle {i}"))
         return fns
 
     if t.type == "II":
+        # the unsigned incidence kernel: each even cycle, and each odd cycle
+        # joined with the last one so that the leftovers at the root cancel
         tail = tails[:, 0]
-        even = [i for i, c in enumerate(base.cycles) if c.is_even]
-        odd = [i for i, c in enumerate(base.cycles) if not c.is_even]
-        for i in even:
-            walk = cycle_path(X, base.cycles[i])
-            fns.append(_defect_function(sub, t, tail, walk, f"even cycle {i}"))
+        completed = [_tree_completion(sub, base, c.edge_indices[-1], 1) for c in base.cycles]
+        odd = [i for i, (_, r) in enumerate(completed) if r]
+        for i, (w, r) in enumerate(completed):
+            if not r:
+                fns.append(_weighted_function(sub, t, tail, w, TAG_DEFECT, f"even cycle {i}"))
         if odd:
             last = odd[-1]
+            w_last, r_last = completed[last]
             for i in odd[:-1]:
-                walk = even_joined_path(base, i, last)
+                w, r = completed[i]
+                joined = [we - r // r_last * wl for we, wl in zip(w, w_last)]
                 fns.append(
-                    _defect_function(sub, t, tail, walk, f"joined cycles {i},{last}")
+                    _weighted_function(sub, t, tail, joined, TAG_DEFECT, f"joined cycles {i},{last}")
                 )
         return fns
 

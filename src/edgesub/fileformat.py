@@ -28,6 +28,8 @@ def _graph_from_doc(doc: dict) -> WeightedGraph:
         raw_edges = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError("document needs 'vertices' and 'edges'") from exc
+    if not isinstance(raw_edges, list):
+        raise GraphFormatError(f"'edges' must be a list, not {raw_edges!r}")
     if len(set(map(str, labels))) != len(labels):
         raise GraphFormatError("duplicate vertex labels")
     index = {str(lbl): i for i, lbl in enumerate(labels)}
@@ -64,6 +66,8 @@ def load_substituent(text: str) -> Substituent:
         pairs = doc["gamma"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError("substituent needs 'a', 'b' and 'gamma'") from exc
+    if not isinstance(pairs, list):
+        raise GraphFormatError(f"'gamma' must be a list, not {pairs!r}")
     gamma = list(range(g.n))
     seen = set()
     for entry in pairs:

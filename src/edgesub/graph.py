@@ -16,7 +16,6 @@ from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
-    CyclesNotOdd,
     EmptyInterior,
     GammaDoesNotSwapAB,
     GammaNotAutomorphism,
@@ -269,44 +268,13 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleBase:
+    """Fundamental cycles of a spanning tree; `parent` maps each non-root
+    vertex to (parent vertex, tree edge index), in breadth-first order."""
+
     graph: WeightedGraph
     tree_edges: frozenset[int]
     cycles: tuple[Cycle, ...]
-
-
-@dataclass(frozen=True)
-class NonBacktrackingPath:
-    """Even closed non-backtracking walk with per-edge defect values.
-
-    The defect of edge e is sum over positions j with e_j = e of (-1)^j.
-    """
-
-    graph: WeightedGraph
-    vertices: tuple[int, ...]
-    edge_indices: tuple[int, ...]
-    defects: dict[int, int]
-
-    @staticmethod
-    def from_walk(g: WeightedGraph, verts, eidx) -> "NonBacktrackingPath":
-        verts = tuple(verts)
-        eidx = tuple(eidx)
-        k = len(eidx)
-        if k % 2 != 0:
-            raise GraphInvariantError("closed walk has odd length")
-        if verts[0] != verts[-1] or len(verts) != k + 1:
-            raise GraphInvariantError("walk is not closed or mislabeled")
-        defects: dict[int, int] = {}
-        for j, e in enumerate(eidx):
-            defects[e] = defects.get(e, 0) + (1 if j % 2 == 0 else -1)
-        return NonBacktrackingPath(g, verts, eidx, defects)
-
-    def is_non_backtracking(self) -> bool:
-        k = len(self.edge_indices)
-        # consecutive edges must differ (handles parallel edges correctly)
-        return all(self.edge_indices[j] != self.edge_indices[(j + 1) % k] for j in range(k))
-
-    def defect(self, e: int) -> int:
-        return self.defects.get(e, 0)
+    parent: dict[int, tuple[int, int]] = field(repr=False, compare=False)
 
 
 def bfs_spanning_tree(g: WeightedGraph) -> tuple[frozenset[int], dict[int, tuple[int, int]]]:
@@ -363,61 +331,4 @@ def fundamental_cycle_base(g: WeightedGraph) -> CycleBase:
             continue
         verts, eidx = _tree_path(parent, v, u)
         cycles.append(Cycle(tuple(verts + [v]), tuple(eidx + [k])))
-    return CycleBase(g, tree, tuple(cycles))
-
-
-def cycle_path(g: WeightedGraph, c: Cycle) -> NonBacktrackingPath:
-    """View an even cycle as a closed non-backtracking walk with defects."""
-    if not c.is_even:
-        raise CyclesNotOdd("expected an even cycle")
-    return NonBacktrackingPath.from_walk(g, c.vertices, c.edge_indices)
-
-
-def _rotations(c: Cycle):
-    """All rotations and reflections of the cycle as (verts, eidx) closed walks."""
-    k = c.length
-    verts = list(c.vertices[:-1])
-    eidx = list(c.edge_indices)
-    for start in range(k):
-        vs = verts[start:] + verts[: start + 1]
-        es = eidx[start:] + eidx[:start]
-        yield vs, es
-        rv = list(reversed(vs))
-        re = list(reversed(es))
-        yield rv, re
-
-
-def even_joined_path(base: CycleBase, i: int, j: int) -> NonBacktrackingPath:
-    """Even closed walk around odd cycle C_i, along the tree to C_j, and back."""
-    ci, cj = base.cycles[i], base.cycles[j]
-    if ci.is_even or cj.is_even:
-        raise CyclesNotOdd(f"cycles {i} and {j} must both be odd")
-    g = base.graph
-    _, parent = bfs_spanning_tree(g)
-
-    vi = set(ci.vertices)
-    vj = set(cj.vertices)
-    # junction candidates (s on C_i, t on C_j), nearest in the tree first
-    candidates = sorted(
-        (
-            (s, t, *_tree_path(parent, s, t))
-            for s in sorted(vi)
-            for t in sorted(vj)
-        ),
-        key=lambda c: len(c[3]),
-    )
-    for s, t, pv, pe in candidates:
-        for wvi, wei in _rotations(ci):
-            if wvi[0] != s:
-                continue
-            for wvj, wej in _rotations(cj):
-                if wvj[0] != t:
-                    continue
-                verts = wvi + pv[1:] + wvj[1:] + list(reversed(pv))[1:]
-                eidx = wei + pe + wej + list(reversed(pe))
-                walk = NonBacktrackingPath.from_walk(g, verts, eidx)
-                if walk.is_non_backtracking():
-                    return walk
-    raise GraphInvariantError(
-        f"no non-backtracking joining of cycles {i} and {j} found"
-    )
+    return CycleBase(g, tree, tuple(cycles), parent)

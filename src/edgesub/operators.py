@@ -154,17 +154,18 @@ def spectral_radius(op: ReversibleOperator) -> float:
     return float(np.max(np.linalg.eigvalsh(op.symmetrized())))
 
 
+def _local_values(dec: EigenDecomposition, x: int) -> list[float]:
+    """`local_spectrum` at x, read from the decomposition `dec`."""
+    mx = float(dec.operator.measure(x))
+    return [
+        v for v, basis in zip(dec.values, dec.bases) if mx * float(np.sum(basis[x, :] ** 2)) > 1e-9
+    ]
+
+
 def local_spectrum(op: ReversibleOperator, x: int) -> list[float]:
     """Eigenvalues whose eigenspace does not vanish at support position x.
 
     Membership is decided by the residue m(x) * sum_i h_i(x)^2 of the
     diagonal resolvent entry at x, against 1e-9.
     """
-    dec = eigen(op)
-    mx = float(op.measure(x))
-    out = []
-    for v, basis in zip(dec.values, dec.bases):
-        residue = mx * float(np.sum(basis[x, :] ** 2))
-        if residue > 1e-9:
-            out.append(v)
-    return out
+    return _local_values(eigen(op), x)

@@ -6,12 +6,7 @@ import numpy as np
 
 from .errors import NoSuchCluster, TooLarge
 from .graph import WeightedGraph
-from .operators import (
-    EigenDecomposition,
-    ReversibleOperator,
-    eigen,
-    local_spectrum,
-)
+from .operators import EigenDecomposition, ReversibleOperator, _local_values, eigen
 from .substitution import SubstitutedGraph
 
 SIZE_CAP = 4000
@@ -38,12 +33,12 @@ def nodal_dimension(decomp: EigenDecomposition, lam_star: float, host_count: int
 
 
 def dominance_report(g: WeightedGraph) -> list[dict]:
-    """Per-vertex local spectra with a flag for spectrally dominant vertices."""
-    op = ReversibleOperator.full(g)
-    full = eigen(op)
+    """Per-vertex local spectra with a flag for spectrally dominant vertices,
+    all read from one eigendecomposition."""
+    full = eigen(ReversibleOperator.full(g))
     out = []
     for x in range(g.n):
-        local = local_spectrum(op, x)
+        local = _local_values(full, x)
         out.append(
             {
                 "vertex": x,

@@ -1,9 +1,11 @@
 """Oracle sweep over the `randinst` recipe with |X| <= 12 and |V| <= 10.
 
 For each seed, takes the first `--count` pairs of
-`randinst.sweep_instances(seed, ...)`, runs spectrum-only `assemble` and
-compares the report with `direct_spectrum`.  Prints each mismatching
-(seed, index, error class) and exits non-zero if there is any.  Not collected by pytest; run it as
+`randinst.sweep_instances(seed, ...)`, runs `assemble` and compares the
+report with `direct_spectrum`, and the rank of each interior eigenvalue's
+nodal family with the oracle's `nodal_dimension` there (`NodalRankMismatch`).
+Prints each mismatching (seed, index, error class) and exits non-zero if
+there is any.  Not collected by pytest; run it as
 
     PYTHONPATH=src python tests/oracle_sweep.py --seeds 1-4 --count 338
 """
@@ -14,9 +16,10 @@ import argparse
 import sys
 
 from edgesub.assemble import assemble
-from edgesub.errors import EdgeSubError
+from edgesub.errors import EdgeSubError, NoSuchCluster
+from edgesub.extensions import independence_rank
 from edgesub.graph import Orientation
-from edgesub.oracle import direct_spectrum
+from edgesub.oracle import direct_spectrum, nodal_dimension
 
 from randinst import sweep_instances
 
@@ -31,15 +34,23 @@ def seed_range(text: str) -> range:
 def mismatch(X, s) -> str | None:
     """None if assemble agrees with the oracle, else the error class."""
     try:
-        result = assemble(X, Orientation.default(X), s, build_families=False)
+        result = assemble(X, Orientation.default(X), s)
     except EdgeSubError as exc:
         return type(exc).__name__
+    oracle = direct_spectrum(result.substituted)
     got = sorted(result.report.multiset())
-    want = sorted(direct_spectrum(result.substituted).value_multiset())
+    want = sorted(oracle.value_multiset())
     if len(got) != len(want) or any(
         abs(gv - wv) > TOL or gn != wn for (gv, gn), (wv, wn) in zip(got, want)
     ):
         return "OracleDisagreement"
+    for t in result.classified_interior:
+        try:
+            dim = nodal_dimension(oracle, t.value, X.n)
+        except NoSuchCluster:  # the interior value is not in the spectrum at all
+            dim = 0
+        if independence_rank(result.nodal_families[t.value]) != dim:
+            return "NodalRankMismatch"
     return None
 
 

@@ -138,6 +138,19 @@ class TestExitCodes:
         bad = _write(tmp_path, "badsub.json", json.dumps(doc))
         assert main(["transfer", "--sub", bad]) == 3
 
+    def test_non_list_fields_are_validation_errors(self, tmp_path, capsys):
+        host, sub = _host_and_sub(tmp_path)
+        for key, value in (("edges", 5), ("edges", None)):
+            doc = json.loads(dump_graph(cycle_host(5)))
+            doc[key] = value
+            bad = _write(tmp_path, "badhost.json", json.dumps(doc))
+            assert main(["spectrum", "--host", bad, "--sub", sub]) == 3
+        doc = json.loads(dump_substituent(chorded_square_substituent()))
+        doc["gamma"] = 7
+        bad = _write(tmp_path, "badsub.json", json.dumps(doc))
+        assert main(["transfer", "--sub", bad]) == 3
+        assert "validation error" in capsys.readouterr().err
+
     def test_host_file_used_as_substituent(self, tmp_path, capsys):
         host = _write(tmp_path, "host.json", dump_graph(path_host(3)))
         assert main(["transfer", "--sub", host]) == 3

@@ -59,6 +59,11 @@ class TestErrors:
         with pytest.raises(GraphFormatError):
             load_graph(json.dumps({"vertices": ["x"]}))
 
+    @pytest.mark.parametrize("edges", [5, None])
+    def test_edges_not_a_list(self, edges):
+        with pytest.raises(GraphFormatError, match="'edges' must be a list"):
+            load_graph(json.dumps({"vertices": ["x", "y"], "edges": edges}))
+
     def test_duplicate_labels(self):
         with pytest.raises(GraphFormatError):
             load_graph(json.dumps({"vertices": ["x", "x"], "edges": [["x", "x", "1"]]}))
@@ -79,6 +84,12 @@ class TestErrors:
         doc = json.loads(dump_substituent(chorded_square_substituent()))
         del doc["gamma"]
         with pytest.raises(GraphFormatError):
+            load_substituent(json.dumps(doc))
+
+    def test_substituent_gamma_not_a_list(self):
+        doc = json.loads(dump_substituent(chorded_square_substituent()))
+        doc["gamma"] = 7
+        with pytest.raises(GraphFormatError, match="'gamma' must be a list"):
             load_substituent(json.dumps(doc))
 
     def test_substituent_repeated_gamma_source(self):

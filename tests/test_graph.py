@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from edgesub.errors import (
-    CyclesNotOdd,
     EmptyInterior,
     GammaNotAutomorphism,
     GraphInvariantError,
@@ -12,11 +11,9 @@ from edgesub.errors import (
 )
 from edgesub.fixtures import chorded_square_substituent, cycle_host, path_host, path_substituent
 from edgesub.graph import (
-    NonBacktrackingPath,
     Orientation,
     Substituent,
     WeightedGraph,
-    even_joined_path,
     find_gamma,
     fundamental_cycle_base,
     validate_substituent,
@@ -158,60 +155,6 @@ class TestCycleBase:
             for c in base.cycles:
                 non_tree = [e for e in c.edge_indices if e not in base.tree_edges]
                 assert len(non_tree) == 1
-
-
-class TestJoinedPaths:
-    def _two_triangles_bridge(self):
-        # triangles 0-1-2 and 4-5-6 joined by the path 2-3-4
-        edges = [
-            (0, 1, ONE), (1, 2, ONE), (0, 2, ONE),
-            (2, 3, ONE), (3, 4, ONE),
-            (4, 5, ONE), (5, 6, ONE), (4, 6, ONE),
-        ]
-        return WeightedGraph(list(range(7)), edges)
-
-    def test_two_triangles_with_bridge(self):
-        g = self._two_triangles_bridge()
-        base = fundamental_cycle_base(g)
-        odd = [i for i, c in enumerate(base.cycles) if not c.is_even]
-        assert len(odd) == 2
-        walk = even_joined_path(base, odd[0], odd[1])
-        assert len(walk.edge_indices) % 2 == 0
-        assert walk.is_non_backtracking()
-        assert any(d != 0 for d in walk.defects.values())
-        # lonely (non-tree) edges of each cycle are crossed exactly once
-        for i in odd:
-            lonely = [e for e in base.cycles[i].edge_indices if e not in base.tree_edges][0]
-            assert abs(walk.defect(lonely)) == 1
-
-    def test_two_triangles_sharing_vertex(self):
-        edges = [
-            (0, 1, ONE), (1, 2, ONE), (0, 2, ONE),
-            (0, 3, ONE), (3, 4, ONE), (0, 4, ONE),
-        ]
-        g = WeightedGraph(list(range(5)), edges)
-        base = fundamental_cycle_base(g)
-        walk = even_joined_path(base, 0, 1)
-        assert len(walk.edge_indices) == 6
-        assert walk.is_non_backtracking()
-
-    def test_even_cycle_rejected(self):
-        g = cycle_host(4)
-        base = fundamental_cycle_base(g)
-        with pytest.raises(CyclesNotOdd):
-            even_joined_path(base, 0, 0)
-
-    def test_defect_sign_flip_on_shift(self):
-        g = self._two_triangles_bridge()
-        base = fundamental_cycle_base(g)
-        walk = even_joined_path(base, 0, 1)
-        verts = list(walk.vertices[:-1])
-        eidx = list(walk.edge_indices)
-        shifted = NonBacktrackingPath.from_walk(
-            g, verts[1:] + verts[:2], eidx[1:] + eidx[:1]
-        )
-        for e in set(list(walk.defects) + list(shifted.defects)):
-            assert shifted.defect(e) == -walk.defect(e)
 
 
 class TestOrientation:

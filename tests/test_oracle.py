@@ -13,7 +13,8 @@ from edgesub.fixtures import (
     path_substituent,
 )
 from edgesub.graph import Orientation
-from edgesub.operators import ReversibleOperator, eigen, spectral_radius
+from edgesub import operators
+from edgesub.operators import ReversibleOperator, eigen, local_spectrum, spectral_radius
 from edgesub import oracle
 from edgesub.oracle import SIZE_CAP, direct_spectrum, dominance_report, nodal_dimension
 from edgesub.substitution import substitute
@@ -71,6 +72,28 @@ class TestDominance:
         rep = dominance_report(sub.graph)
         for x in range(sub.host.n):
             assert not rep[x]["dominant"]
+
+    def test_one_eigen_gives_the_per_vertex_local_spectra(self, monkeypatch):
+        graphs = [
+            path_host(3),
+            cycle_host(5),
+            _sub(cycle_host(4), chorded_square_substituent()).graph,
+        ]
+        for g in graphs:
+            op = ReversibleOperator.full(g)
+            want = [local_spectrum(op, x) for x in range(g.n)]
+            calls = []
+
+            def counted(op):
+                calls.append(op)
+                return eigen(op)
+
+            monkeypatch.setattr(oracle, "eigen", counted)
+            monkeypatch.setattr(operators, "eigen", counted)
+            rep = dominance_report(g)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert [entry["local_spectrum"] for entry in rep] == want
 
     def test_local_spectra_are_subsets(self):
         g = cycle_host(5)
