@@ -7,10 +7,13 @@ resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials and
 the change to the Chebyshev basis, and exact isolation of the real roots of a
 polynomial in an interval.
 
-The resolvent is never eliminated over the rational-function field: det and
-det * (zI - M)^{-1} c are polynomials in z, so they are interpolated from one
-exact Gaussian elimination over Fraction at each of k + 1 integer nodes, and
-each entry is reduced once when its RationalFunction is built.
+The resolvent is never eliminated over the rational-function field:
+det(zI - M) and det(zI - M) (zI - M)^{-1} c are polynomials in z of degree at
+most k = dim M, so `interpolate_solves` interpolates them, or fixed
+combinations of them, from one exact fraction-free (Bareiss) elimination in
+integers at each of k + 1 integer nodes.  The transfer functions interpolate
+three such series, the resolvent columns 2k + 1 for two columns; each result
+is reduced once when its RationalFunction is built.
 
 Real roots are isolated exactly: a Sturm sequence over Fraction counts the
 distinct roots of the square-free part in an interval, and bisection at
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import TooCloseToInteriorSpectrum
 
@@ -308,44 +311,52 @@ def _as_rf(x) -> RationalFunction:
 def _eliminate(
     matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
 ) -> tuple[Fraction, list[list[Fraction]]]:
-    """det(A) and the solution of A x = c for each column c, by one Gaussian
-    elimination over Fraction; no solutions when det(A) = 0."""
+    """det(A) and det(A) A^{-1} c for each column c, exactly; no columns when
+    det(A) = 0.
+
+    Fraction-free (Bareiss) elimination: A and the columns are scaled to
+    integers by one common factor, and every division on the way is exact.
+    """
     n = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(c[i]) for c in columns]
-         for i, row in enumerate(matrix)]
-    det = Fraction(1)
+    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(matrix)]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return Fraction(0), []
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
+            sign = -sign
         pivot_row = a[col]
-        det *= pivot_row[col]
+        p = pivot_row[col]
         for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / pivot_row[col]
-                a[r] = [v - f * w if w else v for v, w in zip(a[r], pivot_row)]
-    solutions = []
+            f = a[r][col]
+            a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], pivot_row)]
+        prev = p
+    # prev is now the determinant of the scaled, row-swapped matrix, so each
+    # y = prev * x is integral (Cramer's rule) and det(A) x = y / (sign scale^n)
+    denom = sign * scale**n
+    adjugate_columns = []
     for j in range(n, n + len(columns)):
-        x = [Fraction(0)] * n
+        y = [0] * n
         for i in reversed(range(n)):
             row = a[i]
-            acc = row[j] - sum(row[t] * x[t] for t in range(i + 1, n) if row[t])
-            x[i] = acc / row[i]
-        solutions.append(x)
-    return det, solutions
+            acc = prev * row[j] - sum(row[t] * y[t] for t in range(i + 1, n) if row[t])
+            y[i] = acc // row[i]
+        adjugate_columns.append([Fraction(v, denom) for v in y])
+    return Fraction(prev, denom), adjugate_columns
 
 
 def solve_fraction_system(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction]:
-    """Solve A x = b exactly over Fraction by Gaussian elimination."""
-    det, solutions = _eliminate(matrix, [rhs])
+    """Solve A x = b exactly over Fraction."""
+    det, adjugate_columns = _eliminate(matrix, [rhs])
     if det == 0:
         raise ZeroDivisionError("singular matrix")
-    return solutions[0]
+    return [v / det for v in adjugate_columns[0]]
 
 
 def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial:
@@ -363,28 +374,43 @@ def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial
     return Polynomial(coeffs)
 
 
-def det_and_adjugate_columns(
-    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
-) -> tuple[Polynomial, list[list[Polynomial]]]:
-    """det(zI - M) and the columns det(zI - M) (zI - M)^{-1} c, exactly.
+def interpolate_solves(
+    matrix: Sequence[Sequence[Fraction]],
+    columns: Sequence[Sequence[Fraction]],
+    sample: Callable[[Fraction, list[list[Fraction]]], Sequence[Fraction]],
+) -> list[Polynomial]:
+    """The polynomials in z whose values at z are `sample(det, columns)`,
+    where det = det(zI - M) and columns holds det (zI - M)^{-1} c for each c.
 
-    Both are polynomials in z, of degree k = dim M and at most k - 1, so they
-    are interpolated from exact solves at k + 1 integer nodes z = 2, 3, ...
-    A node where zI - M is singular (an integer eigenvalue of M) is skipped.
+    Each is interpolated, so must have degree at most k = dim M, from exact
+    solves at k + 1 integer nodes z = 2, 3, ...; a node where zI - M is
+    singular (an integer eigenvalue of M) is skipped.
     """
     k = len(matrix)
+    shifted = [[-v for v in row] for row in matrix]
     nodes: list[int] = []
-    samples: list[list[Fraction]] = []  # per node: det, then det * x column by column
+    samples: list[Sequence[Fraction]] = []
     z = 1
     while len(nodes) < k + 1:
         z += 1
-        shifted = [[(z if i == j else 0) - v for j, v in enumerate(row)]
-                   for i, row in enumerate(matrix)]
-        det, solutions = _eliminate(shifted, columns)
+        for i, row in enumerate(shifted):
+            row[i] = z - matrix[i][i]
+        det, adjugate_columns = _eliminate(shifted, columns)
         if det != 0:
             nodes.append(z)
-            samples.append([det] + [det * v for x in solutions for v in x])
-    det, *entries = [_interpolate(nodes, series) for series in zip(*samples)]
+            samples.append(sample(det, adjugate_columns))
+    return [_interpolate(nodes, series) for series in zip(*samples)]
+
+
+def det_and_adjugate_columns(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
+) -> tuple[Polynomial, list[list[Polynomial]]]:
+    """det(zI - M) and the columns det(zI - M) (zI - M)^{-1} c, exactly:
+    1 + k * len(columns) interpolated series, k = dim M."""
+    k = len(matrix)
+    det, *entries = interpolate_solves(
+        matrix, columns, lambda det, adjugate: [det, *(v for col in adjugate for v in col)]
+    )
     return det, [entries[j * k : (j + 1) * k] for j in range(len(columns))]
 
 
@@ -395,11 +421,6 @@ def resolvent_matrix(
     rational functions over det(zI - M)."""
     det, adjugate_columns = det_and_adjugate_columns(matrix, columns)
     return [[RationalFunction(p, det) for p in col] for col in adjugate_columns]
-
-
-def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
-    """det(zI - M), interpolated from exact determinants at integer nodes."""
-    return det_and_adjugate_columns(matrix, [])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ resolvent of the interior restriction Q_{V°}:
     theta(z) = sum_{u,v interior} q(a,u) G(u,v|z) q(v,a)
     phi(z)   = (z - theta(z)) / psi(z), reduced
 
-psi and theta are each built as one polynomial over det(zI - Q_{V°}), from
-the adjugate columns of the two boundary kernels, and reduced once.
+At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
+q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
+det (q(a, b) + q(a, .) x_b), whose interpolants are det(zI - Q_{V°}) and the
+numerators of theta and psi; each function is reduced once over det.  The
+boundary kernels interpolate every entry of both columns, 2k + 1 series.
 
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
@@ -25,9 +28,8 @@ import numpy as np
 
 from .algebra import (
     POLE_GUARD,
-    Polynomial,
     RationalFunction,
-    det_and_adjugate_columns,
+    interpolate_solves,
     resolvent_matrix,
     solve_fraction_system,
 )
@@ -54,14 +56,15 @@ def _kernel_system(s: Substituent, q: list[list[Fraction]]) -> tuple[list, list]
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
     q = ReversibleOperator.full(s.graph).matrix_exact()
-    interior = s.interior
-    det, (adj_a, adj_b) = det_and_adjugate_columns(*_kernel_system(s, q))
+    q_a = [q[s.a][u] for u in s.interior]
 
-    def q_a_dot(column: list[Polynomial], start: Polynomial) -> Polynomial:
-        return sum((p.scale(q[s.a][u]) for u, p in zip(interior, column)), start)
+    def sample(det: Fraction, adjugate_columns: list[list[Fraction]]) -> list[Fraction]:
+        theta_num, psi_num = (sum(c * v for c, v in zip(q_a, x) if c) for x in adjugate_columns)
+        return [det, theta_num, det * q[s.a][s.b] + psi_num]
 
-    theta = RationalFunction(q_a_dot(adj_a, Polynomial()), det)
-    psi = RationalFunction(q_a_dot(adj_b, det.scale(q[s.a][s.b])), det)
+    det, theta_num, psi_num = interpolate_solves(*_kernel_system(s, q), sample)
+    theta = RationalFunction(theta_num, det)
+    psi = RationalFunction(psi_num, det)
     z_minus_theta = RationalFunction.z() - theta
     phi = z_minus_theta / psi
     return TransferFunctions(phi, psi, theta, z_minus_theta)

@@ -72,3 +72,23 @@ def sweep_instances(seed: int, count: int):
 def sweep_instance(seed: int, index: int):
     """The index-th (host, substituent) pair of `sweep_instances(seed, ...)`."""
     return next(islice(sweep_instances(seed, index + 1), index, None))
+
+
+def relabel_substituent(s: Substituent, rng: random.Random) -> Substituent:
+    """The same substituent with shuffled vertex order, edge order and edge
+    direction: the relabelling the benchmark applies to fixture shapes."""
+    g = s.graph
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    labels = [None] * g.n
+    for old, new in enumerate(perm):
+        labels[new] = g.vertices[old]
+    edges = [
+        (perm[u], perm[v], c) if rng.random() < 0.5 else (perm[v], perm[u], c)
+        for u, v, c in g.edges
+    ]
+    rng.shuffle(edges)
+    gamma = [0] * g.n
+    for v in range(g.n):
+        gamma[perm[v]] = perm[s.gamma[v]]
+    return Substituent(WeightedGraph(labels, edges), perm[s.a], perm[s.b], tuple(gamma))

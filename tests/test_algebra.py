@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
-    charpoly,
     chebyshev,
     chebyshev_coeffs,
+    det_and_adjugate_columns,
     poly_gcd,
     real_roots_in_interval,
     resolvent_matrix,
@@ -94,6 +94,11 @@ class TestRationalFunction:
             )
 
 
+def charpoly(matrix):
+    """det(zI - M), the first series that `det_and_adjugate_columns` interpolates."""
+    return det_and_adjugate_columns(matrix, [])[0]
+
+
 def _identity(n):
     return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
 
@@ -155,6 +160,12 @@ class TestLinearSolve:
         b = [Fraction(5), Fraction(10)]
         x = solve_fraction_system(a, b)
         assert x == [Fraction(1), Fraction(3)]
+
+    def test_zero_pivot_swaps_rows(self):
+        a = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+        assert solve_fraction_system(a, [Fraction(4), Fraction(5)]) == [Fraction(1), Fraction(2)]
+        # zI - M is [[0, -1], [-1, 2]] at the node z = 2: a swap flips det's sign
+        assert charpoly([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]) == Polynomial([-1, -2, 1])
 
     def test_singular_raises(self):
         with pytest.raises(ZeroDivisionError):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgesub.algebra import Polynomial, RationalFunction, chebyshev
+from edgesub import algebra, transfer
+from edgesub.algebra import Polynomial, RationalFunction, chebyshev, resolvent_matrix
 from edgesub.classify import classify_Qinterior
 from edgesub.errors import TooCloseToInteriorSpectrum
 from edgesub.fixtures import (
@@ -18,13 +19,14 @@ from edgesub.graph import Orientation
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
+    TransferFunctions,
     boundary_kernels,
     compute_transfer,
     solve_boundary,
     verify_resolvent_identity,
 )
 
-from randinst import random_host, random_substituent, sweep_instance
+from randinst import random_host, random_substituent, relabel_substituent, sweep_instance
 
 RF = RationalFunction
 ONE = RF(Polynomial([1]))
@@ -117,6 +119,78 @@ class TestAgainstTheKernels:
             assert tf.theta == theta
             assert tf.z_minus_theta == RF.z() - theta
             assert tf.phi == (RF.z() - theta) / psi
+
+
+def _reference_transfer(s):
+    """The 2k + 1 series route: det and every entry of both adjugate columns
+    are interpolated (`resolvent_matrix`), and theta and psi are summed from
+    the reduced resolvent columns."""
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    M = [[q[u][v] for v in s.interior] for u in s.interior]
+    col_a, col_b = resolvent_matrix(M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)])
+    theta = sum((q[s.a][u] * g for u, g in zip(s.interior, col_a)), RF.const(0))
+    psi = sum((q[s.a][u] * g for u, g in zip(s.interior, col_b)), RF.const(q[s.a][s.b]))
+    z_minus_theta = RF.z() - theta
+    return TransferFunctions(z_minus_theta / psi, psi, theta, z_minus_theta)
+
+
+# the fixture substituents of the sub-long and eigenbasis-mix benchmark workloads
+WORKLOAD_FIXTURES = {
+    "path-10": path_substituent(10),
+    "path-15": path_substituent(15),
+    "circle-antipodal-7": circle_substituent(7, "antipodal"),
+    "circle-adjacent-6": circle_substituent(6, "adjacent"),
+    **{f"path-{L}": path_substituent(L) for L in range(2, 6)},
+    **{
+        f"circle-{placement}-{L}": circle_substituent(L, placement)
+        for L in (2, 3)
+        for placement in ("antipodal", "adjacent")
+    },
+    "chorded-square": chorded_square_substituent(),
+}
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
+    def test_workload_fixtures(self, name):
+        s = WORKLOAD_FIXTURES[name]
+        assert compute_transfer(s) == _reference_transfer(s)
+
+    def test_random_substituents(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            s = random_substituent(rng, max_v=10)
+            assert compute_transfer(s) == _reference_transfer(s)
+
+    @pytest.mark.parametrize("name", ["path-10", "circle-antipodal-7"])
+    def test_relabelling_leaves_the_functions_equal(self, name):
+        # vertex order changes the cost of the exact solves, never the result
+        s = WORKLOAD_FIXTURES[name]
+        tf = compute_transfer(s)
+        rng = random.Random(name)
+        for _ in range(3):
+            assert compute_transfer(relabel_substituent(s, rng)) == tf
+
+    def test_one_solve_per_node_and_three_series(self, monkeypatch):
+        # the node loop, and the elimination and interpolation it runs, are
+        # counted where compute_transfer and interpolate_solves look them up
+        counts = {"interpolate_solves": 0, "_eliminate": 0, "_interpolate": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(transfer, "interpolate_solves")
+        counted(algebra, "_eliminate")
+        counted(algebra, "_interpolate")
+        s = path_substituent(15)
+        compute_transfer(s)
+        assert counts == {"interpolate_solves": 1, "_eliminate": len(s.interior) + 1, "_interpolate": 3}
 
 
 class TestBoundaryKernels:
