@@ -251,7 +251,11 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        # -num / den is reduced with a monic denominator already: no gcd
+        neg = object.__new__(RationalFunction)
+        object.__setattr__(neg, "num", -self.num)
+        object.__setattr__(neg, "den", self.den)
+        return neg
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-_as_rf(other))

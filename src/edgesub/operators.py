@@ -2,15 +2,17 @@
 
 The operator P has entries p(x,y) = a(x,y)/m(x), kept as exact Fractions.
 Eigendecomposition symmetrizes by s(x,y) = a(x,y)/sqrt(m(x)m(y)), so a
-standard symmetric solver applies; its orthonormal eigenvectors u map back
-to m-orthonormal eigenfunctions h = u/sqrt(m).
+standard symmetric solver applies.  `eigen` finds the eigenvalues alone; the
+orthonormal eigenvectors u, from one `eigh` when `EigenDecomposition.bases`
+is first read, map back to m-orthonormal eigenfunctions h = u/sqrt(m).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +20,11 @@ import numpy as np
 from .graph import WeightedGraph
 
 CLUSTER_TOL = 1e-8
+
+
+def _float(q: Fraction) -> float:
+    """float(q), skipping the generic `numbers.Rational.__float__` path."""
+    return q.numerator / q.denominator
 
 
 @dataclass(frozen=True)
@@ -68,20 +75,22 @@ class ReversibleOperator:
             mat[i][j] = a / m[i]
         return mat
 
+    def _measures(self) -> list[float]:
+        """m(x) as floats, in support order."""
+        return [_float(self.graph.m(x)) for x in self.support]
+
     def matrix_float(self) -> np.ndarray:
-        n = self.dim
-        m = [float(self.measure(i)) for i in range(n)]
-        mat = np.zeros((n, n))
+        m = self._measures()
+        mat = np.zeros((self.dim, self.dim))
         for i, j, a in self._conductances():
-            mat[i, j] = float(a) / m[i]
+            mat[i, j] = _float(a) / m[i]
         return mat
 
     def symmetrized(self) -> np.ndarray:
-        n = self.dim
-        m = [float(self.measure(i)) for i in range(n)]
-        s = np.zeros((n, n))
+        m = self._measures()
+        s = np.zeros((self.dim, self.dim))
         for i, j, a in self._conductances():
-            s[i, j] = float(a) / math.sqrt(m[i] * m[j])
+            s[i, j] = _float(a) / math.sqrt(m[i] * m[j])
         return s
 
     def is_stochastic(self) -> bool:
@@ -96,13 +105,25 @@ class EigenDecomposition:
     """Clustered eigenvalues (descending) with m-orthonormal eigenbases.
 
     `bases[k]` has one column per eigenfunction of cluster k; rows are
-    indexed like the operator's support.
+    indexed like the operator's support.  Bases given to the constructor are
+    kept; otherwise they are computed on first access and then cached.
     """
 
     operator: ReversibleOperator
     values: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    bases: tuple[np.ndarray, ...]
+    _bases: Optional[tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        """One `eigh`, its vectors in descending order, split by the multiplicities."""
+        if self._bases is None:
+            _, u = np.linalg.eigh(self.operator.symmetrized())
+            h = u[:, ::-1] / np.sqrt(self.operator._measures())[:, None]
+            ends = accumulate(self.multiplicities)
+            bases = tuple(h[:, e - nu : e] for e, nu in zip(ends, self.multiplicities))
+            object.__setattr__(self, "_bases", bases)
+        return self._bases
 
     @property
     def dim(self) -> int:
@@ -126,27 +147,17 @@ class EigenDecomposition:
 
 
 def eigen(op: ReversibleOperator) -> EigenDecomposition:
-    """Full symmetric eigendecomposition; eigenvalues within CLUSTER_TOL of a
-    cluster's largest are one cluster."""
-    n = op.dim
-    m = np.array([float(op.measure(i)) for i in range(n)])
-    s = op.symmetrized()
-    w, u = np.linalg.eigh(s)
-    order = np.argsort(-w)
-    w, u = w[order], u[:, order]
-    h = u / np.sqrt(m)[:, None]
-
-    values, mults, bases = [], [], []
-    k = 0
-    while k < n:
-        k2 = k
-        while k2 + 1 < n and abs(w[k2 + 1] - w[k]) <= CLUSTER_TOL:
-            k2 += 1
-        values.append(float(np.mean(w[k : k2 + 1])))
-        mults.append(k2 + 1 - k)
-        bases.append(h[:, k : k2 + 1])
-        k = k2 + 1
-    return EigenDecomposition(op, tuple(values), tuple(mults), tuple(bases))
+    """The eigenvalues of the operator, descending and clustered: eigenvalues
+    within CLUSTER_TOL of a cluster's largest are one cluster, its value their
+    mean.  No eigenvector is computed until `bases` is read."""
+    clusters: list[list[float]] = []
+    for w in np.linalg.eigvalsh(op.symmetrized())[::-1].tolist():
+        if clusters and clusters[-1][0] - w <= CLUSTER_TOL:
+            clusters[-1].append(w)
+        else:
+            clusters.append([w])
+    values = tuple(math.fsum(c) / len(c) for c in clusters)
+    return EigenDecomposition(op, values, tuple(map(len, clusters)))
 
 
 def spectral_radius(op: ReversibleOperator) -> float:
@@ -154,12 +165,13 @@ def spectral_radius(op: ReversibleOperator) -> float:
     return float(np.max(np.linalg.eigvalsh(op.symmetrized())))
 
 
-def _local_values(dec: EigenDecomposition, x: int) -> list[float]:
-    """`local_spectrum` at x, read from the decomposition `dec`."""
-    mx = float(dec.operator.measure(x))
-    return [
-        v for v, basis in zip(dec.values, dec.bases) if mx * float(np.sum(basis[x, :] ** 2)) > 1e-9
-    ]
+def _local_values(dec: EigenDecomposition) -> list[list[float]]:
+    """`local_spectrum` at every support position, read from the decomposition
+    `dec`: one sum of squares over all rows per cluster."""
+    residues = np.column_stack([(h**2).sum(axis=1) for h in dec.bases])
+    residues *= np.array(dec.operator._measures())[:, None]
+    values = np.array(dec.values)
+    return [values[row > 1e-9].tolist() for row in residues]
 
 
 def local_spectrum(op: ReversibleOperator, x: int) -> list[float]:
@@ -168,4 +180,4 @@ def local_spectrum(op: ReversibleOperator, x: int) -> list[float]:
     Membership is decided by the residue m(x) * sum_i h_i(x)^2 of the
     diagonal resolvent entry at x, against 1e-9.
     """
-    return _local_values(eigen(op), x)
+    return _local_values(eigen(op))[x]

@@ -36,16 +36,12 @@ def dominance_report(g: WeightedGraph) -> list[dict]:
     """Per-vertex local spectra with a flag for spectrally dominant vertices,
     all read from one eigendecomposition."""
     full = eigen(ReversibleOperator.full(g))
-    out = []
-    for x in range(g.n):
-        local = _local_values(full, x)
-        out.append(
-            {
-                "vertex": x,
-                "label": g.vertices[x],
-                "local_spectrum": local,
-                "dominant": len(local) == len(full.values),
-            }
-        )
-    return out
-
+    return [
+        {
+            "vertex": x,
+            "label": g.vertices[x],
+            "local_spectrum": local,
+            "dominant": len(local) == len(full.values),
+        }
+        for x, local in enumerate(_local_values(full))
+    ]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesub import algebra
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
@@ -23,6 +24,9 @@ from edgesub.assemble import assemble, solve_S1
 from edgesub.errors import TooCloseToInteriorSpectrum
 from edgesub.fixtures import chorded_square_substituent, cycle_host
 from edgesub.graph import Orientation
+from edgesub.transfer import compute_transfer
+
+from randinst import random_substituent
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -92,6 +96,25 @@ class TestRationalFunction:
             assert a * (RationalFunction(Polynomial([1])) / a) == RationalFunction(
                 Polynomial([1])
             )
+
+    def test_negation_is_built_without_a_gcd(self, monkeypatch):
+        """-f of a reduced f with a monic denominator is reduced already."""
+        rng = random.Random(13)
+        fns = []
+        for _ in range(8):
+            tf = compute_transfer(random_substituent(rng))
+            fns += [tf.phi, tf.psi, tf.theta, tf.z_minus_theta]
+        want = [RationalFunction(-f.num, f.den) for f in fns]
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(algebra, "poly_gcd", counted)
+        got = [-f for f in fns]
+        assert calls == []
+        assert got == want
 
 
 def charpoly(matrix):

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from edgesub.fixtures import (
     star_host,
 )
 from edgesub.graph import Orientation, WeightedGraph, fundamental_cycle_base
-from edgesub.operators import CLUSTER_TOL
+from edgesub.operators import CLUSTER_TOL, ReversibleOperator
 from edgesub.oracle import direct_spectrum
 from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer
@@ -343,6 +344,33 @@ class TestLazySubstitutedGraph:
             assert (report.host_is_tree, report.host_is_odd_unicyclic) == want, name
             shapes.add(want)
         assert shapes == {(True, False), (False, True), (False, False)}
+
+
+class TestHostEigenvectorsOnlyWhenRead:
+    def test_spectrum_only_solves_no_host_eigenvectors(self, monkeypatch):
+        X, s = cycle_host(300), path_substituent(3)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        result = _run(X, s, build_families=False)
+        assert all(shape[0] < X.n for shape in shapes)
+        # the host's bases are computed now, on first access, by one eigh
+        result.spec_P.bases
+        assert shapes.count((X.n, X.n)) == 1
+
+    def test_host_bases_when_read_are_eigenbases(self):
+        X, s = cycle_host(300), path_substituent(3)
+        spec_P = _run(X, s, build_families=True).spec_P
+        p = ReversibleOperator.full(X).matrix_float()
+        for k, (lam, nu) in enumerate(spec_P.value_multiset()):
+            h = spec_P.bases[k]
+            assert h.shape == (X.n, nu)
+            assert np.max(np.abs(p @ h - lam * h)) <= 1e-10
 
 
 class TestS1AgainstOracle:

@@ -8,7 +8,19 @@ import pkgutil
 
 import edgesub
 
-KNOBS = {"tol", "cluster_tol", "guard", "cap", "root", "raise_on_failure"}
+KNOBS = {
+    "tol",
+    "cluster_tol",
+    "guard",
+    "cap",
+    "root",
+    "raise_on_failure",
+    # a values-only eigen is the default, not a caller flag
+    "vectors",
+    "compute_vectors",
+    "eigvals_only",
+    "lazy",
+}
 
 
 def _public_callables():

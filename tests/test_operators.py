@@ -13,6 +13,7 @@ from edgesub.fixtures import (
 )
 from edgesub.graph import WeightedGraph
 from edgesub.operators import (
+    EigenDecomposition,
     ReversibleOperator,
     eigen,
     local_spectrum,
@@ -22,6 +23,14 @@ from edgesub.operators import (
 from randinst import random_host
 
 ONE = Fraction(1)
+
+
+def _operators(seed):
+    """Eight random hosts, then two with degenerate clusters: cycle-12 (pairs)
+    and star-8 (a cluster of 6 at 0)."""
+    rng = random.Random(seed)
+    hosts = [random_host(rng) for _ in range(8)] + [cycle_host(12), star_host(8)]
+    return [ReversibleOperator.full(g) for g in hosts]
 
 
 class TestOperator:
@@ -88,27 +97,28 @@ class TestEigen:
         assert abs(dec.values[1] + 1 / 3) < 1e-12
 
     def test_orthonormality_and_completeness(self):
-        rng = random.Random(6)
-        for _ in range(8):
-            g = random_host(rng)
-            op = ReversibleOperator.full(g)
+        for op in _operators(6):
             dec = eigen(op)
             m = np.array([float(op.measure(i)) for i in range(op.dim)])
+            assert [b.shape for b in dec.bases] == [(op.dim, nu) for nu in dec.multiplicities]
+            want = np.linalg.eigh(op.symmetrized())[0][::-1]
+            assert np.max(np.abs(np.array(dec.all_values()) - want)) <= 1e-12
             h = np.hstack(dec.bases)
             assert h.shape == (op.dim, op.dim)
             gram = h.T @ (h * m[:, None])
             assert np.allclose(gram, np.eye(op.dim), atol=1e-8)
             # spectral resolution of the identity: sum_i h_i(x) h_i(y) m(y) = delta
             assert np.allclose((h @ h.T) * m[None, :], np.eye(op.dim), atol=1e-8)
+            given = tuple(b.copy() for b in dec.bases)
+            assert EigenDecomposition(op, dec.values, dec.multiplicities, given).bases is given
+        assert dec.multiplicities == (1, 6, 1)  # the last input, star-8
 
     def test_eigen_equation_residuals(self):
-        rng = random.Random(8)
-        for _ in range(8):
-            g = random_host(rng)
-            op = ReversibleOperator.full(g)
+        for op in _operators(8):
             dec = eigen(op)
             p = op.matrix_float()
-            for v, basis in zip(dec.values, dec.bases):
+            for v, nu, basis in zip(dec.values, dec.multiplicities, dec.bases):
+                assert basis.shape == (op.dim, nu)
                 assert np.max(np.abs(p @ basis - v * basis)) < 1e-9
 
     def test_large_cluster_is_m_orthonormal(self):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from edgesub.fixtures import (
     fixture_circle,
     path_host,
     path_substituent,
+    star_host,
 )
 from edgesub.graph import Orientation
 from edgesub import operators
@@ -19,9 +21,19 @@ from edgesub import oracle
 from edgesub.oracle import SIZE_CAP, direct_spectrum, dominance_report, nodal_dimension
 from edgesub.substitution import substitute
 
+from randinst import random_host
+
 
 def _sub(X, s):
     return substitute(X, Orientation.default(X), s)
+
+
+def _reference_local_values(dec, x):
+    """The local spectrum at x, one eigenspace row at a time."""
+    mx = float(dec.operator.measure(x))
+    return [
+        v for v, basis in zip(dec.values, dec.bases) if mx * float(np.sum(basis[x, :] ** 2)) > 1e-9
+    ]
 
 
 class TestDirectSpectrum:
@@ -94,6 +106,15 @@ class TestDominance:
             monkeypatch.undo()
             assert len(calls) == 1
             assert [entry["local_spectrum"] for entry in rep] == want
+
+    def test_rows_equal_the_per_row_reference(self):
+        rng = random.Random(21)
+        graphs = [cycle_host(200), star_host(8), *(random_host(rng, max_n=9) for _ in range(5))]
+        for g in graphs:
+            dec = eigen(ReversibleOperator.full(g))
+            want = [_reference_local_values(dec, x) for x in range(g.n)]
+            assert [entry["local_spectrum"] for entry in dominance_report(g)] == want
+            assert local_spectrum(ReversibleOperator.full(g), g.n - 1) == want[-1]
 
     def test_local_spectra_are_subsets(self):
         g = cycle_host(5)
