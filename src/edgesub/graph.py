@@ -115,21 +115,19 @@ class WeightedGraph:
         return seen == sub
 
     def bipartition(self) -> Optional[tuple[frozenset, frozenset]]:
-        """Two color classes if bipartite, else None."""
-        color = {0: 0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
+        """Two color classes if bipartite, else None; vertex 0 is in the first."""
+        color = [-1] * self.n
+        color[0] = 0
+        order = [0]
+        for x in order:  # breadth-first: order grows while it is read
             for y in self._adj[x]:
-                if y not in color:
+                if color[y] < 0:
                     color[y] = 1 - color[x]
-                    queue.append(y)
+                    order.append(y)
                 elif color[y] == color[x]:
                     return None
-        return (
-            frozenset(v for v, c in color.items() if c == 0),
-            frozenset(v for v, c in color.items() if c == 1),
-        )
+        second = frozenset(itertools.compress(range(self.n), color))
+        return frozenset(range(self.n)) - second, second
 
     @cached_property
     def delta_b(self) -> int:

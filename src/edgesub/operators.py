@@ -2,17 +2,21 @@
 
 The operator P has entries p(x,y) = a(x,y)/m(x), kept as exact Fractions.
 Eigendecomposition symmetrizes by s(x,y) = a(x,y)/sqrt(m(x)m(y)), so a
-standard symmetric solver applies.  `eigen` finds the eigenvalues alone; the
-orthonormal eigenvectors u, from one `eigh` when `EigenDecomposition.bases`
+standard symmetric solver applies.  `eigen` finds the eigenvalues alone: on a
+bipartite graph S = [[0, B], [B^T, 0]] over the colour classes, so they are
++- the singular values of B and |n1 - n2| zeros; otherwise `eigvalsh` of S.
+The orthonormal eigenvectors u, from one `eigh` when `EigenDecomposition.bases`
 is first read, map back to m-orthonormal eigenfunctions h = u/sqrt(m).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
+from operator import neg
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,11 +24,6 @@ import numpy as np
 from .graph import WeightedGraph
 
 CLUSTER_TOL = 1e-8
-
-
-def _float(q: Fraction) -> float:
-    """float(q), skipping the generic `numbers.Rational.__float__` path."""
-    return q.numerator / q.denominator
 
 
 @dataclass(frozen=True)
@@ -76,21 +75,31 @@ class ReversibleOperator:
         return mat
 
     def _measures(self) -> list[float]:
-        """m(x) as floats, in support order."""
-        return [_float(self.graph.m(x)) for x in self.support]
+        """m(x) as floats, in support order.  Here and below numerator /
+        denominator skips the generic `numbers.Rational.__float__` path."""
+        return [q.numerator / q.denominator for q in map(self.graph.m, self.support)]
 
     def matrix_float(self) -> np.ndarray:
         m = self._measures()
         mat = np.zeros((self.dim, self.dim))
         for i, j, a in self._conductances():
-            mat[i, j] = _float(a) / m[i]
+            mat[i, j] = a.numerator / a.denominator / m[i]
         return mat
 
     def symmetrized(self) -> np.ndarray:
+        return self._symmetrized_block(range(self.dim), range(self.dim))
+
+    def _symmetrized_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """The symmetrized matrix on support positions `rows` x `cols`."""
         m = self._measures()
-        s = np.zeros((self.dim, self.dim))
-        for i, j, a in self._conductances():
-            s[i, j] = _float(a) / math.sqrt(m[i] * m[j])
+        col = {self.support[j]: (k, m[j]) for k, j in enumerate(cols)}
+        s = np.zeros((len(rows), len(cols)))
+        flat = s.reshape(-1)
+        for start, i in zip(count(0, len(cols)), rows):
+            for y, a in self.graph.adjacency(self.support[i]).items():
+                hit = col.get(y)
+                if hit is not None:
+                    flat[start + hit[0]] = a.numerator / a.denominator / math.sqrt(m[i] * hit[1])
         return s
 
     def is_stochastic(self) -> bool:
@@ -139,22 +148,41 @@ class EigenDecomposition:
         return out
 
     def cluster_near(self, value: float) -> Optional[int]:
-        """The cluster nearest `value` among those within 1e-7 of it, or None."""
-        hits = [k for k, v in enumerate(self.values) if abs(v - value) <= 1e-7]
-        if not hits:
-            return None
-        return min(hits, key=lambda k: abs(self.values[k] - value))
+        """The cluster nearest `value` among those within 1e-7 of it, or None;
+        of two equally near, the lower index.  The descending `values` put
+        the nearest next to the insertion point of `value`."""
+        k = bisect_left(self.values, -value, key=neg)
+        dist = {j: abs(self.values[j] - value) for j in (k - 1, k) if 0 <= j < len(self.values)}
+        return min((j for j, d in dist.items() if d <= 1e-7), key=dist.get, default=None)
+
+
+def _descending_values(op: ReversibleOperator) -> list[float]:
+    """Every eigenvalue of the operator, descending.  A bipartite graph's
+    colouring splits any support, as no entry of S joins two vertices of one
+    class, and only the n1 x n2 block between the classes is built."""
+    colours = op.graph.bipartition()
+    if colours is None:
+        return np.linalg.eigvalsh(op.symmetrized())[::-1].tolist()
+    first = colours[0]
+    left = [i for i, x in enumerate(op.support) if x in first]
+    right = [i for i, x in enumerate(op.support) if x not in first]
+    sigma = np.linalg.svd(op._symmetrized_block(left, right), compute_uv=False).tolist()
+    return sigma + [0.0] * abs(len(left) - len(right)) + [-s for s in reversed(sigma)]
 
 
 def eigen(op: ReversibleOperator) -> EigenDecomposition:
     """The eigenvalues of the operator, descending and clustered: eigenvalues
     within CLUSTER_TOL of a cluster's largest are one cluster, its value their
-    mean.  No eigenvector is computed until `bases` is read."""
+    mean.  A bipartite operator's eigenvalues are plus and minus the singular
+    values of its colour-class block, with |n1 - n2| exact zeros; any other
+    takes `eigvalsh`.  No eigenvector is computed until `bases` is read."""
     clusters: list[list[float]] = []
-    for w in np.linalg.eigvalsh(op.symmetrized())[::-1].tolist():
-        if clusters and clusters[-1][0] - w <= CLUSTER_TOL:
+    top = math.inf  # the largest eigenvalue of the last cluster
+    for w in _descending_values(op):
+        if top - w <= CLUSTER_TOL:
             clusters[-1].append(w)
         else:
+            top = w
             clusters.append([w])
     values = tuple(math.fsum(c) / len(c) for c in clusters)
     return EigenDecomposition(op, values, tuple(map(len, clusters)))
@@ -162,7 +190,7 @@ def eigen(op: ReversibleOperator) -> EigenDecomposition:
 
 def spectral_radius(op: ReversibleOperator) -> float:
     """Largest eigenvalue of the (sub-)operator."""
-    return float(np.max(np.linalg.eigvalsh(op.symmetrized())))
+    return _descending_values(op)[0]
 
 
 def _local_values(dec: EigenDecomposition) -> list[list[float]]:

@@ -11,7 +11,8 @@ At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
 q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
 det (q(a, b) + q(a, .) x_b), whose interpolants are det(zI - Q_{V°}) and the
 numerators of theta and psi; each function is reduced once over det.  The
-boundary kernels interpolate every entry of both columns, 2k + 1 series.
+boundary kernels solve the column q(., a) alone and interpolate every entry,
+k + 1 series; the kernels toward b are those toward a, read through gamma.
 
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
@@ -120,12 +121,15 @@ class BoundaryKernels:
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
+    """One exact solve, toward a: gamma swaps a and b and preserves
+    conductances, so F_{V-a}(u, b | z) = F_{V-b}(gamma u, a | z)."""
     q = ReversibleOperator.full(s.graph).matrix_exact()
-    col_a, col_b = resolvent_matrix(*_kernel_system(s, q))
+    M, (q_a, _) = _kernel_system(s, q)
+    (col_a,) = resolvent_matrix(M, [q_a])
     one = RationalFunction.const(1)
     zero = RationalFunction.const(0)
     to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}
-    to_b = {s.b: one, s.a: zero, **dict(zip(s.interior, col_b))}
+    to_b = {u: to_a[s.gamma[u]] for u in range(s.graph.n)}
     return BoundaryKernels(s, to_a, to_b)
 
 

@@ -363,6 +363,28 @@ class TestHostEigenvectorsOnlyWhenRead:
         result.spec_P.bases
         assert shapes.count((X.n, X.n)) == 1
 
+    def test_bipartite_host_values_from_one_half_size_svd(self, monkeypatch):
+        # cycle-300 is bipartite: its eigenvalues are +- the singular values
+        # of the 150 x 150 block between its colour classes
+        X, s = cycle_host(300), path_substituent(3)
+        shapes = {"eigvalsh": [], "eigh": [], "svd": []}
+
+        def record(name):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, **kwargs):
+                shapes[name].append(a.shape)
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+
+        for name in shapes:
+            record(name)
+        _run(X, s, build_families=False)
+        assert shapes["eigvalsh"] == []
+        assert all(shape[0] < X.n for shape in shapes["eigh"])
+        assert [shape for shape in shapes["svd"] if max(shape) >= X.n // 2] == [(150, 150)]
+
     def test_host_bases_when_read_are_eigenbases(self):
         X, s = cycle_host(300), path_substituent(3)
         spec_P = _run(X, s, build_families=True).spec_P

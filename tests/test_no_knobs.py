@@ -20,6 +20,11 @@ KNOBS = {
     "compute_vectors",
     "eigvals_only",
     "lazy",
+    # the bipartite eigenvalue path is chosen from the graph, not by the caller
+    "bipartite",
+    "method",
+    "solver",
+    "use_svd",
 }
 
 

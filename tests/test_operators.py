@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from edgesub.fixtures import (
     chorded_square_substituent,
+    circle_substituent,
     cycle_host,
     path_host,
     path_substituent,
@@ -13,6 +15,7 @@ from edgesub.fixtures import (
 )
 from edgesub.graph import WeightedGraph
 from edgesub.operators import (
+    CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
     eigen,
@@ -20,7 +23,7 @@ from edgesub.operators import (
     spectral_radius,
 )
 
-from randinst import random_host
+from randinst import rand_weight, random_host
 
 ONE = Fraction(1)
 
@@ -138,6 +141,28 @@ class TestEigen:
         assert dec.cluster_near(0.0) == 1
         assert dec.cluster_near(0.5) is None
 
+    def test_cluster_near_equals_the_linear_scan(self):
+        op = ReversibleOperator.full(cycle_host(4))
+        rng = random.Random(3)
+        tie = 2.0**-25  # about 3e-8: 0.5 +- tie are exactly equidistant from 0.5
+        lists = [(0.5 + tie, 0.5 - tie), (0.5 + tie, 0.5, 0.5 - tie)]
+        for _ in range(200):
+            values = sorted({rng.uniform(-1, 1) for _ in range(rng.randint(0, 12))})
+            # a window of several clusters 1e-8 to 1e-7 apart
+            top = rng.uniform(-1, 1)
+            values += [top - k * rng.uniform(1e-8, 1e-7) for k in range(rng.randint(1, 5))]
+            lists.append(tuple(sorted(set(values), reverse=True)))
+        for values in lists:
+            dec = EigenDecomposition(op, values, (1,) * len(values))
+            probes = [0.5, rng.uniform(-1.5, 1.5)]
+            probes += [v + rng.uniform(-2e-7, 2e-7) for v in values]
+            probes += [(u + v) / 2 for u, v in zip(values, values[1:])]
+            probes += [v + d for v in values for d in (1e-7, -1e-7, 0.0)]
+            for p in probes:
+                assert dec.cluster_near(p) == _linear_cluster_near(values, p), (values, p)
+        ties = EigenDecomposition(op, lists[0], (1, 1))
+        assert ties.cluster_near(0.5) == 0
+
     def test_sub_operator_bottom_chain(self):
         # lambda0 strictly increases as the kept subset grows
         for L in (2, 3, 5):
@@ -151,6 +176,101 @@ class TestEigen:
             assert lam_int < lam_minus_b < lam_full
             assert abs(lam_full - 1.0) < 1e-12
             assert lam_minus_b < 1.0
+
+
+def _linear_cluster_near(values, value):
+    """Reference for `cluster_near`: a linear scan for the nearest value
+    within 1e-7, ties to the lower index."""
+    hits = [k for k, v in enumerate(values) if abs(v - value) <= 1e-7]
+    if not hits:
+        return None
+    return min(hits, key=lambda k: abs(values[k] - value))
+
+
+def _clustered(descending):
+    """Clusters of a descending list under the CLUSTER_TOL rule of `eigen`."""
+    clusters = []
+    for w in descending:
+        if clusters and clusters[-1][0] - w <= CLUSTER_TOL:
+            clusters[-1].append(w)
+        else:
+            clusters.append([w])
+    return tuple(math.fsum(c) / len(c) for c in clusters), tuple(map(len, clusters))
+
+
+def _random_tree(rng, n):
+    return WeightedGraph(
+        [f"t{k}" for k in range(n)], [(rng.randrange(v), v, rand_weight(rng)) for v in range(1, n)]
+    )
+
+
+def _relabelled_cycle(n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[k], perm[(k + 1) % n], ONE) for k in range(n)]
+    rng.shuffle(edges)
+    return WeightedGraph([f"x{k}" for k in range(n)], edges)
+
+
+def _bipartite_operators():
+    rng = random.Random(14)
+    path5 = path_substituent(5)
+    circles = [circle_substituent(3, kind) for kind in ("antipodal", "adjacent")]
+    return {
+        "cycle-4": ReversibleOperator.full(cycle_host(4)),
+        "cycle-12": ReversibleOperator.full(cycle_host(12)),
+        "relabelled-cycle-1500": ReversibleOperator.full(_relabelled_cycle(1500, rng)),
+        "star-8": ReversibleOperator.full(star_host(8)),
+        **{f"tree-{k}": ReversibleOperator.full(_random_tree(rng, rng.randint(2, 40))) for k in range(5)},
+        "path-5-interior": ReversibleOperator.restricted(path5.graph, path5.interior),
+        # the antipodal 6-circle's interior is two disjoint edges
+        **{
+            f"circle-{kind}-3-interior": ReversibleOperator.restricted(s.graph, s.interior)
+            for kind, s in zip(("antipodal", "adjacent"), circles)
+        },
+        "single-vertex": ReversibleOperator.restricted(path5.graph, [2]),
+    }
+
+
+class TestBipartiteEigen:
+    """A bipartite operator's eigenvalues are +- the singular values of its
+    colour-class block; no dense symmetric solve runs."""
+
+    @pytest.mark.parametrize("name", list(_bipartite_operators()))
+    def test_values_and_multiplicities_match_eigvalsh(self, name, monkeypatch):
+        op = _bipartite_operators()[name]
+        want_values, want_mults = _clustered(np.linalg.eigvalsh(op.symmetrized())[::-1].tolist())
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        dec = eigen(op)
+        assert calls == []
+        assert dec.multiplicities == want_mults
+        assert max(abs(v - w) for v, w in zip(dec.values, want_values)) <= 1e-12
+        assert dec.values == tuple(-v for v in reversed(dec.values))
+        assert dec.multiplicities == dec.multiplicities[::-1]
+        assert spectral_radius(op) == max(dec.all_values())
+
+    def test_restricted_support_is_disconnected(self):
+        s = circle_substituent(3, "antipodal")
+        assert not s.graph.connected_on(s.interior)
+        dec = eigen(ReversibleOperator.restricted(s.graph, s.interior))
+        assert dec.multiplicities == (2, 2)
+
+    def test_star_zeros_are_exact(self):
+        dec = eigen(ReversibleOperator.full(star_host(8)))
+        assert dec.multiplicities == (1, 6, 1)
+        assert dec.values[1] == 0.0
+
+    def test_odd_cycle_takes_eigvalsh(self, monkeypatch):
+        op = ReversibleOperator.full(cycle_host(7))
+        assert op.graph.bipartition() is None
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        dec = eigen(op)
+        assert calls == [(7, 7)]
+        assert (dec.values, dec.multiplicities) == _clustered(eigvalsh(op.symmetrized())[::-1].tolist())
 
 
 class TestLocalSpectrum:

@@ -19,6 +19,7 @@ from edgesub.graph import Orientation
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
+    BoundaryKernels,
     TransferFunctions,
     boundary_kernels,
     compute_transfer,
@@ -247,6 +248,57 @@ class TestBoundaryKernels:
         s = chorded_square_substituent()
         with pytest.raises(TooCloseToInteriorSpectrum):
             solve_boundary(s, 1.0, 0.0, 1 / 3)
+
+
+def _reference_kernels(s):
+    """The two-column route: both kernel columns solved by one
+    `resolvent_matrix` call, 2k + 1 series."""
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    M = [[q[u][v] for v in s.interior] for u in s.interior]
+    col_a, col_b = resolvent_matrix(M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)])
+    one, zero = RF.const(1), RF.const(0)
+    to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}
+    to_b = {s.b: one, s.a: zero, **dict(zip(s.interior, col_b))}
+    return BoundaryKernels(s, to_a, to_b)
+
+
+class TestKernelsFromOneColumn:
+    """to_b is to_a read through gamma, so one column is solved."""
+
+    @staticmethod
+    def _check(s, rng):
+        got, want = boundary_kernels(s), _reference_kernels(s)
+        assert got.to_a == want.to_a and got.to_b == want.to_b
+        interior_spec = eigen(ReversibleOperator.restricted(s.graph, s.interior)).values
+        for z in [0.0, -1.0, 1.0, 0.5] + [rng.uniform(-1, 1) for _ in range(5)] + list(interior_spec):
+            try:
+                values = np.concatenate(want.eval_interior(z))
+            except TooCloseToInteriorSpectrum:
+                with pytest.raises(TooCloseToInteriorSpectrum):
+                    got.eval_interior(z)
+                continue
+            assert np.concatenate(got.eval_interior(z)).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
+    def test_workload_fixtures(self, name):
+        self._check(WORKLOAD_FIXTURES[name], random.Random(name))
+
+    def test_random_substituents(self):
+        rng = random.Random(62)
+        for _ in range(60):
+            self._check(random_substituent(rng, max_v=10), rng)
+
+    def test_one_column_is_solved(self, monkeypatch):
+        widths = []
+        original = transfer.resolvent_matrix
+
+        def recorded(matrix, columns):
+            widths.append(len(columns))
+            return original(matrix, columns)
+
+        monkeypatch.setattr(transfer, "resolvent_matrix", recorded)
+        boundary_kernels(circle_substituent(7, "antipodal"))
+        assert widths == [1]
 
 
 def _kernel_values(k, z):
