@@ -35,11 +35,10 @@ from .operators import (
     EigenDecomposition,
     ReversibleOperator,
     eigen,
-    local_spectrum,
     spectral_radius,
 )
 from .fixtures import fixture_circle
-from .oracle import direct_spectrum, dominance_report, nodal_dimension
+from .oracle import direct_spectrum, nodal_dimension
 from .substitution import SubstitutedGraph, reorient_equivalence_check, substitute
 from .transfer import (
     BoundaryKernels,

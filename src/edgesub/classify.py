@@ -3,17 +3,23 @@
 Each eigenspace is put into a normal form determined by the boundary data of
 its eigenfunctions at the marked vertices a, b: the values f(a), f(b) for the
 full operator Q, and the one-step averages Qf(a), Qf(b) for the interior
-restriction.  The rank and symmetry direction of the 2-column boundary
-matrix decide the type:
+restriction.  On the m-orthonormal coefficients of an eigenspace the data
+read as two vectors, s = f(a) + f(b) and d = f(a) - f(b), and the type is
+which of them vanish:
 
-    rank 0                      -> I    (all boundary data vanish)
-    rank 1, direction (1, 1)    -> II   (symmetric tail, f^gamma = f)
-    rank 1, direction (1, -1)   -> III  (antisymmetric tail, f^gamma = -f)
-    rank 2                      -> IV   (swapping tail pair)
+    s = 0, d = 0    -> I    (all boundary data vanish)
+    s != 0, d = 0   -> II   (symmetric tail, f^gamma = f)
+    s = 0, d != 0   -> III  (antisymmetric tail, f^gamma = -f)
+    s != 0, d != 0  -> IV   (swapping tail pair)
 
-The reduced multiplicity nu' counts the basis functions with vanishing
-boundary data; the remaining 0/1/2 tail functions are gamma-averaged and
-normalized so the designated boundary value equals one.
+gamma commutes with Q, keeps the measure m and swaps a and b, so it acts on
+the coefficients as an orthogonal map that fixes s and negates d.  Hence s
+and d are orthogonal, |s|/sqrt(2) and |d|/sqrt(2) are the singular values of
+the boundary data, and the smallest tails with boundary (1, 1) and (1, -1),
+the coefficients 2s/|s|^2 and 2d/|d|^2, are gamma-even and gamma-odd by
+uniqueness: no average over the powers of gamma is needed, whatever its
+order.  The reduced multiplicity nu' counts the basis functions with
+vanishing boundary data.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ from .graph import Substituent
 from .operators import EigenDecomposition, ReversibleOperator, eigen
 
 RANK_TOL = 1e-7
-
-TYPE_RANKS = {"I": 0, "II": 1, "III": 1, "IV": 2}
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,6 @@ class TypedEigenvalue:
         return self.basis[:, self.nu_prime :]
 
 
-def _gamma_permutation(s: Substituent, support: tuple[int, ...]) -> np.ndarray:
-    """Index array g with (f o gamma)[i] = f[g[i]] on the support."""
-    pos = {x: i for i, x in enumerate(support)}
-    return np.array([pos[s.gamma[x]] for x in support])
-
-
 def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]):
     """Linear map from functions on the support to their (a, b) boundary data."""
     rows = np.zeros((2, len(support)))
@@ -80,76 +78,44 @@ def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]):
     return rows
 
 
-def _gamma_average(fn: np.ndarray, gperm: np.ndarray, order: int, signed: bool) -> np.ndarray:
-    acc = np.zeros_like(fn)
-    cur = fn
-    for k in range(order):
-        acc += (-1.0) ** k * cur if signed else cur
-        cur = cur[gperm]
-    return acc / order
-
-
 def _classify_cluster(
-    value: float,
-    basis: np.ndarray,
-    boundary: np.ndarray,
-    gperm: np.ndarray,
-    order: int,
-    source: str,
+    value: float, basis: np.ndarray, boundary: np.ndarray, source: str
 ) -> TypedEigenvalue:
     nu = basis.shape[1]
-    B = (boundary @ basis).T  # nu x 2, row j = boundary data of f_j
-    u, sing, vt = np.linalg.svd(B)
-    scale = max(1.0, float(sing[0]) if len(sing) else 0.0)
-    rank = int(np.sum(sing > RANK_TOL * scale))
-    ambiguous = bool(np.any((sing > RANK_TOL * scale / 10) & (sing < RANK_TOL * scale * 10)))
+    at_a, at_b = boundary @ basis
+    pair = (at_a + at_b, at_a - at_b)  # s, d: gamma-fixed and gamma-negated
+    norms = [float(np.linalg.norm(v)) / np.sqrt(2.0) for v in pair]
+    cut = RANK_TOL * max(1.0, *norms)
+    keep = [n > cut for n in norms]
+    ambiguous = any(cut / 10 < n < cut * 10 for n in norms)
+    kind = ("I", "II", "III", "IV")[keep[0] + 2 * keep[1]]
+    kept = [v for v, k in zip(pair, keep) if k]
+    rank = len(kept)
 
-    # zero-boundary block: coefficient vectors in the null space of B^T;
+    # zero-boundary block: coefficients orthogonal to the kept s and d;
     # orthonormal coefficients keep the m-orthonormal basis m-orthonormal
-    zero_block = basis @ u[:, rank:]
-
-    def solve_tail(target):
-        # minimum-norm solution of B^T w = target at the decided rank
-        w = u[:, :rank] @ ((vt[:rank] @ np.asarray(target, dtype=float)) / sing[:rank])
-        return basis @ w
-
     if rank == 0:
-        kind, tails = "I", []
-    elif rank == 1:
-        d = vt[0]
-        sym = abs(d[0] - d[1])
-        anti = abs(d[0] + d[1])
-        if sym <= anti:
-            kind = "II"
-            tail = _gamma_average(solve_tail((1.0, 1.0)), gperm, order, signed=False)
-        else:
-            kind = "III"
-            tail = _gamma_average(solve_tail((1.0, -1.0)), gperm, order, signed=True)
-        if min(sym, anti) > 1e-6:
-            ambiguous = True
-        tail = tail / (boundary @ tail)[0]
-        tails = [tail]
+        zero_block = basis
+    elif rank == nu:
+        zero_block = basis[:, :0]
     else:
-        kind = "IV"
-        avg_plus = _gamma_average(solve_tail((1.0, 1.0)), gperm, order, signed=False)
-        avg_minus = _gamma_average(solve_tail((1.0, -1.0)), gperm, order, signed=True)
-        avg_plus = avg_plus / (boundary @ avg_plus)[0]
-        avg_minus = avg_minus / (boundary @ avg_minus)[0]
-        f_top = 0.5 * (avg_plus + avg_minus)   # boundary (1, 0)
-        f_prev = 0.5 * (avg_plus - avg_minus)  # boundary (0, 1)
-        tails = [f_prev, f_top]
+        q = np.linalg.qr(np.column_stack(kept), mode="complete")[0]
+        zero_block = basis @ q[:, rank:]
 
-    full = np.hstack([zero_block] + [t[:, None] for t in tails])
+    # boundary (1, 1) from s, (1, -1) from d
+    tails = [basis @ (2.0 * v / (v @ v)) for v in kept]
+    if rank == 2:
+        plus, minus = tails
+        tails = [0.5 * (plus - minus), 0.5 * (plus + minus)]  # (0, 1), (1, 0)
+    full = np.column_stack([zero_block, *tails])
     return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous)
 
 
 def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
     support = decomp.operator.support
     boundary = _boundary_map(s, source, support)
-    gperm = _gamma_permutation(s, support)
-    order = s.gamma_order()
     return [
-        _classify_cluster(v, basis, boundary, gperm, order, source)
+        _classify_cluster(v, basis, boundary, source)
         for v, basis in zip(decomp.values, decomp.bases)
     ]
 

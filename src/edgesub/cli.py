@@ -74,18 +74,17 @@ def _cmd_transfer(args) -> int:
 def _cmd_classify(args) -> int:
     s = load_substituent(_read(args.sub))
     validate_substituent(s)
-    lines = ["full operator Q:"]
-    for t in classify_Q(s):
-        flag = "  (rank ambiguous)" if t.ambiguous else ""
-        lines.append(
-            f"  {t.value:+.12f}  type {t.type_label}  nu={t.nu}  nu'={t.nu_prime}{flag}"
-        )
-    lines.append("interior restriction:")
-    for t in classify_Qinterior(s):
-        flag = "  (rank ambiguous)" if t.ambiguous else ""
-        lines.append(
-            f"  {t.value:+.12f}  type {t.type_label}  nu={t.nu}  nu'={t.nu_prime}{flag}"
-        )
+    lines = []
+    for title, typed in (
+        ("full operator Q:", classify_Q(s)),
+        ("interior restriction:", classify_Qinterior(s)),
+    ):
+        lines.append(title)
+        for t in typed:
+            flag = "  (rank ambiguous)" if t.ambiguous else ""
+            lines.append(
+                f"  {t.value:+.12f}  type {t.type_label}  nu={t.nu}  nu'={t.nu_prime}{flag}"
+            )
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -185,16 +185,6 @@ class Substituent:
             self, "interior", tuple(v for v in range(graph.n) if v not in (a, b))
         )
 
-    def gamma_order(self) -> int:
-        order = 1
-        perm = list(self.gamma)
-        cur = perm[:]
-        ident = list(range(len(perm)))
-        while cur != ident:
-            cur = [perm[i] for i in cur]
-            order += 1
-        return order
-
 
 def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
     if sorted(perm) != list(range(g.n)):

@@ -191,21 +191,3 @@ def eigen(op: ReversibleOperator) -> EigenDecomposition:
 def spectral_radius(op: ReversibleOperator) -> float:
     """Largest eigenvalue of the (sub-)operator."""
     return _descending_values(op)[0]
-
-
-def _local_values(dec: EigenDecomposition) -> list[list[float]]:
-    """`local_spectrum` at every support position, read from the decomposition
-    `dec`: one sum of squares over all rows per cluster."""
-    residues = np.column_stack([(h**2).sum(axis=1) for h in dec.bases])
-    residues *= np.array(dec.operator._measures())[:, None]
-    values = np.array(dec.values)
-    return [values[row > 1e-9].tolist() for row in residues]
-
-
-def local_spectrum(op: ReversibleOperator, x: int) -> list[float]:
-    """Eigenvalues whose eigenspace does not vanish at support position x.
-
-    Membership is decided by the residue m(x) * sum_i h_i(x)^2 of the
-    diagonal resolvent entry at x, against 1e-9.
-    """
-    return _local_values(eigen(op))[x]

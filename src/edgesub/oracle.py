@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSuchCluster, TooLarge
-from .graph import WeightedGraph
-from .operators import EigenDecomposition, ReversibleOperator, _local_values, eigen
+from .operators import EigenDecomposition, ReversibleOperator, eigen
 from .substitution import SubstitutedGraph
 
 SIZE_CAP = 4000
@@ -30,18 +29,3 @@ def nodal_dimension(decomp: EigenDecomposition, lam_star: float, host_count: int
     sing = np.linalg.svd(host_rows, compute_uv=False)
     rank = int(np.sum(sing > 1e-8 * max(1.0, sing[0] if len(sing) else 0.0)))
     return basis.shape[1] - rank
-
-
-def dominance_report(g: WeightedGraph) -> list[dict]:
-    """Per-vertex local spectra with a flag for spectrally dominant vertices,
-    all read from one eigendecomposition."""
-    full = eigen(ReversibleOperator.full(g))
-    return [
-        {
-            "vertex": x,
-            "label": g.vertices[x],
-            "local_spectrum": local,
-            "dominant": len(local) == len(full.values),
-        }
-        for x, local in enumerate(_local_values(full))
-    ]

@@ -4,16 +4,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgesub.classify import TypedEigenvalue, boundary_data, classify_Q, classify_Qinterior
+from edgesub.assemble import assemble
+from edgesub.classify import (
+    RANK_TOL,
+    TypedEigenvalue,
+    _boundary_map,
+    boundary_data,
+    classify_Q,
+    classify_Qinterior,
+)
 from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
+    cycle_host,
+    path_host,
     path_substituent,
+    star_host,
 )
-from edgesub.graph import Substituent, WeightedGraph
+from edgesub.graph import Orientation, Substituent, WeightedGraph, validate_substituent
 from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
+from edgesub.oracle import direct_spectrum
 
-from randinst import random_substituent
+from randinst import random_host, random_substituent, relabel_substituent
 
 BOUNDARY_TOL = 1e-7
 
@@ -37,6 +49,21 @@ def _check_boundary_template(s: Substituent, t: TypedEigenvalue):
     else:
         np.testing.assert_allclose(bd[:, -2], [0.0, 1.0], atol=BOUNDARY_TOL)
         np.testing.assert_allclose(bd[:, -1], [1.0, 0.0], atol=BOUNDARY_TOL)
+
+
+def _check_gamma_symmetry(s: Substituent, t: TypedEigenvalue):
+    """Type II tails are gamma-even, type III tails gamma-odd, and gamma maps
+    the (1, 0)-tail of type IV to its (0, 1)-tail."""
+    support = tuple(range(s.graph.n)) if t.source == "Q" else tuple(sorted(s.interior))
+    pos = {x: i for i, x in enumerate(support)}
+    perm = [pos[s.gamma[x]] for x in support]  # (f o gamma)[i] = f[perm[i]]
+    tails = t.tails()
+    if t.type == "II":
+        np.testing.assert_allclose(tails[perm, 0], tails[:, 0], atol=1e-7)
+    elif t.type == "III":
+        np.testing.assert_allclose(tails[perm, 0], -tails[:, 0], atol=1e-7)
+    elif t.type == "IV":
+        np.testing.assert_allclose(tails[perm, 1], tails[:, 0], atol=1e-7)
 
 
 def _check_eigen_residual(s: Substituent, t: TypedEigenvalue):
@@ -116,19 +143,10 @@ class TestSymmetryProperties:
         rng = random.Random(55)
         for _ in range(6):
             s = random_substituent(rng, max_v=7)
-            perm = list(s.gamma)
             for t in classify_Q(s):
                 _check_boundary_template(s, t)
                 _check_eigen_residual(s, t)
-                if t.type == "II":
-                    f = t.tails()[:, 0]
-                    np.testing.assert_allclose(f[perm], f, atol=1e-7)
-                elif t.type == "III":
-                    f = t.tails()[:, 0]
-                    np.testing.assert_allclose(f[perm], -f, atol=1e-7)
-                elif t.type == "IV":
-                    prev, top = t.tails()[:, 0], t.tails()[:, 1]
-                    np.testing.assert_allclose(top[perm], prev, atol=1e-7)
+                _check_gamma_symmetry(s, t)
 
     def test_interior_normal_forms(self):
         rng = random.Random(56)
@@ -192,3 +210,182 @@ class TestBasisIndependence:
             for t, r in zip(classify(s, dec), classify(s, rotated)):
                 assert (t.type, t.nu, t.nu_prime) == (r.type, r.nu, r.nu_prime)
                 np.testing.assert_allclose(r.tails(), t.tails(), rtol=0, atol=1e-12)
+
+
+def _order_four_substituent() -> Substituent:
+    """a and b each joined to every vertex of the 4-cycle u1 u2 u3 u4, with
+    conductance 1 on those edges and 2 on the cycle edges; gamma is
+    (a b)(u1 u2 u3 u4), of order 4."""
+    one, two = Fraction(1), Fraction(2)
+    spokes = [(x, u, one) for x in (0, 1) for u in range(2, 6)]
+    rim = [(u, 2 + (u - 1) % 4, two) for u in range(2, 6)]
+    g = WeightedGraph(["a", "b", "u1", "u2", "u3", "u4"], spokes + rim)
+    s = Substituent(g, 0, 1, (1, 0, 3, 4, 5, 2))
+    validate_substituent(s)
+    return s
+
+
+class TestGammaOfOrderFour:
+    def setup_method(self):
+        self.s = _order_four_substituent()
+
+    def test_gamma_is_not_an_involution(self):
+        g = self.s.gamma
+        assert [g[g[x]] for x in range(6)] != list(range(6))
+        assert [g[g[g[g[x]]]] for x in range(6)] == list(range(6))
+
+    def test_normal_forms(self):
+        for t in classify_Q(self.s) + classify_Qinterior(self.s):
+            _check_boundary_template(self.s, t)
+            _check_eigen_residual(self.s, t)
+            _check_gamma_symmetry(self.s, t)
+
+    def test_zero_of_Q_is_type_III_with_a_two_dimensional_zero_block(self):
+        t = _by_value(classify_Q(self.s), 0.0)
+        assert (t.type, t.nu, t.nu_prime) == ("III", 3, 2)
+        z = t.zero_block()
+        m = np.diag(ReversibleOperator.full(self.s.graph)._measures())
+        np.testing.assert_allclose(z.T @ m @ z, np.eye(2), atol=1e-12)
+
+    def test_assemble_agrees_with_the_oracle(self):
+        rng = random.Random(64)
+        hosts = [cycle_host(4), cycle_host(5), path_host(4), star_host(5)]
+        hosts += [random_host(rng) for _ in range(20)]
+        for X in hosts:
+            result = assemble(X, Orientation.default(X), self.s)
+            got = sorted(result.report.multiset())
+            want = sorted(direct_spectrum(result.substituted).value_multiset())
+            assert len(got) == len(want)
+            for (gv, gn), (wv, wn) in zip(got, want):
+                assert abs(gv - wv) <= 1e-8 and gn == wn
+
+
+# The parent implementation, kept as the reference: an SVD of the boundary
+# data decides the rank and, for rank 1, the direction; the tails are
+# minimum-norm solutions averaged over the powers of gamma.
+
+
+def _gamma_average(fn, gperm, order, signed):
+    acc = np.zeros_like(fn)
+    cur = fn
+    for k in range(order):
+        acc += (-1.0) ** k * cur if signed else cur
+        cur = cur[gperm]
+    return acc / order
+
+
+def _reference_cluster(value, basis, boundary, gperm, order, source):
+    nu = basis.shape[1]
+    B = (boundary @ basis).T
+    u, sing, vt = np.linalg.svd(B)
+    scale = max(1.0, float(sing[0]) if len(sing) else 0.0)
+    rank = int(np.sum(sing > RANK_TOL * scale))
+    ambiguous = bool(np.any((sing > RANK_TOL * scale / 10) & (sing < RANK_TOL * scale * 10)))
+    zero_block = basis @ u[:, rank:]
+
+    def solve_tail(target):
+        w = u[:, :rank] @ ((vt[:rank] @ np.asarray(target, dtype=float)) / sing[:rank])
+        return basis @ w
+
+    if rank == 0:
+        kind, tails = "I", []
+    elif rank == 1:
+        d = vt[0]
+        sym, anti = abs(d[0] - d[1]), abs(d[0] + d[1])
+        if sym <= anti:
+            kind = "II"
+            tail = _gamma_average(solve_tail((1.0, 1.0)), gperm, order, signed=False)
+        else:
+            kind = "III"
+            tail = _gamma_average(solve_tail((1.0, -1.0)), gperm, order, signed=True)
+        if min(sym, anti) > 1e-6:
+            ambiguous = True
+        tails = [tail / (boundary @ tail)[0]]
+    else:
+        kind = "IV"
+        plus = _gamma_average(solve_tail((1.0, 1.0)), gperm, order, signed=False)
+        minus = _gamma_average(solve_tail((1.0, -1.0)), gperm, order, signed=True)
+        plus = plus / (boundary @ plus)[0]
+        minus = minus / (boundary @ minus)[0]
+        tails = [0.5 * (plus - minus), 0.5 * (plus + minus)]
+    full = np.hstack([zero_block] + [t[:, None] for t in tails])
+    return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous)
+
+
+def _reference_inputs() -> list[Substituent]:
+    rng = random.Random(65)
+    circles = [circle_substituent(L, p) for L in (2, 3, 4) for p in ("antipodal", "adjacent")]
+    return [
+        chorded_square_substituent(),
+        *(path_substituent(L) for L in range(2, 9)),
+        *circles,
+        _order_four_substituent(),
+        _relabelled_antipodal_circle(),
+        *(relabel_substituent(c, rng) for c in circles for _ in range(3)),
+        *(random_substituent(rng, max_v=10) for _ in range(300)),
+    ]
+
+
+def _decompositions(s: Substituent):
+    """(source, decomposition with its bases computed, classify) for Q and Q°."""
+    for source, op, fn in (
+        ("Q", ReversibleOperator.full(s.graph), classify_Q),
+        ("Qo", ReversibleOperator.restricted(s.graph, s.interior), classify_Qinterior),
+    ):
+        dec = eigen(op)
+        dec.bases  # the eigenvectors are solved here, outside any counted call
+        yield source, dec, fn
+
+
+class TestAgainstTheSvdReference:
+    def test_same_types_tails_and_zero_blocks(self):
+        clusters = 0
+        for s in _reference_inputs():
+            order = 1
+            cur = list(s.gamma)
+            while cur != list(range(s.graph.n)):
+                cur = [s.gamma[x] for x in cur]
+                order += 1
+            for source, dec, fn in _decompositions(s):
+                support = dec.operator.support
+                boundary = _boundary_map(s, source, support)
+                pos = {x: i for i, x in enumerate(support)}
+                gperm = np.array([pos[s.gamma[x]] for x in support])
+                for t, value, basis in zip(fn(s, dec), dec.values, dec.bases):
+                    r = _reference_cluster(value, basis, boundary, gperm, order, source)
+                    assert (t.type, t.nu, t.nu_prime, t.ambiguous) == (
+                        r.type, r.nu, r.nu_prime, r.ambiguous
+                    )
+                    scale = max(1.0, float(np.max(np.abs(r.tails()), initial=0.0)))
+                    assert np.max(np.abs(t.tails() - r.tails()), initial=0.0) <= 1e-10 * scale
+                    zt, zr = t.zero_block(), r.zero_block()
+                    assert np.max(np.abs(zt @ zt.T - zr @ zr.T), initial=0.0) <= 1e-12
+                    # s and d are orthogonal: at the scale of the rank cut, and
+                    # as directions wherever both are kept (where one is rounding
+                    # noise in a 1-dimensional space their cosine is +-1)
+                    at_a, at_b = boundary @ basis
+                    sd = [at_a + at_b, at_a - at_b]
+                    ns, nd = map(np.linalg.norm, sd)
+                    assert abs(sd[0] @ sd[1]) <= 1e-12 * max(1.0, ns, nd) ** 2
+                    if t.type == "IV":
+                        assert abs(sd[0] @ sd[1]) <= 1e-12 * ns * nd
+                    clusters += 1
+        assert clusters > 1000
+
+    def test_no_svd_and_one_qr_per_partial_zero_block(self, monkeypatch):
+        work = [(s, list(_decompositions(s))) for s in _reference_inputs()]
+        calls = {"svd": 0, "qr": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        partial = 0
+        for s, decs in work:
+            for _, dec, fn in decs:
+                partial += sum(0 < t.nu - t.nu_prime < t.nu for t in fn(s, dec))
+        assert partial > 0
+        assert calls == {"svd": 0, "qr": partial}

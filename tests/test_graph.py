@@ -112,10 +112,6 @@ class TestSubstituentValidation:
         with pytest.raises(EmptyInterior):
             validate_substituent(Substituent(g, 0, 1, (1, 0)))
 
-    def test_gamma_order_is_even(self):
-        s = chorded_square_substituent()
-        assert s.gamma_order() % 2 == 0
-
     def test_find_gamma(self):
         s = path_substituent(3)
         found = find_gamma(s.graph, 0, 3)

@@ -9,7 +9,6 @@ from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
     cycle_host,
-    path_host,
     path_substituent,
     star_host,
 )
@@ -19,7 +18,6 @@ from edgesub.operators import (
     EigenDecomposition,
     ReversibleOperator,
     eigen,
-    local_spectrum,
     spectral_radius,
 )
 
@@ -271,21 +269,3 @@ class TestBipartiteEigen:
         dec = eigen(op)
         assert calls == [(7, 7)]
         assert (dec.values, dec.multiplicities) == _clustered(eigvalsh(op.symmetrized())[::-1].tolist())
-
-
-class TestLocalSpectrum:
-    def test_path_center_misses_odd_modes(self):
-        # on the 3-path, the 0-eigenfunction vanishes at the center vertex
-        g = path_host(3)
-        op = ReversibleOperator.full(g)
-        everything = local_spectrum(op, 0)
-        center = local_spectrum(op, 1)
-        assert len(everything) == 3
-        assert len(center) == 2
-        assert all(abs(v) > 1e-9 for v in center)
-
-    def test_full_support_vertex_sees_all(self):
-        g = cycle_host(3)
-        op = ReversibleOperator.full(g)
-        for x in range(3):
-            assert len(local_spectrum(op, x)) == 2

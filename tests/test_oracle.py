@@ -1,8 +1,6 @@
 import math
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from edgesub.errors import NoSuchCluster, TooLarge
@@ -10,30 +8,17 @@ from edgesub.fixtures import (
     chorded_square_substituent,
     cycle_host,
     fixture_circle,
-    path_host,
     path_substituent,
-    star_host,
 )
 from edgesub.graph import Orientation
-from edgesub import operators
-from edgesub.operators import ReversibleOperator, eigen, local_spectrum, spectral_radius
+from edgesub.operators import ReversibleOperator, eigen
 from edgesub import oracle
-from edgesub.oracle import SIZE_CAP, direct_spectrum, dominance_report, nodal_dimension
+from edgesub.oracle import SIZE_CAP, direct_spectrum, nodal_dimension
 from edgesub.substitution import substitute
-
-from randinst import random_host
 
 
 def _sub(X, s):
     return substitute(X, Orientation.default(X), s)
-
-
-def _reference_local_values(dec, x):
-    """The local spectrum at x, one eigenspace row at a time."""
-    mx = float(dec.operator.measure(x))
-    return [
-        v for v, basis in zip(dec.values, dec.bases) if mx * float(np.sum(basis[x, :] ** 2)) > 1e-9
-    ]
 
 
 class TestDirectSpectrum:
@@ -71,56 +56,6 @@ class TestNodalDimension:
         dec = direct_spectrum(sub)
         top = dec.values[0]
         assert nodal_dimension(dec, top, sub.host.n) == 0
-
-
-class TestDominance:
-    def test_path_endpoints_dominate(self):
-        rep = dominance_report(path_host(3))
-        assert rep[0]["dominant"] and rep[2]["dominant"]
-        assert not rep[1]["dominant"]
-
-    def test_host_vertices_not_dominant_in_substituted_graph(self):
-        sub = _sub(cycle_host(4), chorded_square_substituent())
-        rep = dominance_report(sub.graph)
-        for x in range(sub.host.n):
-            assert not rep[x]["dominant"]
-
-    def test_one_eigen_gives_the_per_vertex_local_spectra(self, monkeypatch):
-        graphs = [
-            path_host(3),
-            cycle_host(5),
-            _sub(cycle_host(4), chorded_square_substituent()).graph,
-        ]
-        for g in graphs:
-            op = ReversibleOperator.full(g)
-            want = [local_spectrum(op, x) for x in range(g.n)]
-            calls = []
-
-            def counted(op):
-                calls.append(op)
-                return eigen(op)
-
-            monkeypatch.setattr(oracle, "eigen", counted)
-            monkeypatch.setattr(operators, "eigen", counted)
-            rep = dominance_report(g)
-            monkeypatch.undo()
-            assert len(calls) == 1
-            assert [entry["local_spectrum"] for entry in rep] == want
-
-    def test_rows_equal_the_per_row_reference(self):
-        rng = random.Random(21)
-        graphs = [cycle_host(200), star_host(8), *(random_host(rng, max_n=9) for _ in range(5))]
-        for g in graphs:
-            dec = eigen(ReversibleOperator.full(g))
-            want = [_reference_local_values(dec, x) for x in range(g.n)]
-            assert [entry["local_spectrum"] for entry in dominance_report(g)] == want
-            assert local_spectrum(ReversibleOperator.full(g), g.n - 1) == want[-1]
-
-    def test_local_spectra_are_subsets(self):
-        g = cycle_host(5)
-        full = set(round(v, 9) for v in eigen(ReversibleOperator.full(g)).values)
-        for entry in dominance_report(g):
-            assert set(round(v, 9) for v in entry["local_spectrum"]) <= full
 
 
 class TestFixtureCircle:
