@@ -448,26 +448,6 @@ def chebyshev(kind: str, degree: int) -> Polynomial:
     return cur
 
 
-def chebyshev_coeffs(p: Polynomial) -> list[Fraction]:
-    """The coefficients of p in the basis T_0, T_1, ..., exactly.
-
-    Horner's rule in the Chebyshev basis, where z T_0 = T_1 and
-    z T_j = (T_{j+1} + T_{j-1}) / 2.
-    """
-    out: list[Fraction] = []
-    for c in reversed(p.coeffs):
-        times_z = [Fraction(0)] * (len(out) + 1)
-        for j, a in enumerate(out):
-            if j == 0:
-                times_z[1] += a
-            else:
-                times_z[j + 1] += a / 2
-                times_z[j - 1] += a / 2
-        times_z[0] += c
-        out = times_z
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact real-root isolation on an interval
 # ---------------------------------------------------------------------------

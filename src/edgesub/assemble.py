@@ -4,11 +4,13 @@ The spectrum decomposes into three parts:
 
 * S1 — solutions of phi(lambda*) = lambda for host eigenvalues lambda,
   with multiplicity nu_P(lambda), except at the points that S2 or the
-  interior table already count;
+  interior table already count.  For each lambda they are the eigenvalues
+  of a symmetric arrowhead matrix built from lambda q(a, b), the interior
+  eigenvalues and their secular weights (`classify.TypedEigenvalue.S`, `.D`),
+  all lambda in one stacked `eigvalsh`; no transfer function is built;
 * S2 — the common real zeros of psi and z - theta outside the interior
-  spectrum, decided exactly as the roots of gcd(psi.num, (z - theta).num),
-  with multiplicity |X| (they are the eigenvalues of Q of type IV with
-  nu = 2 outside the interior spectrum);
+  spectrum, with multiplicity |X|: the eigenvalues of Q of type IV with
+  nu = 2 outside the interior spectrum;
 * interior — eigenvalues of the interior restriction, with multiplicity
   given by a table over the (Q-type, interior-type) pair; tree and
   odd-unicyclic hosts can drop some candidates (the exceptional set).
@@ -24,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import chebyshev_coeffs, poly_gcd, real_roots_in_interval
+# real_roots_in_interval is unused here but stays importable: bench/spans.py traces it
+from .algebra import real_roots_in_interval  # noqa: F401
 from .classify import TypedEigenvalue, classify_Q, classify_Qinterior
 from .errors import InvalidTypeCombination, PreconditionNotMet, TotalMismatch
 from .extensions import ExtensionFunction, nodal_from_interior
@@ -46,8 +49,6 @@ from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
 EXCLUSION_TOL = 1e-8  # an S1 root this close to a point counted elsewhere is dropped
-TOUCH_TOL = 1e-10  # a breakpoint b of phi with |phi(b) - lambda| <= TOUCH_TOL is a root
-BISECTION_STEPS = 64  # halvings of a branch, whose width is at most 2, down to 2^-63
 
 
 @dataclass(frozen=True)
@@ -101,17 +102,20 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _chebval(coeffs, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence, elementwise."""
-    b1 = b2 = np.zeros_like(x)
-    two_x = 2 * x
-    for c in coeffs[:0:-1]:
-        b1, b2 = two_x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
+def _arrowhead_eigenvalues(corner: np.ndarray, mus: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i: the eigenvalues of [[corner[i], r^T], [r, diag(mus)]] with
+    r = sqrt(w[i]), in one stacked `eigvalsh`."""
+    k = len(mus)
+    A = np.zeros((len(corner), k + 1, k + 1))
+    A[:, 0, 0] = corner
+    A[:, 0, 1:] = A[:, 1:, 0] = np.sqrt(w)
+    A[:, range(1, k + 1), range(1, k + 1)] = mus
+    return np.linalg.eigvalsh(A)
 
 
 def solve_S1(
-    tf: TransferFunctions,
+    s: Substituent,
+    interior: list[TypedEigenvalue],
     spec_P: EigenDecomposition,
     excluded: list[tuple[float, Optional[float]]],
 ) -> list[tuple[float, float, int]]:
@@ -120,46 +124,32 @@ def solve_S1(
     within EXCLUSION_TOL of p is dropped when its lambda is v, or for every
     lambda when v is None.
 
-    The poles and critical points of phi, isolated exactly, split [-1, 1]
-    into branches on which phi is monotone, so each branch holds at most one
-    root for each lambda.  A breakpoint b with |phi(b) - lambda| <= TOUCH_TOL
-    is that root, and the two branches next to it are not searched; on every
-    other branch whose ends differ in the sign of num - lambda den, one
-    bisection, vectorized over all (lambda, branch) pairs, finds the root.
+    Over the interior clusters mu, z - theta - lambda psi is
+    z - lambda q(a, b) - sum_mu w_mu / (z - mu) with the weight
+    w_mu = (1 + lambda) S_mu + (1 - lambda) D_mu >= 0: the secular equation
+    of the arrowhead matrix with corner lambda q(a, b), diagonal the mu with
+    w_mu > 0 and border sqrt(w_mu), whose eigenvalues are its roots.  A
+    type-I° mu never has weight; lambda = 1 (a connected host's first
+    cluster) and lambda = -1 (a bipartite host's last) are set exactly, so
+    that the type-III° and the type-II° mu lose theirs.  The host
+    eigenvalues with one pattern of weights are one batch.
     """
-    num, den = tf.phi.num, tf.phi.den
-    critical = num.derivative() * den - num * den.derivative()
-    breaks = np.array(sorted(
-        {-1.0, 1.0}
-        | set(real_roots_in_interval(den, -1, 1))
-        | set(real_roots_in_interval(critical, -1, 1))
-    ))
-    # an exact change of basis: monomial Horner loses digits from degree ~15 on
-    width = max(len(num.coeffs), len(den.coeffs))
-    cheb_num, cheb_den = (
-        np.array([float(c) for c in chebyshev_coeffs(p)] + [0.0] * (width - len(p.coeffs)))
-        for p in (num, den)
-    )
+    g = s.graph
+    q_ab = float(g.conductance(s.a, s.b) / g.m(s.a))
     lams = np.array(spec_P.values)
-    den_at = _chebval(cheb_den, breaks)
-    g_at = _chebval(cheb_num, breaks) - lams[:, None] * den_at  # (lambda, breakpoint)
-    touch = np.abs(g_at) <= TOUCH_TOL * np.abs(den_at)
-    sign = np.sign(g_at)
-    bracket = (sign[:, :-1] * sign[:, 1:] < 0) & ~touch[:, :-1] & ~touch[:, 1:]
-
-    lam_idx, branch = np.nonzero(bracket)
-    lo, hi = breaks[branch], breaks[branch + 1]
-    g_coeffs = cheb_num[:, None] - cheb_den[:, None] * lams[lam_idx]
-    lo_sign = sign[lam_idx, branch]
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        right = np.sign(_chebval(g_coeffs, mid)) != lo_sign
-        hi = np.where(right, mid, hi)
-        lo = np.where(right, lo, mid)
-
-    touch_idx, touch_at = np.nonzero(touch)
-    roots = np.concatenate([breaks[touch_at], 0.5 * (lo + hi)])
-    owner = np.concatenate([touch_idx, lam_idx])
+    lams[0] = 1.0
+    if spec_P.operator.graph.delta_b:
+        lams[-1] = -1.0
+    mus, S, D = (np.array([getattr(t, f) for t in interior]) for f in ("value", "S", "D"))
+    w = np.outer(1 + lams, S) + np.outer(1 - lams, D)
+    patterns, pattern_of = np.unique(w > 0, axis=0, return_inverse=True)
+    roots, owner = [], []
+    for k, live in enumerate(patterns):
+        idx = np.flatnonzero(pattern_of == k)
+        found = _arrowhead_eigenvalues(lams[idx] * q_ab, mus[live], w[np.ix_(idx, live)])
+        roots.append(found.ravel())
+        owner.append(np.repeat(idx, found.shape[1]))
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
     if excluded:
         points = np.array([p for p, _ in excluded])
         values = np.array([np.nan if v is None else v for _, v in excluded])
@@ -179,24 +169,21 @@ def solve_S1(
 # ---------------------------------------------------------------------------
 
 
-def solve_S2(tf: TransferFunctions, interior_spec: list[float]) -> list[float]:
-    """The real roots in [-1, 1] of gcd(psi.num, (z - theta).num) that are
-    not within CLUSTER_TOL of an interior eigenvalue: the points where
-    psi(lambda*) = 0 and theta(lambda*) = lambda*, found exactly."""
-    common = poly_gcd(tf.psi.num, tf.z_minus_theta.num)
-    return [
-        root for root in real_roots_in_interval(common, -1, 1)
-        if all(abs(root - mu) > CLUSTER_TOL for mu in interior_spec)
-    ]
+def solve_S2(classified_Q: list[TypedEigenvalue], interior_spec: list[float]) -> list[float]:
+    """The eigenvalues of Q of type IV with nu = 2 that are not within
+    CLUSTER_TOL of an interior eigenvalue, ascending: the points where
+    psi(lambda*) = 0 and theta(lambda*) = lambda*."""
+    return sorted(
+        t.value for t in classified_Q
+        if t.type == "IV" and t.nu == 2 and all(abs(t.value - mu) > CLUSTER_TOL for mu in interior_spec)
+    )
 
 
 # The interior table counts, at an interior eigenvalue mu, the S1 roots of
-# phi(z) = lambda for these host eigenvalues lambda, by the Q row and by the
-# interior type of mu (None: every lambda); the counts of the two add up.
-# A type-II° (III°) mu is a simple pole of theta and psi with equal (opposite)
-# residues, so phi(mu) = -1 (+1).  The (I, I°) cell counts no S1 root.
+# phi(z) = lambda for these host eigenvalues lambda, by the Q row of mu
+# (None: every lambda).  The interior type of mu needs no such list: a mu
+# with weight is a pole of the secular equation, never one of its roots.
 _ROW_COUNTS = {"II": [1.0], "III": [-1.0], "IV": [None]}
-_TYPE_COUNTS = {"II": [-1.0], "III": [1.0], "IV": [None]}
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +278,14 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
-    """Everything `assemble` computed.  X[V] and the host's cycle base are
-    built on first access of `substituted` and `cycle_base`: the spectrum
-    needs neither, families and the oracle do."""
+    """Everything `assemble` computed.  X[V], the host's cycle base and the
+    transfer functions are built on first access of `substituted`,
+    `cycle_base` and `transfer`: the spectrum needs none of them."""
 
     report: SpectrumReport
     host: WeightedGraph
     orientation: Orientation
     substituent: Substituent
-    transfer: TransferFunctions
     spec_P: EigenDecomposition
     spec_Q: EigenDecomposition
     spec_interior: EigenDecomposition
@@ -314,6 +300,10 @@ class PipelineResult:
     @cached_property
     def cycle_base(self) -> CycleBase:
         return fundamental_cycle_base(self.host)
+
+    @cached_property
+    def transfer(self) -> TransferFunctions:
+        return compute_transfer(self.substituent)
 
 
 def _merge(entries: list[SpectrumEntry]) -> list[SpectrumEntry]:
@@ -338,7 +328,6 @@ def assemble(
     build_families: bool = True,
 ) -> PipelineResult:
     validate_substituent(s)
-    tf = compute_transfer(s)
 
     spec_P = eigen(ReversibleOperator.full(X))
     spec_Q = eigen(ReversibleOperator.full(s.graph))
@@ -353,12 +342,12 @@ def assemble(
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
-    s2 = solve_S2(tf, list(spec_int.values))
+    s2 = solve_S2(cQ, list(spec_int.values))
     counted = [(p, None) for p in s2]  # S2 counts the roots of every lambda
     for t, qt in rows:
-        by_row = _ROW_COUNTS.get(qt.type, []) if qt is not None else []
-        counted += [(t.value, lam) for lam in by_row + _TYPE_COUNTS.get(t.type, [])]
-    s1 = solve_S1(tf, spec_P, counted)
+        if qt is not None:
+            counted += [(t.value, lam) for lam in _ROW_COUNTS.get(qt.type, [])]
+    s1 = solve_S1(s, cI, spec_P, counted)
     entries: list[SpectrumEntry] = []
     for root, lam, nu in s1:
         entries.append(
@@ -399,7 +388,7 @@ def assemble(
     except PreconditionNotMet:
         report.gap = None
 
-    result = PipelineResult(report, X, orient, s, tf, spec_P, spec_Q, spec_int, cQ, cI)
+    result = PipelineResult(report, X, orient, s, spec_P, spec_Q, spec_int, cQ, cI)
     if build_families:
         result.nodal_families = {
             t.value: nodal_from_interior(result.substituted, t, result.cycle_base) for t in cI

@@ -20,6 +20,10 @@ the coefficients 2s/|s|^2 and 2d/|d|^2, are gamma-even and gamma-odd by
 uniqueness: no average over the powers of gamma is needed, whatever its
 order.  The reduced multiplicity nu' counts the basis functions with
 vanishing boundary data.
+
+The same vectors weigh each interior cluster in the secular equation of S1
+(`assemble.solve_S1`): S = m(a)|s|^2/4 and D = m(a)|d|^2/4, zero where the
+type says that s or d vanishes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class TypedEigenvalue:
     nu_prime: int
     basis: np.ndarray
     ambiguous: bool = False
+    S: float = 0.0  # m(a)|s|^2/4, the gamma-even secular weight
+    D: float = 0.0  # m(a)|d|^2/4, the gamma-odd secular weight
 
     @property
     def type_label(self) -> str:
@@ -71,15 +77,14 @@ def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]):
         rows[0, pos[s.a]] = 1.0
         rows[1, pos[s.b]] = 1.0
     else:
-        q = ReversibleOperator.full(s.graph).matrix_exact()
-        for i, v in enumerate(support):
-            rows[0, i] = float(q[s.a][v])
-            rows[1, i] = float(q[s.b][v])
+        g = s.graph
+        for row, x in zip(rows, (s.a, s.b)):
+            row[:] = [float(g.conductance(x, v) / g.m(x)) for v in support]
     return rows
 
 
 def _classify_cluster(
-    value: float, basis: np.ndarray, boundary: np.ndarray, source: str
+    value: float, basis: np.ndarray, boundary: np.ndarray, source: str, mass: float
 ) -> TypedEigenvalue:
     nu = basis.shape[1]
     at_a, at_b = boundary @ basis
@@ -87,6 +92,7 @@ def _classify_cluster(
     norms = [float(np.linalg.norm(v)) / np.sqrt(2.0) for v in pair]
     cut = RANK_TOL * max(1.0, *norms)
     keep = [n > cut for n in norms]
+    S, D = (mass * n * n / 2 if k else 0.0 for n, k in zip(norms, keep))
     ambiguous = any(cut / 10 < n < cut * 10 for n in norms)
     kind = ("I", "II", "III", "IV")[keep[0] + 2 * keep[1]]
     kept = [v for v, k in zip(pair, keep) if k]
@@ -108,14 +114,15 @@ def _classify_cluster(
         plus, minus = tails
         tails = [0.5 * (plus - minus), 0.5 * (plus + minus)]  # (0, 1), (1, 0)
     full = np.column_stack([zero_block, *tails])
-    return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous)
+    return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous, S, D)
 
 
 def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
     support = decomp.operator.support
     boundary = _boundary_map(s, source, support)
+    mass = float(s.graph.m(s.a))
     return [
-        _classify_cluster(v, basis, boundary, source)
+        _classify_cluster(v, basis, boundary, source, mass)
         for v, basis in zip(decomp.values, decomp.bases)
     ]
 

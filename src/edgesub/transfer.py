@@ -16,8 +16,13 @@ k + 1 series; the kernels toward b are those toward a, read through gamma.
 
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
-The common real zeros of psi and z - theta outside the interior spectrum are
-the set S2 (`assemble.solve_S2`).
+The spectrum itself needs none of these functions: `assemble.solve_S1`
+finds the roots of z - theta - lambda psi from the pole expansions of theta
+and psi over the interior eigenvalues, and `assemble.solve_S2` reads the
+common zeros of psi and z - theta off the types of Q.  They serve the
+`transfer` command, the resolvent identity and callers that map an S1 root
+back to its host eigenvalue (`PipelineResult.transfer`, built on first
+access).
 """
 
 from __future__ import annotations

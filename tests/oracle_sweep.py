@@ -1,13 +1,16 @@
-"""Oracle sweep over the `randinst` recipe with |X| <= 12 and |V| <= 10.
+"""Oracle sweep of `assemble` over random instances of the `randinst` recipe.
 
 For each seed, takes the first `--count` pairs of
-`randinst.sweep_instances(seed, ...)`, runs `assemble` and compares the
+`randinst.sweep_instances(seed, ...)`, by default with |V| <= 10, |V°| >= 1
+and conductances p/q with 1 <= p, q <= 4; `--max-v`, `--min-interior` and
+`--max-weight` choose another regime.  It runs `assemble` and compares the
 report with `direct_spectrum`, and the rank of each interior eigenvalue's
 nodal family with the oracle's `nodal_dimension` there (`NodalRankMismatch`).
 Prints each mismatching (seed, index, error class) and exits non-zero if
 there is any.  Not collected by pytest; run it as
 
     PYTHONPATH=src python tests/oracle_sweep.py --seeds 1-4 --count 338
+    PYTHONPATH=src python tests/oracle_sweep.py --seeds 1-2 --count 40 --max-v 22 --min-interior 14
 """
 
 from __future__ import annotations
@@ -58,10 +61,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-4"), help="e.g. 1-4 or 2")
     parser.add_argument("--count", type=int, default=338, help="instances per seed")
+    parser.add_argument("--max-v", type=int, default=10, help="largest |V|")
+    parser.add_argument("--min-interior", type=int, default=1, help="smallest |V°|")
+    parser.add_argument("--max-weight", type=int, default=4, help="largest p and q of a conductance p/q")
     args = parser.parse_args(argv)
+    regime = {"max_v": args.max_v, "min_interior": args.min_interior, "max_weight": args.max_weight}
     bad = 0
     for seed in args.seeds:
-        for index, (X, s) in enumerate(sweep_instances(seed, args.count)):
+        for index, (X, s) in enumerate(sweep_instances(seed, args.count, **regime)):
             error = mismatch(X, s)
             if error is not None:
                 bad += 1

@@ -10,24 +10,27 @@ from edgesub.errors import EdgeSubError
 from edgesub.graph import Substituent, WeightedGraph, validate_substituent
 
 
-def rand_weight(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 4), rng.randint(1, 4))
+def rand_weight(rng: random.Random, max_weight: int = 4) -> Fraction:
+    """p/q with 1 <= p, q <= max_weight."""
+    return Fraction(rng.randint(1, max_weight), rng.randint(1, max_weight))
 
 
-def random_host(rng: random.Random, max_n: int = 7, min_n: int = 2) -> WeightedGraph:
+def random_host(rng: random.Random, max_n: int = 7, min_n: int = 2, max_weight: int = 4) -> WeightedGraph:
     """Random connected weighted graph: a tree plus a few extra edges."""
     n = rng.randint(min_n, max_n)
     edges = []
     for v in range(1, n):
-        edges.append((rng.randrange(v), v, rand_weight(rng)))
+        edges.append((rng.randrange(v), v, rand_weight(rng, max_weight)))
     for _ in range(rng.randint(0, 3)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            edges.append((min(u, v), max(u, v), rand_weight(rng)))
+            edges.append((min(u, v), max(u, v), rand_weight(rng, max_weight)))
     return WeightedGraph([f"x{k}" for k in range(n)], edges)
 
 
-def random_substituent(rng: random.Random, max_v: int = 8, min_interior: int = 1) -> Substituent:
+def random_substituent(
+    rng: random.Random, max_v: int = 8, min_interior: int = 1, max_weight: int = 4
+) -> Substituent:
     """Random valid substituent with a symmetry-respecting weight pattern."""
     while True:
         k = rng.randint(min_interior, max_v - 2)
@@ -47,7 +50,7 @@ def random_substituent(rng: random.Random, max_v: int = 8, min_interior: int = 1
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < 0.45:
-                    w = rand_weight(rng)
+                    w = rand_weight(rng, max_weight)
                     gu, gv = gamma[u], gamma[v]
                     edges[(u, v)] = w
                     edges[(min(gu, gv), max(gu, gv))] = w
@@ -61,12 +64,16 @@ def random_substituent(rng: random.Random, max_v: int = 8, min_interior: int = 1
         return s
 
 
-def sweep_instances(seed: int, count: int):
+def sweep_instances(seed: int, count: int, max_v: int = 10, min_interior: int = 1, max_weight: int = 4):
     """The first `count` (host, substituent) pairs of one `random.Random(seed)`,
-    with |X| <= 12 and |V| <= 10: the recipe of the oracle sweep."""
+    with |X| <= 12, min_interior <= |V°| <= max_v - 2 and conductances p/q,
+    1 <= p, q <= max_weight: the recipe of the oracle sweep."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield random_host(rng, max_n=12), random_substituent(rng, max_v=10)
+        yield (
+            random_host(rng, max_n=12, max_weight=max_weight),
+            random_substituent(rng, max_v=max_v, min_interior=min_interior, max_weight=max_weight),
+        )
 
 
 def sweep_instance(seed: int, index: int):

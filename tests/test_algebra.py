@@ -2,8 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +11,6 @@ from edgesub.algebra import (
     Polynomial,
     RationalFunction,
     chebyshev,
-    chebyshev_coeffs,
     det_and_adjugate_columns,
     poly_gcd,
     real_roots_in_interval,
@@ -22,7 +19,7 @@ from edgesub.algebra import (
 )
 from edgesub.assemble import assemble, solve_S1
 from edgesub.errors import TooCloseToInteriorSpectrum
-from edgesub.fixtures import chorded_square_substituent, cycle_host
+from edgesub.fixtures import chorded_square_substituent, cycle_host, path_substituent
 from edgesub.graph import Orientation
 from edgesub.transfer import compute_transfer
 
@@ -217,13 +214,6 @@ class TestChebyshev:
         ) < 1e-12
 
 
-    def test_change_to_chebyshev_basis(self):
-        for L in (0, 1, 5, 24):
-            assert chebyshev_coeffs(chebyshev("first", L)) == [0] * L + [1]
-        # z^3 = (3 T_1 + T_3) / 4
-        assert chebyshev_coeffs(Polynomial([0, 0, 0, 1])) == [0, Fraction(3, 4), 0, Fraction(1, 4)]
-
-
 class TestRootFinder:
     def test_quadratic(self):
         roots = real_roots_in_interval(Polynomial([-1, -1, 3]), -1, 1)
@@ -282,22 +272,25 @@ class TestRootFinder:
 
     @pytest.mark.parametrize("L", [5, 16, 24])
     def test_touching_roots_with_lambda_within_one_ulp_of_one(self, L):
-        # T_L(z) = lambda touches at the critical points where T_L = +-1; a
-        # float lambda one ulp off must give each of them once, not a pair
-        T = chebyshev("first", L)
-        tf = SimpleNamespace(phi=RationalFunction(T), psi=RationalFunction(1))
-        for lam in (1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0 + 2.0**-53, -1.0 - 2.0**-52):
-            spec = SimpleNamespace(values=(lam,), multiplicities=(1,))
-            roots = [r for r, _, _ in solve_S1(tf, spec, [])]
-            first = 0 if lam > 0 else 1
-            expect = sorted(math.cos(k * math.pi / L) for k in range(first, L + 1, 2))
-            assert len(roots) == len(expect)
-            for r, e in zip(roots, expect):
-                assert abs(r - e) < 1e-12
+        # path-L on the 6-cycle is the 6L-cycle.  phi = T_L touches the host
+        # eigenvalues +-1, which the host's float spectrum gives only to an
+        # ulp or so: each touching root must be counted once, not as a pair
+        X = cycle_host(6)
+        result = assemble(X, Orientation.default(X), path_substituent(L), build_families=False)
+        assert result.spec_P.values[0] == pytest.approx(1.0, abs=1e-14)
+        assert result.spec_P.values[-1] == pytest.approx(-1.0, abs=1e-14)
+        n = 6 * L
+        expect = sorted(math.cos(2 * math.pi * j / n) for j in range(n))
+        got = sorted(v for v, nu in result.report.multiset() for _ in range(nu))
+        assert len(got) == n
+        for g, e in zip(got, expect):
+            assert abs(g - e) < 1e-12
 
     def test_s1_and_gap_are_python_floats(self):
-        result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), chorded_square_substituent())
-        s1 = solve_S1(result.transfer, result.spec_P, [(mu, None) for mu in result.spec_interior.values])
+        s = chorded_square_substituent()
+        result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), s)
+        counted = [(mu, None) for mu in result.spec_interior.values]
+        s1 = solve_S1(s, result.classified_interior, result.spec_P, counted)
         assert s1 and all(type(r) is float and type(lam) is float and type(nu) is int for r, lam, nu in s1)
         assert result.report.gap is not None
         assert all(type(v) is float for v in result.report.gap)

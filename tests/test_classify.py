@@ -24,6 +24,7 @@ from edgesub.fixtures import (
 from edgesub.graph import Orientation, Substituent, WeightedGraph, validate_substituent
 from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum
+from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent, relabel_substituent
 
@@ -389,3 +390,26 @@ class TestAgainstTheSvdReference:
                 partial += sum(0 < t.nu - t.nu_prime < t.nu for t in fn(s, dec))
         assert partial > 0
         assert calls == {"svd": 0, "qr": partial}
+
+
+class TestSecularWeights:
+    def test_pole_expansions_of_theta_and_psi(self):
+        # over the interior clusters mu, theta = sum (S + D) / (z - mu) and
+        # psi = q(a, b) + sum (S - D) / (z - mu): checked against the exact
+        # transfer functions at rational points off the spectrum
+        rng = random.Random(14)
+        subs = [chorded_square_substituent(), _order_four_substituent()]
+        subs += [path_substituent(L) for L in (2, 5, 9)] + [circle_substituent(4, "adjacent")]
+        subs += [random_substituent(rng, max_v=12) for _ in range(40)]
+        for s in subs:
+            tf = compute_transfer(s)
+            typed = classify_Qinterior(s)
+            q_ab = float(s.graph.conductance(s.a, s.b) / s.graph.m(s.a))
+            for z in (Fraction(-3, 2), Fraction(5, 4), Fraction(3)):
+                poles = [1 / (float(z) - t.value) for t in typed]
+                theta = sum((t.S + t.D) * p for t, p in zip(typed, poles))
+                psi = q_ab + sum((t.S - t.D) * p for t, p in zip(typed, poles))
+                assert theta == pytest.approx(float(tf.theta.eval_exact(z)), abs=1e-10)
+                assert psi == pytest.approx(float(tf.psi.eval_exact(z)), abs=1e-10)
+            for t in typed:
+                assert (t.S > 0, t.D > 0) == (t.type in ("II", "IV"), t.type in ("III", "IV"))
