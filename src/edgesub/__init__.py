@@ -39,7 +39,7 @@ from .operators import (
 )
 from .fixtures import fixture_circle
 from .oracle import direct_spectrum, nodal_dimension
-from .substitution import SubstitutedGraph, reorient_equivalence_check, substitute
+from .substitution import SubstitutedGraph, substitute
 from .transfer import (
     BoundaryKernels,
     TransferFunctions,

@@ -3,17 +3,16 @@
 Coefficient lists are stored lowest degree first.  Rational functions are
 kept reduced (gcd cancelled, monic denominator) so that equality is plain
 structural equality.  Also provides exact linear solving over Fraction,
-resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials and
-the change to the Chebyshev basis, and exact isolation of the real roots of a
-polynomial in an interval.
+resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials, and
+exact isolation of the real roots of a polynomial in an interval.
 
 The resolvent is never eliminated over the rational-function field:
 det(zI - M) and det(zI - M) (zI - M)^{-1} c are polynomials in z of degree at
 most k = dim M, so `interpolate_solves` interpolates them, or fixed
 combinations of them, from one exact fraction-free (Bareiss) elimination in
 integers at each of k + 1 integer nodes.  The transfer functions interpolate
-three such series, the resolvent columns 2k + 1 for two columns; each result
-is reduced once when its RationalFunction is built.
+three such series, `resolvent_matrix` 1 + k per column; each result is
+reduced once when its RationalFunction is built.
 
 Real roots are isolated exactly: a Sturm sequence over Fraction counts the
 distinct roots of the square-free part in an interval, and bisection at

@@ -137,11 +137,3 @@ def classify_Qinterior(s: Substituent, decomp: EigenDecomposition | None = None)
     if decomp is None:
         decomp = eigen(ReversibleOperator.restricted(s.graph, s.interior))
     return _classify(s, decomp, "Qo")
-
-
-def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
-    """Boundary rows (at a, at b) of the normal-form basis, for verification."""
-    support = (
-        tuple(range(s.graph.n)) if t.source == "Q" else tuple(sorted(s.interior))
-    )
-    return _boundary_map(s, t.source, support) @ t.basis

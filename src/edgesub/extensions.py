@@ -84,11 +84,12 @@ def transfer_extension(
     lam_star: float,
     interior_spec,
 ) -> ExtensionFunction:
-    """Extend a host eigenfunction to X[V] through the boundary kernels.
+    """Extend a host eigenfunction to X[V] through the boundary kernels,
+    the pole expansions over the interior eigenvalues of type II°-IV°.
 
-    Raises KernelPole when lambda* is at a pole of a kernel.  An interior
-    eigenvalue of type I° is a pole of none, so lambda* may equal it.
-    `interior_spec` is not read; it is kept for existing callers.
+    Raises KernelPole when lambda* is within POLE_GUARD of such a pole.  An
+    interior eigenvalue of type I° is a pole of none, so lambda* may equal
+    it.  `interior_spec` is not read; it is kept for existing callers.
 
     The interior block of X[V] is filled in one broadcast.
     """

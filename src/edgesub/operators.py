@@ -102,12 +102,6 @@ class ReversibleOperator:
                     flat[start + hit[0]] = a.numerator / a.denominator / math.sqrt(m[i] * hit[1])
         return s
 
-    def is_stochastic(self) -> bool:
-        return all(
-            sum(self.entry(i, j) for j in range(self.dim)) == 1
-            for i in range(self.dim)
-        )
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:

@@ -13,14 +13,12 @@ family in `extensions` writes whole rows of the block.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .graph import Orientation, Substituent, WeightedGraph
-from .operators import ReversibleOperator, eigen
 
 
 def _edge_ends(orient: Orientation) -> tuple[np.ndarray, np.ndarray]:
@@ -89,23 +87,3 @@ def substitute(X: WeightedGraph, orient: Orientation, s: Substituent) -> Substit
         for u, v, c in V.edges
     ]
     return SubstitutedGraph(WeightedGraph(labels, edges), X, orient, s)
-
-
-def reorient_equivalence_check(X: WeightedGraph, s: Substituent, trials: int, seed: int) -> bool:
-    """Spectra of X[V] agree as multisets, to 1e-8, across random orientations.
-
-    A sanity test utility, not a proof of isomorphism.
-    """
-    rng = random.Random(seed)
-    reference = None
-    for _ in range(trials):
-        orient = Orientation.random(X, rng)
-        sub = substitute(X, orient, s)
-        vals = np.sort(
-            np.array(eigen(ReversibleOperator.full(sub.graph)).all_values())
-        )
-        if reference is None:
-            reference = vals
-        elif len(vals) != len(reference) or np.max(np.abs(vals - reference)) > 1e-8:
-            return False
-    return True

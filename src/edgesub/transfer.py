@@ -1,7 +1,8 @@
-"""Transfer functions of a substituent and the resolvent identity.
+"""Transfer functions of a substituent, its boundary kernels and the
+resolvent identity.
 
-All generating functions are exact rational functions built from the
-resolvent of the interior restriction Q_{V°}:
+The transfer functions are exact rational functions built from the resolvent
+of the interior restriction Q_{V°}:
 
     psi(z)   = sum_{u,v interior} q(a,u) G(u,v|z) q(v,b) + q(a,b)
     theta(z) = sum_{u,v interior} q(a,u) G(u,v|z) q(v,a)
@@ -10,9 +11,7 @@ resolvent of the interior restriction Q_{V°}:
 At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
 q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
 det (q(a, b) + q(a, .) x_b), whose interpolants are det(zI - Q_{V°}) and the
-numerators of theta and psi; each function is reduced once over det.  The
-boundary kernels solve the column q(., a) alone and interpolate every entry,
-k + 1 series; the kernels toward b are those toward a, read through gamma.
+numerators of theta and psi; each function is reduced once over det.
 
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
@@ -23,26 +22,26 @@ common zeros of psi and z - theta off the types of Q.  They serve the
 `transfer` command, the resolvent identity and callers that map an S1 root
 back to its host eigenvalue (`PipelineResult.transfer`, built on first
 access).
+
+The boundary kernels are float pole expansions over the same classified
+interior eigenvalues that give `solve_S1` its weights, so no exact solve
+builds them and the two agree on which interior eigenvalues are poles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
-    POLE_GUARD,
-    RationalFunction,
-    interpolate_solves,
-    resolvent_matrix,
-    solve_fraction_system,
-)
+from .algebra import POLE_GUARD, RationalFunction, interpolate_solves, solve_fraction_system
+# resolvent_matrix is unused here but stays importable: bench/spans.py traces it
+from .algebra import resolvent_matrix  # noqa: F401
+from .classify import classify_Qinterior
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
-# eigen is unused here but stays importable: bench/spans.py traces transfer.eigen
-from .operators import ReversibleOperator, eigen  # noqa: F401
+from .operators import ReversibleOperator, eigen
 from .substitution import SubstitutedGraph
 
 
@@ -54,12 +53,6 @@ class TransferFunctions:
     z_minus_theta: RationalFunction
 
 
-def _kernel_system(s: Substituent, q: list[list[Fraction]]) -> tuple[list, list]:
-    """Q_{V°} and the boundary columns q(., a), q(., b) on the interior."""
-    M = [[q[u][v] for v in s.interior] for u in s.interior]
-    return M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
-
-
 def compute_transfer(s: Substituent) -> TransferFunctions:
     q = ReversibleOperator.full(s.graph).matrix_exact()
     q_a = [q[s.a][u] for u in s.interior]
@@ -68,7 +61,9 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
         theta_num, psi_num = (sum(c * v for c, v in zip(q_a, x) if c) for x in adjugate_columns)
         return [det, theta_num, det * q[s.a][s.b] + psi_num]
 
-    det, theta_num, psi_num = interpolate_solves(*_kernel_system(s, q), sample)
+    M = [[q[u][v] for v in s.interior] for u in s.interior]
+    columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
+    det, theta_num, psi_num = interpolate_solves(M, columns, sample)
     theta = RationalFunction(theta_num, det)
     psi = RationalFunction(psi_num, det)
     z_minus_theta = RationalFunction.z() - theta
@@ -78,64 +73,59 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
 
 @dataclass(frozen=True)
 class BoundaryKernels:
-    """Harmonic-extension kernels toward each marked vertex.
+    """Harmonic-extension kernels toward each marked vertex, on the interior.
 
-    to_a[u] = F_{V-b}(u, a | z) and to_b[u] = F_{V-a}(u, b | z), defined for
-    every vertex u of V with the conventions to_a[a] = 1, to_a[b] = 0 and
-    symmetrically for to_b.
-
-    The numerators and reduced denominators of the interior kernels (to_a
-    then to_b, each in `substituent.interior` order) are also held as one
-    float coefficient table, one column per polynomial, highest degree in
-    the first row; short polynomials are padded with zeros at the
-    high-degree end.  `eval_interior` runs Horner down the rows, in the
-    order of `RationalFunction.eval_float` and on the same float
-    coefficients, so its values are bit-identical to evaluating each kernel
-    on its own.  It raises `TooCloseToInteriorSpectrum` under the same rule:
-    some reduced denominator has magnitude below POLE_GUARD.
+    to_a(u | z) = F_{V-b}(u, a | z) and to_b(u | z) = F_{V-a}(u, b | z), the
+    f with Qf = z f on the interior and boundary values (1, 0), resp. (0, 1).
+    Both are sum_mu r(mu) / (z - mu) over the `poles`, the interior
+    eigenvalues of type II°, III° and IV°; row mu of `residues` holds r_a(mu)
+    then r_b(mu), each in `substituent.interior` order.
     """
 
     substituent: Substituent
-    to_a: dict[int, RationalFunction]
-    to_b: dict[int, RationalFunction]
-    _horner: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        interior = self.substituent.interior
-        kernels = [self.to_a[u] for u in interior] + [self.to_b[u] for u in interior]
-        polys = [k.num for k in kernels] + [k.den for k in kernels]
-        table = np.zeros((max((len(p.coeffs) for p in polys), default=0), len(polys)))
-        for column, p in zip(table.T, polys):
-            column[: len(p.coeffs)] = [float(c) for c in p.coeffs]
-        object.__setattr__(self, "_horner", tuple(table[::-1].copy()))
+    poles: np.ndarray
+    residues: np.ndarray  # (len(poles), 2 |V°|)
 
     def eval_interior(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """(to_a[u](z), to_b[u](z)) over u in `substituent.interior` order."""
-        k = len(self.substituent.interior)
-        acc = np.zeros(4 * k)
-        for coeffs in self._horner:
-            acc *= z
-            acc += coeffs
-        den = acc[2 * k :]
-        if (np.abs(den) < POLE_GUARD).any():
+        """(to_a(u | z), to_b(u | z)) over u in `substituent.interior` order.
+
+        Raises `TooCloseToInteriorSpectrum` when z is within POLE_GUARD of a
+        pole."""
+        gap = z - self.poles
+        if (np.abs(gap) < POLE_GUARD).any():
             raise TooCloseToInteriorSpectrum(
-                f"denominator magnitude {np.min(np.abs(den)):.3e} at z={z!r}"
+                f"distance {np.min(np.abs(gap)):.3e} to a kernel pole at z={z!r}"
             )
-        values = acc[: 2 * k] / den
+        values = (1.0 / gap) @ self.residues
+        k = len(self.substituent.interior)
         return values[:k], values[k:]
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
-    """One exact solve, toward a: gamma swaps a and b and preserves
-    conductances, so F_{V-a}(u, b | z) = F_{V-b}(gamma u, a | z)."""
-    q = ReversibleOperator.full(s.graph).matrix_exact()
-    M, (q_a, _) = _kernel_system(s, q)
-    (col_a,) = resolvent_matrix(M, [q_a])
-    one = RationalFunction.const(1)
-    zero = RationalFunction.const(0)
-    to_a = {s.a: one, s.b: zero, **dict(zip(s.interior, col_a))}
-    to_b = {u: to_a[s.gamma[u]] for u in range(s.graph.n)}
-    return BoundaryKernels(s, to_a, to_b)
+    """The kernels' pole expansions over `classify_Qinterior`.
+
+    With the m-orthonormal eigenbasis B of an interior eigenvalue mu, the
+    residue of to_a is m(a) B B^T q(a, .), and that of to_b the same with b.
+    In the classified normal form these are r_a = S e + D o and
+    r_b = S e - D o, where e and o are the tails with boundary data (1, 1)
+    and (1, -1) and S, D are the secular weights of `solve_S1`.  A type-I°
+    mu has neither tail nor weight, so it is no pole.
+    """
+    typed = classify_Qinterior(s, eigen(ReversibleOperator.restricted(s.graph, s.interior)))
+    poles, residues = [], []
+    for t in typed:
+        if t.type == "I":
+            continue
+        tails = t.tails()
+        if t.type == "IV":
+            t01, t10 = tails.T
+            e, o = t01 + t10, t10 - t01
+        else:  # the one tail is e for II°, o for III°, and the other weight is 0
+            e = o = tails[:, 0]
+        poles.append(t.value)
+        residues.append(np.concatenate([t.S * e + t.D * o, t.S * e - t.D * o]))
+    k = len(s.interior)
+    return BoundaryKernels(s, np.array(poles), np.array(residues).reshape(len(poles), 2 * k))
 
 
 def solve_boundary(
@@ -147,11 +137,12 @@ def solve_boundary(
 ) -> dict[int, float]:
     """The f with Qf = z f on the interior, f(a) = alpha, f(b) = beta.
 
-    f is read off the boundary kernels at z, so this raises
-    TooCloseToInteriorSpectrum exactly where `BoundaryKernels.eval_interior`
-    does.  Off the interior spectrum f is unique.  At a type-I° interior
-    eigenvalue, a pole of no kernel, f is the kernels' particular solution,
-    one of many: adding any eigenfunction of Q° at z gives another.
+    f is read off the interior pole expansions of the boundary kernels at z,
+    so this raises TooCloseToInteriorSpectrum exactly where
+    `BoundaryKernels.eval_interior` does.  Off the interior spectrum f is
+    unique.  At a type-I° interior eigenvalue, a pole of no kernel, f is the
+    limit of the kernels there, one solution of many: adding any
+    eigenfunction of Q° at z gives another.
     """
     k = kernels if kernels is not None else boundary_kernels(s)
     fa, fb = k.eval_interior(z)

@@ -14,7 +14,7 @@ import numpy as np
 
 from edgesub.algebra import Polynomial, RationalFunction, chebyshev
 from edgesub.assemble import assemble, interior_multiplicity
-from edgesub.classify import boundary_data, classify_Q, classify_Qinterior
+from edgesub.classify import classify_Q, classify_Qinterior
 from edgesub.extensions import balance, independence_rank, residual
 from edgesub.fixtures import (
     chorded_square_substituent,
@@ -28,10 +28,11 @@ from edgesub.fixtures import (
 from edgesub.graph import Orientation, fundamental_cycle_base
 from edgesub.operators import ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum, nodal_dimension
-from edgesub.substitution import reorient_equivalence_check, substitute
+from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer, verify_resolvent_identity
 
 from randinst import random_host, random_substituent
+from reference import boundary_data, reorient_equivalence_check
 
 RF = RationalFunction
 

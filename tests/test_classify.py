@@ -9,7 +9,6 @@ from edgesub.classify import (
     RANK_TOL,
     TypedEigenvalue,
     _boundary_map,
-    boundary_data,
     classify_Q,
     classify_Qinterior,
 )
@@ -27,6 +26,7 @@ from edgesub.oracle import direct_spectrum
 from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent, relabel_substituent
+from reference import boundary_data
 
 BOUNDARY_TOL = 1e-7
 

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from edgesub.assemble import assemble, solve_S1
 from edgesub.classify import classify_Q, classify_Qinterior
 from edgesub.errors import KernelPole
 from edgesub.extensions import (
@@ -37,6 +39,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance
+from test_transfer import _reference_kernels
 
 RESIDUAL_TOL = 1e-9
 
@@ -117,21 +120,65 @@ class TestTransferExtension:
             reversed_heads += sum(orient.ea(e) > orient.eb(e) for e in range(X.num_edges))
             sub = substitute(X, orient, s)
             kernels = boundary_kernels(s)
+            exact = _reference_kernels(s)
+            k = len(s.interior)
             host_dec = eigen(ReversibleOperator.full(X))
             top = eigen(ReversibleOperator.full(sub.graph)).values[0]
             for lam_star in (top, rng.uniform(-1, 1), rng.uniform(-1, 1)):
+                to_a, to_b = (
+                    [float(f.eval_exact(Fraction(lam_star))) for f in half]
+                    for half in (exact[:k], exact[k:])
+                )
                 f_host = host_dec.bases[0][:, 0] + rng.random() * host_dec.bases[-1][:, 0]
                 fn = transfer_extension(sub, kernels, f_host, lam_star, None)
                 want = np.zeros(sub.graph.n)
                 want[: X.n] = f_host
                 for e in range(X.num_edges):
                     fa, fb = f_host[orient.ea(e)], f_host[orient.eb(e)]
-                    for u in s.interior:
-                        want[sub.pi(e, u)] = fa * kernels.to_a[u].eval_float(
-                            lam_star
-                        ) + fb * kernels.to_b[u].eval_float(lam_star)
-                assert fn.values.tobytes() == want.tobytes()
+                    for j, u in enumerate(s.interior):
+                        want[sub.pi(e, u)] = fa * to_a[j] + fb * to_b[j]
+                assert np.all(np.abs(fn.values - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         assert reversed_heads > 0
+
+
+def _s1_transfer_extensions(X, s, monkeypatch):
+    """The transfer extension of every S1 root and host eigenvector of its
+    lambda, with the (root, lambda, nu) triples that `assemble` reads from
+    `solve_S1`."""
+    triples = []
+
+    def recorded(*args):
+        triples.extend(solve_S1(*args))
+        return triples[:]
+
+    # the package rebinds edgesub.assemble to the function of that name
+    monkeypatch.setattr(sys.modules["edgesub.assemble"], "solve_S1", recorded)
+    result = assemble(X, Orientation.default(X), s, build_families=False)
+    kernels = boundary_kernels(s)
+    for root, lam, _ in triples:
+        basis = result.spec_P.bases[result.spec_P.values.index(lam)]
+        for f_host in basis.T:
+            yield result.substituted, transfer_extension(result.substituted, kernels, f_host, root, None)
+
+
+class TestTransferExtensionsOfLargeInteriors:
+    """|V°| up to 20: the kernels' old absolute guard on a degree-|V°|
+    denominator raised KernelPole at S1 roots far from every interior
+    eigenvalue."""
+
+    @pytest.mark.parametrize("max_v, min_interior", [(16, 10), (22, 14)])
+    def test_every_S1_root_extends(self, max_v, min_interior, monkeypatch):
+        rng = random.Random(1)
+        for _ in range(10):
+            X = random_host(rng, max_n=12, min_n=3)
+            s = random_substituent(rng, max_v=max_v, min_interior=min_interior)
+            for sub, fn in _s1_transfer_extensions(X, s, monkeypatch):
+                assert residual(sub, fn) <= 1e-8
+
+    def test_root_next_to_a_type_II_interior_pole(self, monkeypatch):
+        # sweep seed 1 instance 153: an S1 root 9.7e-11 from a type-II° mu
+        for sub, fn in _s1_transfer_extensions(*sweep_instance(1, 153), monkeypatch):
+            assert residual(sub, fn) <= 1e-8
 
 
 class TestEmbeddings:
