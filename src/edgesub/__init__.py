@@ -25,7 +25,6 @@ from .graph import (
     Orientation,
     Substituent,
     WeightedGraph,
-    bfs_spanning_tree,
     find_gamma,
     fundamental_cycle_base,
     validate_substituent,

@@ -2,17 +2,19 @@
 
 Coefficient lists are stored lowest degree first.  Rational functions are
 kept reduced (gcd cancelled, monic denominator) so that equality is plain
-structural equality.  Also provides exact linear solving over Fraction,
-resolvent columns (zI - M)^{-1} c and det(zI - M), Chebyshev polynomials, and
-exact isolation of the real roots of a polynomial in an interval.
+structural equality; the library builds each one as a single reduced
+quotient, and their field arithmetic serves the tests as reference algebra.
+Also provides exact linear solving over Fraction, resolvent columns
+(zI - M)^{-1} c over det(zI - M), Chebyshev polynomials, and exact isolation
+of the real roots of a polynomial in an interval.
 
 The resolvent is never eliminated over the rational-function field:
 det(zI - M) and det(zI - M) (zI - M)^{-1} c are polynomials in z of degree at
 most k = dim M, so `interpolate_solves` interpolates them, or fixed
 combinations of them, from one exact fraction-free (Bareiss) elimination in
 integers at each of k + 1 integer nodes.  The transfer functions interpolate
-three such series, `resolvent_matrix` 1 + k per column; each result is
-reduced once when its RationalFunction is built.
+three such series and are four quotients of them, `resolvent_matrix` 1 + k
+per column; each result is reduced once when its RationalFunction is built.
 
 Real roots are isolated exactly: a Sturm sequence over Fraction counts the
 distinct roots of the square-free part in an interval, and bisection at
@@ -27,10 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-from .errors import TooCloseToInteriorSpectrum
-
-POLE_GUARD = 1e-12
 
 
 def _as_fraction(x) -> Fraction:
@@ -79,9 +77,6 @@ class Polynomial:
             return Fraction(0)
         return self.coeffs[-1]
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
@@ -98,9 +93,6 @@ class Polynomial:
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         other = _as_poly(other)
@@ -234,9 +226,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "RationalFunction":
@@ -259,9 +248,6 @@ class RationalFunction:
     def __sub__(self, other) -> "RationalFunction":
         return self + (-_as_rf(other))
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) + (-self)
-
     def __mul__(self, other) -> "RationalFunction":
         other = _as_rf(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -274,9 +260,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return _as_rf(other) / self
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_exact(self, x) -> Fraction:
@@ -287,12 +270,9 @@ class RationalFunction:
         return self.num.eval_exact(x) / d
 
     def eval_float(self, x: float) -> float:
-        d = self.den.eval_float(x)
-        if abs(d) < POLE_GUARD:
-            raise TooCloseToInteriorSpectrum(
-                f"denominator magnitude {abs(d):.3e} at z={x!r}"
-            )
-        return self.num.eval_float(x) / d
+        """Float Horner values divided; a float zero denominator raises
+        ZeroDivisionError, as a pole does in `eval_exact`."""
+        return self.num.eval_float(x) / self.den.eval_float(x)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -405,25 +385,19 @@ def interpolate_solves(
     return [_interpolate(nodes, series) for series in zip(*samples)]
 
 
-def det_and_adjugate_columns(
-    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
-) -> tuple[Polynomial, list[list[Polynomial]]]:
-    """det(zI - M) and the columns det(zI - M) (zI - M)^{-1} c, exactly:
-    1 + k * len(columns) interpolated series, k = dim M."""
-    k = len(matrix)
-    det, *entries = interpolate_solves(
-        matrix, columns, lambda det, adjugate: [det, *(v for col in adjugate for v in col)]
-    )
-    return det, [entries[j * k : (j + 1) * k] for j in range(len(columns))]
-
-
 def resolvent_matrix(
     matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
 ) -> list[list[RationalFunction]]:
     """The columns (zI - M)^{-1} c for each given column c, as reduced
-    rational functions over det(zI - M)."""
-    det, adjugate_columns = det_and_adjugate_columns(matrix, columns)
-    return [[RationalFunction(p, det) for p in col] for col in adjugate_columns]
+    rational functions over det(zI - M): 1 + k * len(columns) interpolated
+    series, k = dim M."""
+    k = len(matrix)
+    det, *entries = interpolate_solves(
+        matrix, columns, lambda det, adjugate: [det, *(v for col in adjugate for v in col)]
+    )
+    return [
+        [RationalFunction(p, det) for p in entries[j * k : (j + 1) * k]] for j in range(len(columns))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from .operators import (
 from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
-EXCLUSION_TOL = 1e-8  # an S1 root this close to a point counted elsewhere is dropped
-
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -121,7 +119,7 @@ def solve_S1(
 ) -> list[tuple[float, float, int]]:
     """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda, except
     the roots counted elsewhere: `excluded` holds pairs (p, v), and a root
-    within EXCLUSION_TOL of p is dropped when its lambda is v, or for every
+    within CLUSTER_TOL of p is dropped when its lambda is v, or for every
     lambda when v is None.
 
     Over the interior clusters mu, z - theta - lambda psi is
@@ -153,7 +151,7 @@ def solve_S1(
     if excluded:
         points = np.array([p for p, _ in excluded])
         values = np.array([np.nan if v is None else v for _, v in excluded])
-        near = np.abs(roots[:, None] - points[None, :]) <= EXCLUSION_TOL
+        near = np.abs(roots[:, None] - points[None, :]) <= CLUSTER_TOL
         same = np.isnan(values) | (np.abs(lams[owner][:, None] - values[None, :]) <= CLUSTER_TOL)
         keep = ~np.any(near & same, axis=1)
         roots, owner = roots[keep], owner[keep]

@@ -135,27 +135,21 @@ def _cmd_verify(args) -> int:
     return 0 if not diffs else 1
 
 
+# fixture kind -> the file text it emits, from the parsed arguments
+FIXTURES = {
+    "path-sub": lambda a: dump_substituent(fixtures.path_substituent(a.L)),
+    "circle-antipodal": lambda a: dump_substituent(fixtures.circle_substituent(a.L, "antipodal")),
+    "circle-adjacent": lambda a: dump_substituent(fixtures.circle_substituent(a.L, "adjacent")),
+    "chorded-square": lambda a: dump_substituent(fixtures.chorded_square_substituent()),
+    "cycle-host": lambda a: dump_graph(fixtures.cycle_host(a.n)),
+    "path-host": lambda a: dump_graph(fixtures.path_host(a.n)),
+    "star-host": lambda a: dump_graph(fixtures.star_host(a.n)),
+    "weighted-circle": lambda a: dump_graph(fixtures.fixture_circle(Fraction(a.a), a.N)),
+}
+
+
 def _cmd_fixture(args) -> int:
-    kind = args.kind
-    if kind == "path-sub":
-        text = dump_substituent(fixtures.path_substituent(args.L))
-    elif kind == "circle-antipodal":
-        text = dump_substituent(fixtures.circle_substituent(args.L, "antipodal"))
-    elif kind == "circle-adjacent":
-        text = dump_substituent(fixtures.circle_substituent(args.L, "adjacent"))
-    elif kind == "chorded-square":
-        text = dump_substituent(fixtures.chorded_square_substituent())
-    elif kind == "cycle-host":
-        text = dump_graph(fixtures.cycle_host(args.n))
-    elif kind == "path-host":
-        text = dump_graph(fixtures.path_host(args.n))
-    elif kind == "star-host":
-        text = dump_graph(fixtures.star_host(args.n))
-    elif kind == "weighted-circle":
-        text = dump_graph(fixtures.fixture_circle(Fraction(args.a), args.N))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
-    _emit(text, args.out)
+    _emit(FIXTURES[args.kind](args), args.out)
     return 0
 
 
@@ -187,20 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, host=True, sub_file=True)
 
     p = sub.add_parser("fixture", help="emit a ready-made graph file")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "path-sub",
-            "circle-antipodal",
-            "circle-adjacent",
-            "chorded-square",
-            "cycle-host",
-            "path-host",
-            "star-host",
-            "weighted-circle",
-        ],
-    )
+    p.add_argument("--kind", required=True, choices=list(FIXTURES))
     p.add_argument("--L", type=int, default=2, help="path length / half circle length")
     p.add_argument("--n", type=int, default=5, help="host size")
     p.add_argument("--N", type=int, default=2, help="half length of the weighted circle")

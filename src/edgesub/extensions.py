@@ -235,8 +235,8 @@ def nodal_from_interior(
     if t.type == "III":
         # the signed incidence kernel: the cycle space, one function per cycle
         tail = tails[:, 0]
-        for i, c in enumerate(base.cycles):
-            w, _ = _tree_completion(sub, base, c.edge_indices[-1], -1)
+        for i, k in enumerate(base.cycles):
+            w, _ = _tree_completion(sub, base, k, -1)
             fns.append(_weighted_function(sub, t, tail, w, TAG_ODD_CYCLE, f"cycle {i}"))
         return fns
 
@@ -244,7 +244,7 @@ def nodal_from_interior(
         # the unsigned incidence kernel: each even cycle, and each odd cycle
         # joined with the last one so that the leftovers at the root cancel
         tail = tails[:, 0]
-        completed = [_tree_completion(sub, base, c.edge_indices[-1], 1) for c in base.cycles]
+        completed = [_tree_completion(sub, base, k, 1) for k in base.cycles]
         odd = [i for i, (_, r) in enumerate(completed) if r]
         for i, (w, r) in enumerate(completed):
             if not r:

@@ -1,7 +1,10 @@
-"""Weighted graphs, substituents, orientations, and cycle structure.
+"""Weighted graphs, substituents, orientations, and the cycle base.
 
 Vertices are dense integer indices 0..n-1; labels are metadata only.
 Conductances are exact Fractions.  Parallel edges are allowed, loops are not.
+The cycle base is a breadth-first spanning tree and its closing edges, one
+per fundamental cycle; the nodal families complete each closing edge
+through the tree, so no cycle is ever walked.
 """
 
 from __future__ import annotations
@@ -234,89 +237,34 @@ def find_gamma(g: WeightedGraph, a: int, b: int) -> Optional[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Cycle structure
+# Cycle base
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """Closed walk: vertex sequence v_0..v_k = v_0 with edge indices e_0..e_{k-1}."""
-
-    vertices: tuple[int, ...]
-    edge_indices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_indices)
-
-    @property
-    def is_even(self) -> bool:
-        return self.length % 2 == 0
-
-
-@dataclass(frozen=True)
 class CycleBase:
-    """Fundamental cycles of a spanning tree; `parent` maps each non-root
-    vertex to (parent vertex, tree edge index), in breadth-first order."""
+    """A breadth-first spanning tree and the edges it leaves out.
+
+    `parent` maps each non-root vertex to (parent vertex, tree edge index),
+    in breadth-first order; `cycles` holds the non-tree edge indices in edge
+    order, each closing one fundamental cycle through the tree."""
 
     graph: WeightedGraph
-    tree_edges: frozenset[int]
-    cycles: tuple[Cycle, ...]
     parent: dict[int, tuple[int, int]] = field(repr=False, compare=False)
-
-
-def bfs_spanning_tree(g: WeightedGraph) -> tuple[frozenset[int], dict[int, tuple[int, int]]]:
-    """Breadth-first spanning tree from vertex 0, neighbors visited in
-    edge-index order.
-
-    Returns (tree edge indices, parent map v -> (parent vertex, edge index)).
-    """
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {0}
-    tree: set[int] = set()
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for k in g.incident(x):
-            u, v, _ = g.edges[k]
-            y = v if u == x else u
-            if y not in seen:
-                seen.add(y)
-                parent[y] = (x, k)
-                tree.add(k)
-                queue.append(y)
-    return frozenset(tree), parent
-
-
-def _tree_path(parent: dict[int, tuple[int, int]], x: int, y: int) -> tuple[list[int], list[int]]:
-    """Path x -> y through the tree: (vertex sequence, edge index sequence)."""
-    def to_root(v):
-        verts, eidx = [v], []
-        while v in parent:
-            p, k = parent[v]
-            verts.append(p)
-            eidx.append(k)
-            v = p
-        return verts, eidx
-
-    vx, ex = to_root(x)
-    vy, ey = to_root(y)
-    sx, sy = set(vx), set(vy)
-    # lowest common ancestor: first vertex on x's root path also on y's
-    lca = next(v for v in vx if v in sy)
-    ix, iy = vx.index(lca), vy.index(lca)
-    verts = vx[: ix + 1] + list(reversed(vy[:iy]))
-    eidx = ex[:ix] + list(reversed(ey[:iy]))
-    return verts, eidx
+    cycles: tuple[int, ...]
 
 
 def fundamental_cycle_base(g: WeightedGraph) -> CycleBase:
-    """Cycle per non-tree edge of the breadth-first spanning tree."""
-    tree, parent = bfs_spanning_tree(g)
-    cycles = []
-    for k, (u, v, _) in enumerate(g.edges):
-        if k in tree:
-            continue
-        verts, eidx = _tree_path(parent, v, u)
-        cycles.append(Cycle(tuple(verts + [v]), tuple(eidx + [k])))
-    return CycleBase(g, tree, tuple(cycles), parent)
+    """Spanning tree from vertex 0, neighbours visited in edge-index order,
+    and its closing edges."""
+    parent: dict[int, tuple[int, int]] = {}
+    order = [0]
+    for x in order:  # breadth-first: order grows while it is read
+        for k in g.incident(x):
+            u, v, _ = g.edges[k]
+            y = v if u == x else u
+            if y != 0 and y not in parent:
+                parent[y] = (x, k)
+                order.append(y)
+    tree = {k for _, k in parent.values()}
+    return CycleBase(g, parent, tuple(k for k in range(g.num_edges) if k not in tree))

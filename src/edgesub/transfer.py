@@ -10,8 +10,14 @@ of the interior restriction Q_{V°}:
 
 At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
 q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
-det (q(a, b) + q(a, .) x_b), whose interpolants are det(zI - Q_{V°}) and the
-numerators of theta and psi; each function is reduced once over det.
+det (q(a, b) + q(a, .) x_b), whose interpolants are det = det(zI - Q_{V°})
+and the numerators theta_n and psi_n.  Each function is one reduced
+quotient of these polynomials, with one gcd:
+
+    phi       = (z det - theta_n) / psi_n
+    psi       = psi_n / det
+    theta     = theta_n / det
+    z - theta = (z det - theta_n) / det
 
 phi transfers eigenvalues: lambda* is in the non-interior spectrum of the
 substituted operator iff phi(lambda*) is an eigenvalue of the host operator.
@@ -35,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import POLE_GUARD, RationalFunction, interpolate_solves, solve_fraction_system
+from .algebra import Polynomial, RationalFunction, interpolate_solves, solve_fraction_system
 # resolvent_matrix is unused here but stays importable: bench/spans.py traces it
 from .algebra import resolvent_matrix  # noqa: F401
 from .classify import classify_Qinterior
@@ -43,6 +49,8 @@ from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
 from .operators import ReversibleOperator, eigen
 from .substitution import SubstitutedGraph
+
+POLE_GUARD = 1e-12  # a kernel pole this close to z is a pole at z
 
 
 @dataclass(frozen=True)
@@ -64,11 +72,13 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
     M = [[q[u][v] for v in s.interior] for u in s.interior]
     columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
     det, theta_num, psi_num = interpolate_solves(M, columns, sample)
-    theta = RationalFunction(theta_num, det)
-    psi = RationalFunction(psi_num, det)
-    z_minus_theta = RationalFunction.z() - theta
-    phi = z_minus_theta / psi
-    return TransferFunctions(phi, psi, theta, z_minus_theta)
+    z_minus_theta_num = Polynomial.z() * det - theta_num
+    return TransferFunctions(
+        phi=RationalFunction(z_minus_theta_num, psi_num),
+        psi=RationalFunction(psi_num, det),
+        theta=RationalFunction(theta_num, det),
+        z_minus_theta=RationalFunction(z_minus_theta_num, det),
+    )
 
 
 @dataclass(frozen=True)

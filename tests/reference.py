@@ -1,6 +1,7 @@
 """Test-side checks that the library does not need: boundary data of a
-classified basis, row sums of an operator, and the orientation independence
-of the spectrum of X[V]."""
+classified basis, row sums of an operator, the orientation independence
+of the spectrum of X[V], and the fundamental cycles of a cycle base as
+closed walks."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 import numpy as np
 
 from edgesub.classify import TypedEigenvalue, _boundary_map
-from edgesub.graph import Orientation, Substituent, WeightedGraph
+from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
 from edgesub.operators import ReversibleOperator, eigen
 from edgesub.substitution import substitute
 
@@ -40,3 +41,23 @@ def reorient_equivalence_check(X: WeightedGraph, s: Substituent, trials: int, se
         elif len(vals) != len(reference) or np.max(np.abs(vals - reference)) > 1e-8:
             return False
     return True
+
+
+def cycle_walk(base: CycleBase, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The fundamental cycle that the closing edge k = (u, v) makes with the
+    tree, as a closed walk: vertices v, ..., u, v through the lowest common
+    ancestor, and the edge indices between them, k last."""
+
+    def to_root(x):
+        verts, edges = [x], []
+        while x in base.parent:
+            x, e = base.parent[x]
+            verts.append(x)
+            edges.append(e)
+        return verts, edges
+
+    u, v, _ = base.graph.edges[k]
+    (vv, ev), (vu, eu) = to_root(v), to_root(u)
+    lca = next(x for x in vv if x in vu)
+    i, j = vv.index(lca), vu.index(lca)
+    return tuple(vv[: i + 1] + vu[:j][::-1] + [v]), tuple(ev[:i] + eu[:j][::-1] + [k])

@@ -39,6 +39,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance
+from reference import cycle_walk
 from test_transfer import _reference_kernels
 
 RESIDUAL_TOL = 1e-9
@@ -418,10 +419,10 @@ def _joined_walk(base, i, j):
     """Even closed walk: around odd cycle C_i, up to the root, down to C_j,
     around it and back.  It may backtrack: any even closed walk through each
     of the two non-tree edges once has the same defects, up to sign."""
-    ci, cj = base.cycles[i], base.cycles[j]
-    up_i, up_j = _up_to_root(base, ci.vertices[0]), _up_to_root(base, cj.vertices[0])
+    (vi, ei), (vj, ej) = cycle_walk(base, base.cycles[i]), cycle_walk(base, base.cycles[j])
+    up_i, up_j = _up_to_root(base, vi[0]), _up_to_root(base, vj[0])
     there = up_i + up_j[::-1]
-    return list(ci.edge_indices) + there + list(cj.edge_indices) + there[::-1]
+    return list(ei) + there + list(ej) + there[::-1]
 
 
 def _ref_defect(sub, t, tail, defects, label):
@@ -440,19 +441,20 @@ def _ref_nodal(sub, t, base):
     fns = _ref_per_edge(sub, t)
     tails = _ref_interior_dicts(sub, t, t.tails())
     if t.type == "III":
-        for i, c in enumerate(base.cycles):
+        for i, k in enumerate(base.cycles):
             values = np.zeros(sub.graph.n)
-            for pos in range(c.length):
-                e, xj = c.edge_indices[pos], c.vertices[pos]
+            verts, edges = cycle_walk(base, k)
+            for e, xj in zip(edges, verts):
                 w = (1.0 if o.ea(e) == xj else -1.0) / float(X.edges[e][2])
                 for v, fv in tails[0].items():
                     values[sub.pi(e, v)] += w * fv
             fns.append(ExtensionFunction(values, t.value, TAG_ODD_CYCLE, f"cycle {i}"))
     elif t.type == "II":
-        odd = [i for i, c in enumerate(base.cycles) if not c.is_even]
-        for i, c in enumerate(base.cycles):
-            if c.is_even:
-                defects = _walk_defects(c.edge_indices)
+        walks = [cycle_walk(base, k)[1] for k in base.cycles]
+        odd = [i for i, walk in enumerate(walks) if len(walk) % 2]
+        for i, walk in enumerate(walks):
+            if len(walk) % 2 == 0:
+                defects = _walk_defects(walk)
                 fns.append(_ref_defect(sub, t, tails[0], defects, f"even cycle {i}"))
         for i in odd[:-1]:
             defects = _walk_defects(_joined_walk(base, i, odd[-1]))
@@ -521,7 +523,8 @@ class TestBlockRowsEqualPerVertexReference:
             for t in classify_Qinterior(s):
                 qo_types.add(t.type)
                 fns += nodal_from_interior(sub, t, base)
-            hosts |= {"even" if c.is_even else "odd" for c in base.cycles} or {"tree"}
+            lengths = [len(cycle_walk(base, k)[1]) for k in base.cycles]
+            hosts |= {"odd" if n % 2 else "even" for n in lengths} or {"tree"}
         assert q_types == qo_types == {"I", "II", "III", "IV"}
         # the per-vertex star copies a different tail toward e^a than toward e^b
         assert distinct_IV_tails

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 
 from edgesub import algebra, transfer
 from edgesub.algebra import (
-    POLE_GUARD,
     Polynomial,
     RationalFunction,
     chebyshev,
     real_roots_in_interval,
     resolvent_matrix,
 )
+from edgesub.assemble import assemble, solve_S1
 from edgesub.classify import classify_Qinterior
 from edgesub.errors import TooCloseToInteriorSpectrum
 from edgesub.fixtures import (
@@ -26,6 +27,7 @@ from edgesub.graph import Orientation
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
+    POLE_GUARD,
     TransferFunctions,
     boundary_kernels,
     compute_transfer,
@@ -177,6 +179,23 @@ class TestAgainstTheReference:
         compute_transfer(s)
         assert counts == {"interpolate_solves": 1, "_eliminate": len(s.interior) + 1, "_interpolate": 3}
 
+    def test_four_reduced_quotients(self, monkeypatch):
+        # phi, psi, theta and z - theta are each built once from the three
+        # series, so each costs one gcd and none is an arithmetic result
+        calls = []
+        gcd = algebra.poly_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(algebra, "poly_gcd", counted)
+        rng = random.Random(62)
+        for s in [path_substituent(15), *(random_substituent(rng, max_v=10) for _ in range(5))]:
+            calls.clear()
+            compute_transfer(s)
+            assert len(calls) == 4
+
 
 def _reference_kernels(s):
     """The exact kernels over the interior, toward a then toward b, as reduced
@@ -291,6 +310,33 @@ class TestKernelsFromOneColumn:
         monkeypatch.setattr(transfer, "interpolate_solves", forbidden)
         s = circle_substituent(7, "antipodal")
         boundary_kernels(s).eval_interior(0.3)
+
+
+class TestPhiAtS1Roots:
+    """|V°| from 10 to 14: at a genuine S1 root the monic denominator of phi,
+    of degree up to |V°|, can be far below 1e-12 with no pole near, so the
+    float value is the plain quotient."""
+
+    def test_phi_maps_each_root_into_the_cluster_of_its_lambda(self, monkeypatch):
+        triples = []
+
+        def recorded(*args):
+            found = solve_S1(*args)
+            triples.extend(found)
+            return found
+
+        # the package rebinds edgesub.assemble to the function of that name
+        monkeypatch.setattr(sys.modules["edgesub.assemble"], "solve_S1", recorded)
+        rng = random.Random(1)
+        for _ in range(10):
+            X = random_host(rng, max_n=12, min_n=3)
+            s = random_substituent(rng, max_v=16, min_interior=10)
+            triples.clear()
+            result = assemble(X, Orientation.default(X), s, build_families=False)
+            phi, spec = result.transfer.phi, result.spec_P
+            assert triples
+            for root, lam, _ in triples:
+                assert spec.cluster_near(phi.eval_float(root)) == spec.values.index(lam)
 
 
 class TestResolventIdentity:
