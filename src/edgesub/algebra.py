@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 
@@ -149,10 +150,15 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients as correctly rounded floats, highest degree first."""
+        return tuple(c.numerator / c.denominator for c in reversed(self.coeffs))
+
     def eval_float(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._float_coeffs:
+            acc = acc * x + c
         return acc
 
     def __str__(self) -> str:

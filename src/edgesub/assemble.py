@@ -276,9 +276,12 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
-    """Everything `assemble` computed.  X[V], the host's cycle base and the
-    transfer functions are built on first access of `substituted`,
-    `cycle_base` and `transfer`: the spectrum needs none of them."""
+    """Everything `assemble` computed.  The layout of X[V], the host's cycle
+    base and the transfer functions' three series are built on first access
+    of `substituted`, `cycle_base` and `transfer`: the spectrum needs none
+    of them.  The eigenfunctions read only the layout; the exact graph of
+    X[V] is built on first read of `substituted.graph`, and each transfer
+    function on its own first read."""
 
     report: SpectrumReport
     host: WeightedGraph

@@ -89,8 +89,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _compare_with_oracle(result) -> list[str]:
-    oracle = direct_spectrum(result.substituted)
+def _compare_with_oracle(result, oracle) -> list[str]:
     assembled = sorted(result.report.multiset())
     direct = sorted(oracle.value_multiset())
     diffs = []
@@ -108,7 +107,7 @@ def _cmd_spectrum(args) -> int:
     result = assemble(X, Orientation.default(X), s, build_families=False)
     text = result.report.to_text()
     if args.verify:
-        diffs = _compare_with_oracle(result)
+        diffs = _compare_with_oracle(result, direct_spectrum(result.substituted))
         if diffs:
             _emit(text + "\noracle disagreement:\n  " + "\n  ".join(diffs), args.out)
             return 1
@@ -129,7 +128,7 @@ def _cmd_verify(args) -> int:
         left = f"{a[k][0]:+.8f} x{a[k][1]}" if k < len(a) else " " * 14
         right = f"{d[k][0]:+.8f} x{d[k][1]}" if k < len(d) else ""
         lines.append(f"{left:20s} {right}")
-    diffs = _compare_with_oracle(result)
+    diffs = _compare_with_oracle(result, oracle)
     lines.append("agreement: " + ("ok" if not diffs else "MISMATCH"))
     _emit("\n".join(lines), args.out)
     return 0 if not diffs else 1

@@ -98,7 +98,7 @@ def transfer_extension(
     except TooCloseToInteriorSpectrum as exc:
         raise KernelPole(f"lambda*={lam_star} is at a pole of the boundary kernels: {exc}") from exc
     ea, eb = sub.edge_ends
-    values = np.empty(sub.graph.n)
+    values = np.empty(sub.n)
     values[: sub.host.n] = f_host
     sub.interior_block(values)[:] = f_host[ea][:, None] * fa + f_host[eb][:, None] * fb
     return ExtensionFunction(values, lam_star, TAG_TRANSFER, "host eigenfunction")
@@ -125,7 +125,7 @@ def _per_edge_functions(
     out = []
     for j in range(t.nu_prime):
         for e in range(sub.host.num_edges):
-            values = np.zeros(sub.graph.n)
+            values = np.zeros(sub.n)
             sub.interior_block(values)[e] = basis[:, j]
             out.append(
                 ExtensionFunction(values, t.value, TAG_PER_EDGE, f"f_{j + 1} on edge {e}")
@@ -144,7 +144,7 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
     fns = _per_edge_functions(sub, t, basis)
 
     if t.type == "II":
-        values = np.zeros(sub.graph.n)
+        values = np.zeros(sub.n)
         values[: X.n] = t.tails()[sub.substituent.a, 0]
         sub.interior_block(values)[:] = tails[:, 0]
         fns.append(ExtensionFunction(values, t.value, TAG_CONSTANT, "symmetric tail"))
@@ -153,7 +153,7 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
         if classes is not None:
             part1, _ = classes
             sign = np.array([1.0 if x in part1 else -1.0 for x in range(X.n)])
-            values = np.zeros(sub.graph.n)
+            values = np.zeros(sub.n)
             values[: X.n] = sign
             sub.interior_block(values)[:] = sign[ea][:, None] * tails[:, 0]
             fns.append(
@@ -162,7 +162,7 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
     elif t.type == "IV":
         f_prev, f_top = tails[:, 0], tails[:, 1]
         for x in range(X.n):
-            values = np.zeros(sub.graph.n)
+            values = np.zeros(sub.n)
             values[x] = 1.0
             block = sub.interior_block(values)
             block[eb == x] = f_prev
@@ -210,7 +210,7 @@ def _weighted_function(
     sub: SubstitutedGraph, t: TypedEigenvalue, tail: np.ndarray, w, tag: str, label: str
 ) -> ExtensionFunction:
     """The tail copied onto each host edge e with w_e != 0, scaled by w_e / a(e)."""
-    values = np.zeros(sub.graph.n)
+    values = np.zeros(sub.n)
     block = sub.interior_block(values)
     for e, we in enumerate(w):
         if we:
@@ -268,7 +268,7 @@ def nodal_from_interior(
             continue
         e_last = star[-1]
         for e in star[:-1]:
-            values = np.zeros(sub.graph.n)
+            values = np.zeros(sub.n)
             block = sub.interior_block(values)
             for e_k, sign in ((e, 1.0), (e_last, -1.0)):
                 copy = f_top if sub.orientation.ea(e_k) == x else f_prev

@@ -12,8 +12,8 @@ SIZE_CAP = 4000
 
 
 def direct_spectrum(sub: SubstitutedGraph) -> EigenDecomposition:
-    if sub.graph.n > SIZE_CAP:
-        raise TooLarge(f"{sub.graph.n} vertices exceeds the cap {SIZE_CAP}")
+    if sub.n > SIZE_CAP:
+        raise TooLarge(f"{sub.n} vertices exceeds the cap {SIZE_CAP}")
     return eigen(ReversibleOperator.full(sub.graph))
 
 

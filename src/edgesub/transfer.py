@@ -11,8 +11,9 @@ of the interior restriction Q_{V°}:
 At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
 q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
 det (q(a, b) + q(a, .) x_b), whose interpolants are det = det(zI - Q_{V°})
-and the numerators theta_n and psi_n.  Each function is one reduced
-quotient of these polynomials, with one gcd:
+and the numerators theta_n and psi_n.  `TransferFunctions` holds these
+three series; each function is one reduced quotient of them, with one gcd,
+built on its first read:
 
     phi       = (z det - theta_n) / psi_n
     psi       = psi_n / det
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +57,32 @@ POLE_GUARD = 1e-12  # a kernel pole this close to z is a pole at z
 
 @dataclass(frozen=True)
 class TransferFunctions:
-    phi: RationalFunction            # reduced quotient
-    psi: RationalFunction
-    theta: RationalFunction
-    z_minus_theta: RationalFunction
+    """The interpolated series det, theta_n and psi_n; each transfer
+    function is reduced from them on its first read."""
+
+    det: Polynomial
+    theta_num: Polynomial
+    psi_num: Polynomial
+
+    @cached_property
+    def _z_minus_theta_num(self) -> Polynomial:
+        return Polynomial.z() * self.det - self.theta_num
+
+    @cached_property
+    def phi(self) -> RationalFunction:
+        return RationalFunction(self._z_minus_theta_num, self.psi_num)
+
+    @cached_property
+    def psi(self) -> RationalFunction:
+        return RationalFunction(self.psi_num, self.det)
+
+    @cached_property
+    def theta(self) -> RationalFunction:
+        return RationalFunction(self.theta_num, self.det)
+
+    @cached_property
+    def z_minus_theta(self) -> RationalFunction:
+        return RationalFunction(self._z_minus_theta_num, self.det)
 
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
@@ -71,14 +95,7 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
 
     M = [[q[u][v] for v in s.interior] for u in s.interior]
     columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
-    det, theta_num, psi_num = interpolate_solves(M, columns, sample)
-    z_minus_theta_num = Polynomial.z() * det - theta_num
-    return TransferFunctions(
-        phi=RationalFunction(z_minus_theta_num, psi_num),
-        psi=RationalFunction(psi_num, det),
-        theta=RationalFunction(theta_num, det),
-        z_minus_theta=RationalFunction(z_minus_theta_num, det),
-    )
+    return TransferFunctions(*interpolate_solves(M, columns, sample))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from edgesub import cli, oracle
 from edgesub.cli import main
 from edgesub.fileformat import dump_graph, dump_substituent
 from edgesub.fixtures import (
@@ -60,6 +61,19 @@ class TestSubcommands:
         assert main(["verify", "--host", host, "--sub", sub]) == 0
         out = capsys.readouterr().out
         assert "agreement: ok" in out
+
+    @pytest.mark.parametrize("argv", [["verify"], ["spectrum", "--verify"]])
+    def test_one_oracle_decomposition_per_command(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(sub):
+            calls.append(sub)
+            return oracle.direct_spectrum(sub)
+
+        monkeypatch.setattr(cli, "direct_spectrum", counted)
+        host, sub = _host_and_sub(tmp_path)
+        assert main(argv + ["--host", host, "--sub", sub]) == 0
+        assert len(calls) == 1
 
     def test_output_file(self, tmp_path):
         host, sub = _host_and_sub(tmp_path)

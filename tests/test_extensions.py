@@ -33,14 +33,14 @@ from edgesub.fixtures import (
     star_host,
 )
 from edgesub.graph import Orientation, WeightedGraph, fundamental_cycle_base
-from edgesub.operators import ReversibleOperator, eigen
+from edgesub.operators import CLUSTER_TOL, ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum, nodal_dimension
 from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
-from randinst import random_host, random_substituent, sweep_instance
+from randinst import random_host, random_substituent, sweep_instance, sweep_instances
 from reference import cycle_walk
-from test_transfer import _reference_kernels
+from test_transfer import EIGENBASIS_MIX_FIXTURES, _reference_kernels
 
 RESIDUAL_TOL = 1e-9
 
@@ -553,3 +553,42 @@ class TestBlockRowsEqualPerVertexReference:
             for x in range(sub.host.n):
                 want = _ref_balance(sub, f, x)
                 assert abs(balance(sub, f, x) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+
+def _eigenbasis_pass(X, s):
+    """A complete explicit eigenbasis of X[V]: `assemble` with nodal
+    families, the boundary kernels, one transfer extension per (S1 root,
+    host eigenvector) pair and the embeddings of the S2 eigenvalues of Q."""
+    r = assemble(X, Orientation.default(X), s, build_families=True)
+    kernels = boundary_kernels(s)
+    fns = [f for fam in r.nodal_families.values() for f in fam]
+    for e in r.report.entries:
+        if any(p.startswith("S1") for p in e.provenance):
+            basis = r.spec_P.bases[r.spec_P.cluster_near(r.transfer.phi.eval_float(e.value))]
+            fns += [transfer_extension(r.substituted, kernels, f, e.value, None) for f in basis.T]
+        if "S2" in e.provenance:
+            t = next(q for q in r.classified_Q if abs(q.value - e.value) <= CLUSTER_TOL)
+            fns += embed_specQ(r.substituted, t)
+    return r, fns
+
+
+class TestEigenbasisPassLeavesXVUnbuilt:
+    """Every eigenfunction is written through the layout of X[V]; none of
+    them reads the exact graph."""
+
+    def _check(self, X, s):
+        r, fns = _eigenbasis_pass(X, s)
+        assert fns
+        assert "graph" not in r.substituted.__dict__
+        assert all(f.values.shape == (r.substituted.n,) for f in fns)
+
+    def test_sweep_seed_1(self):
+        for X, s in sweep_instances(1, 100):
+            self._check(X, s)
+
+    @pytest.mark.parametrize("name", EIGENBASIS_MIX_FIXTURES)
+    def test_eigenbasis_mix_fixtures(self, name):
+        s = EIGENBASIS_MIX_FIXTURES[name]
+        for X in (cycle_host(5), path_host(4), star_host(4)):
+            self._check(X, s)

@@ -13,7 +13,7 @@ from edgesub.graph import Orientation, WeightedGraph
 from edgesub.operators import ReversibleOperator, eigen
 from edgesub.substitution import substitute
 
-from randinst import random_host, random_substituent
+from randinst import random_host, random_substituent, sweep_instances
 from reference import is_stochastic, reorient_equivalence_check
 
 ONE = Fraction(1)
@@ -72,6 +72,19 @@ class TestConstruction:
                 for i, v in enumerate(s.interior):
                     assert block[e, i] == sub.pi(e, v)
             assert sub.graph == _per_vertex_substitute(X, sub.orientation, s)
+
+    def test_lazy_graph_equals_an_eager_build(self):
+        # the layout knows |X[V]| before the graph exists, and the graph
+        # built on first read has the eager build's vertices and edges in order
+        rng = random.Random(23)
+        for X, s in sweep_instances(2, 120):
+            sub = substitute(X, Orientation.random(X, rng), s)
+            n = sub.n
+            assert "graph" not in sub.__dict__
+            want = _per_vertex_substitute(X, sub.orientation, s)
+            assert n == sub.graph.n == want.n
+            assert sub.graph.vertices == want.vertices
+            assert sub.graph.edges == want.edges
 
     def test_single_edge_host_reproduces_substituent(self):
         X = WeightedGraph(["x0", "x1"], [(0, 1, ONE)])

@@ -28,7 +28,6 @@ from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
     POLE_GUARD,
-    TransferFunctions,
     boundary_kernels,
     compute_transfer,
     solve_boundary,
@@ -109,24 +108,24 @@ class TestTransferInvariants:
 
 
 def _reference_transfer(s):
-    """The 2k + 1 series route: det and every entry of both adjugate columns
-    are interpolated (`resolvent_matrix`), and theta and psi are summed from
-    the reduced resolvent columns."""
+    """(phi, psi, theta, z - theta) by the 2k + 1 series route: det and every
+    entry of both adjugate columns are interpolated (`resolvent_matrix`), and
+    theta and psi are summed from the reduced resolvent columns."""
     q = ReversibleOperator.full(s.graph).matrix_exact()
     M = [[q[u][v] for v in s.interior] for u in s.interior]
     col_a, col_b = resolvent_matrix(M, [[q[v][x] for v in s.interior] for x in (s.a, s.b)])
     theta = sum((q[s.a][u] * g for u, g in zip(s.interior, col_a)), RF.const(0))
     psi = sum((q[s.a][u] * g for u, g in zip(s.interior, col_b)), RF.const(q[s.a][s.b]))
     z_minus_theta = RF.z() - theta
-    return TransferFunctions(z_minus_theta / psi, psi, theta, z_minus_theta)
+    return z_minus_theta / psi, psi, theta, z_minus_theta
 
 
-# the fixture substituents of the sub-long and eigenbasis-mix benchmark workloads
-WORKLOAD_FIXTURES = {
-    "path-10": path_substituent(10),
-    "path-15": path_substituent(15),
-    "circle-antipodal-7": circle_substituent(7, "antipodal"),
-    "circle-adjacent-6": circle_substituent(6, "adjacent"),
+def _functions(tf):
+    return tf.phi, tf.psi, tf.theta, tf.z_minus_theta
+
+
+# the fixture substituents of the eigenbasis-mix benchmark workload
+EIGENBASIS_MIX_FIXTURES = {
     **{f"path-{L}": path_substituent(L) for L in range(2, 6)},
     **{
         f"circle-{placement}-{L}": circle_substituent(L, placement)
@@ -135,19 +134,27 @@ WORKLOAD_FIXTURES = {
     },
     "chorded-square": chorded_square_substituent(),
 }
+# ... and of both the sub-long and eigenbasis-mix workloads
+WORKLOAD_FIXTURES = {
+    "path-10": path_substituent(10),
+    "path-15": path_substituent(15),
+    "circle-antipodal-7": circle_substituent(7, "antipodal"),
+    "circle-adjacent-6": circle_substituent(6, "adjacent"),
+    **EIGENBASIS_MIX_FIXTURES,
+}
 
 
 class TestAgainstTheReference:
     @pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
     def test_workload_fixtures(self, name):
         s = WORKLOAD_FIXTURES[name]
-        assert compute_transfer(s) == _reference_transfer(s)
+        assert _functions(compute_transfer(s)) == _reference_transfer(s)
 
     def test_random_substituents(self):
         rng = random.Random(61)
         for _ in range(60):
             s = random_substituent(rng, max_v=10)
-            assert compute_transfer(s) == _reference_transfer(s)
+            assert _functions(compute_transfer(s)) == _reference_transfer(s)
 
     @pytest.mark.parametrize("name", ["path-10", "circle-antipodal-7"])
     def test_relabelling_leaves_the_functions_equal(self, name):
@@ -181,7 +188,8 @@ class TestAgainstTheReference:
 
     def test_four_reduced_quotients(self, monkeypatch):
         # phi, psi, theta and z - theta are each built once from the three
-        # series, so each costs one gcd and none is an arithmetic result
+        # series when first read, so each costs one gcd and none is an
+        # arithmetic result; computing the series runs no gcd
         calls = []
         gcd = algebra.poly_gcd
 
@@ -193,7 +201,12 @@ class TestAgainstTheReference:
         rng = random.Random(62)
         for s in [path_substituent(15), *(random_substituent(rng, max_v=10) for _ in range(5))]:
             calls.clear()
-            compute_transfer(s)
+            tf = compute_transfer(s)
+            assert len(calls) == 0
+            tf.phi
+            assert len(calls) == 1
+            _functions(tf)
+            _functions(tf)
             assert len(calls) == 4
 
 
@@ -273,6 +286,23 @@ class TestBoundaryKernels:
         s = chorded_square_substituent()
         with pytest.raises(TooCloseToInteriorSpectrum):
             solve_boundary(s, 1.0, 0.0, 1 / 3)
+
+
+def _horner_over_float_coefficients(p, x):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+@pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
+def test_float_evaluation_is_horner_over_float_coefficients(name):
+    # the cached float coefficients round as float(Fraction) does, so
+    # eval_float is bitwise the Horner loop over float(c)
+    phi = compute_transfer(WORKLOAD_FIXTURES[name]).phi
+    for x in [*np.linspace(-1.0, 1.0, 201).tolist(), 0.1, -1 / 3, 2.0 ** -30]:
+        for p in (phi.num, phi.den):
+            assert p.eval_float(x).hex() == _horner_over_float_coefficients(p, x).hex()
 
 
 class TestKernelsFromOneColumn:
