@@ -44,7 +44,6 @@ from .transfer import (
     TransferFunctions,
     boundary_kernels,
     compute_transfer,
-    solve_boundary,
     verify_resolvent_identity,
 )
 

@@ -5,8 +5,8 @@ kept reduced (gcd cancelled, monic denominator) so that equality is plain
 structural equality; the library builds each one as a single reduced
 quotient, and their field arithmetic serves the tests as reference algebra.
 Also provides exact linear solving over Fraction, resolvent columns
-(zI - M)^{-1} c over det(zI - M), Chebyshev polynomials, and exact isolation
-of the real roots of a polynomial in an interval.
+(zI - M)^{-1} c over det(zI - M), and exact isolation of the real roots of a
+polynomial in an interval.
 
 The resolvent is never eliminated over the rational-function field:
 det(zI - M) and det(zI - M) (zI - M)^{-1} c are polynomials in z of degree at
@@ -36,8 +36,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to Fraction")
 
@@ -404,27 +402,6 @@ def resolvent_matrix(
     return [
         [RationalFunction(p, det) for p in entries[j * k : (j + 1) * k]] for j in range(len(columns))
     ]
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev polynomials
-# ---------------------------------------------------------------------------
-
-
-def chebyshev(kind: str, degree: int) -> Polynomial:
-    """Chebyshev polynomial of the given kind ('first' or 'second')."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if kind not in ("first", "second"):
-        raise ValueError("kind must be 'first' or 'second'")
-    z = Polynomial.z()
-    prev = Polynomial([1])
-    cur = z if kind == "first" else z.scale(2)
-    if degree == 0:
-        return prev
-    for _ in range(degree - 1):
-        prev, cur = cur, z.scale(2) * cur - prev
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ class SpectrumReport:
     delta_b: int
     host_is_tree: bool
     host_is_odd_unicyclic: bool
-    settings: dict = field(default_factory=dict)
 
     def values(self) -> list[float]:
         return [e.value for e in self.entries]
@@ -78,9 +77,7 @@ class SpectrumReport:
         return [(e.value, e.nu) for e in self.entries]
 
     def to_text(self) -> str:
-        lines = ["spectrum-report"]
-        for key, val in self.settings.items():
-            lines.append(f"  setting {key} = {val}")
+        lines = ["spectrum-report", f"  setting cluster_tol = {CLUSTER_TOL}"]
         lines.append(f"  delta_b = {self.delta_b}")
         lines.append(f"  host_is_tree = {self.host_is_tree}")
         lines.append(f"  host_is_odd_unicyclic = {self.host_is_odd_unicyclic}")
@@ -379,7 +376,6 @@ def assemble(
         delta_b=delta_b,
         host_is_tree=is_tree,
         host_is_odd_unicyclic=is_odd_unicyclic,
-        settings={"cluster_tol": CLUSTER_TOL},
     )
     if total != expected:
         raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {expected}\n" + report.to_text())

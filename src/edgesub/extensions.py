@@ -51,7 +51,7 @@ class ExtensionFunction:
 
 def residual(sub: SubstitutedGraph, fn: ExtensionFunction) -> float:
     """Sup-norm of P_* f - lambda f, relative to the sup-norm of f."""
-    P = ReversibleOperator.full(sub.graph).matrix_float()
+    P = sub._matrix_float
     f = fn.values
     return float(
         np.max(np.abs(P @ f - fn.eigenvalue * f)) / np.max(np.abs(f))

@@ -10,7 +10,6 @@ through the tree, so no cycle is ever walked.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,6 +143,14 @@ class Orientation:
     graph: WeightedGraph
     heads: tuple[int, ...]  # heads[k] = e^a for edge k
 
+    def __post_init__(self):
+        edges = self.graph.edges
+        if len(self.heads) != len(edges):
+            raise GraphInvariantError(f"{len(self.heads)} heads for {len(edges)} edges")
+        for h, (u, v, _) in zip(self.heads, edges):
+            if h != u and h != v:
+                raise GraphInvariantError(f"head {h!r} is not an endpoint of its edge ({u},{v})")
+
     def ea(self, k: int) -> int:
         return self.heads[k]
 
@@ -155,13 +162,6 @@ class Orientation:
     def default(g: WeightedGraph) -> "Orientation":
         """e^a = endpoint with the smaller index."""
         return Orientation(g, tuple(min(u, v) for u, v, _ in g.edges))
-
-    @staticmethod
-    def random(g: WeightedGraph, rng: random.Random) -> "Orientation":
-        heads = tuple(
-            (u if rng.random() < 0.5 else v) for u, v, _ in g.edges
-        )
-        return Orientation(g, heads)
 
 
 # ---------------------------------------------------------------------------

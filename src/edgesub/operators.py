@@ -53,10 +53,6 @@ class ReversibleOperator:
     def measure(self, i: int) -> Fraction:
         return self.graph.m(self.support[i])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        x, y = self.support[i], self.support[j]
-        return self.graph.conductance(x, y) / self.graph.m(x)
-
     def _conductances(self):
         """(i, j, a(x, y)) for every adjacent pair of support positions."""
         pos = {x: i for i, x in enumerate(self.support)}
@@ -134,12 +130,6 @@ class EigenDecomposition:
 
     def value_multiset(self) -> list[tuple[float, int]]:
         return list(zip(self.values, self.multiplicities))
-
-    def all_values(self) -> list[float]:
-        out = []
-        for v, nu in zip(self.values, self.multiplicities):
-            out.extend([v] * nu)
-        return out
 
     def cluster_near(self, value: float) -> Optional[int]:
         """The cluster nearest `value` among those within 1e-7 of it, or None;

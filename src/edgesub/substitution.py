@@ -7,11 +7,10 @@ vertices in (edge index, interior index) lexicographic order, so interior
 vertex i of edge e is vertex |X| + e |V°| + i, and X[V] has
 `SubstitutedGraph.n` = |X| + |E_X| |V°| vertices.  This layout is read only
 through `interior_block` (the interior vertices as an (edge, interior index)
-block), `edge_ends` (e^a and e^b of every edge) and `pi` (the identification
-map, one vertex at a time).  Every eigenfunction family in `extensions`
-writes whole rows of the block, so none of them builds X[V] itself: the
-exact `WeightedGraph` is `SubstitutedGraph.graph`, built on first read (by
-residuals, the oracle and the `substitute` command).
+block) and `edge_ends` (e^a and e^b of every edge).  Every eigenfunction
+family in `extensions` writes whole rows of the block, so none of them builds
+X[V] itself: the exact `WeightedGraph` is `SubstitutedGraph.graph`, built on
+first read (by residuals, the oracle and the `substitute` command).
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import Orientation, Substituent, WeightedGraph
+from .operators import ReversibleOperator
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,11 @@ class SubstitutedGraph:
         return WeightedGraph(labels, edges)
 
     @cached_property
+    def _matrix_float(self) -> np.ndarray:
+        """The dense float P_* of `graph`, built once for every residual."""
+        return ReversibleOperator.full(self.graph).matrix_float()
+
+    @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays of e^a and e^b over the host edges, in edge order."""
         edges = range(self.host.num_edges)
@@ -82,15 +87,6 @@ class SubstitutedGraph:
         interior = self.substituent.interior
         e, i = divmod(x - self.host.n, len(interior))
         return ("interior", e, interior[i])
-
-    def pi(self, e: int, v: int) -> int:
-        """Identification map: vertex v of edge e's substituent copy in X[V]."""
-        s = self.substituent
-        if v == s.a:
-            return self.orientation.ea(e)
-        if v == s.b:
-            return self.orientation.eb(e)
-        return self.host.n + e * len(s.interior) + s.interior.index(v)
 
 
 def substitute(X: WeightedGraph, orient: Orientation, s: Substituent) -> SubstitutedGraph:

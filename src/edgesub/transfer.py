@@ -155,27 +155,6 @@ def boundary_kernels(s: Substituent) -> BoundaryKernels:
     return BoundaryKernels(s, np.array(poles), np.array(residues).reshape(len(poles), 2 * k))
 
 
-def solve_boundary(
-    s: Substituent,
-    alpha: float,
-    beta: float,
-    z: float,
-    kernels: BoundaryKernels | None = None,
-) -> dict[int, float]:
-    """The f with Qf = z f on the interior, f(a) = alpha, f(b) = beta.
-
-    f is read off the interior pole expansions of the boundary kernels at z,
-    so this raises TooCloseToInteriorSpectrum exactly where
-    `BoundaryKernels.eval_interior` does.  Off the interior spectrum f is
-    unique.  At a type-I° interior eigenvalue, a pole of no kernel, f is the
-    limit of the kernels there, one solution of many: adding any
-    eigenfunction of Q° at z gives another.
-    """
-    k = kernels if kernels is not None else boundary_kernels(s)
-    fa, fb = k.eval_interior(z)
-    return {s.a: alpha, s.b: beta, **dict(zip(s.interior, (alpha * fa + beta * fb).tolist()))}
-
-
 def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:
     """Column y of (zI - P)^{-1}, solved exactly."""
     n = len(P)

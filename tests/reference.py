@@ -1,7 +1,8 @@
-"""Test-side checks that the library does not need: boundary data of a
-classified basis, row sums of an operator, the orientation independence
-of the spectrum of X[V], and the fundamental cycles of a cycle base as
-closed walks."""
+"""Test-side checks and references that the library does not need: boundary
+data of a classified basis, row sums of an operator, random orientations and
+the orientation independence of the spectrum of X[V], the identification map
+of X[V] one vertex at a time, the fundamental cycles of a cycle base as closed
+walks, and the Chebyshev polynomials."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import random
 
 import numpy as np
 
+from edgesub.algebra import Polynomial
 from edgesub.classify import TypedEigenvalue, _boundary_map
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
 from edgesub.operators import ReversibleOperator, eigen
-from edgesub.substitution import substitute
+from edgesub.substitution import SubstitutedGraph, substitute
 
 
 def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
@@ -23,7 +25,22 @@ def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
 
 def is_stochastic(op: ReversibleOperator) -> bool:
     """Every row of the operator sums to exactly one."""
-    return all(sum(op.entry(i, j) for j in range(op.dim)) == 1 for i in range(op.dim))
+    return all(sum(row) == 1 for row in op.matrix_exact())
+
+
+def random_orientation(g: WeightedGraph, rng: random.Random) -> Orientation:
+    """e^a drawn per edge, in edge order: the first endpoint when rng.random() < 0.5."""
+    return Orientation(g, tuple((u if rng.random() < 0.5 else v) for u, v, _ in g.edges))
+
+
+def pi(sub: SubstitutedGraph, e: int, v: int) -> int:
+    """Identification map: vertex v of edge e's substituent copy in X[V]."""
+    s = sub.substituent
+    if v == s.a:
+        return sub.orientation.ea(e)
+    if v == s.b:
+        return sub.orientation.eb(e)
+    return sub.host.n + e * len(s.interior) + s.interior.index(v)
 
 
 def reorient_equivalence_check(X: WeightedGraph, s: Substituent, trials: int, seed: int) -> bool:
@@ -34,8 +51,9 @@ def reorient_equivalence_check(X: WeightedGraph, s: Substituent, trials: int, se
     rng = random.Random(seed)
     reference = None
     for _ in range(trials):
-        sub = substitute(X, Orientation.random(X, rng), s)
-        vals = np.sort(np.array(eigen(ReversibleOperator.full(sub.graph)).all_values()))
+        sub = substitute(X, random_orientation(X, rng), s)
+        dec = eigen(ReversibleOperator.full(sub.graph))
+        vals = np.sort(np.repeat(dec.values, dec.multiplicities))
         if reference is None:
             reference = vals
         elif len(vals) != len(reference) or np.max(np.abs(vals - reference)) > 1e-8:
@@ -61,3 +79,19 @@ def cycle_walk(base: CycleBase, k: int) -> tuple[tuple[int, ...], tuple[int, ...
     lca = next(x for x in vv if x in vu)
     i, j = vv.index(lca), vu.index(lca)
     return tuple(vv[: i + 1] + vu[:j][::-1] + [v]), tuple(ev[:i] + eu[:j][::-1] + [k])
+
+
+def chebyshev(kind: str, degree: int) -> Polynomial:
+    """Chebyshev polynomial of the given kind ('first' or 'second')."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if kind not in ("first", "second"):
+        raise ValueError("kind must be 'first' or 'second'")
+    z = Polynomial.z()
+    prev = Polynomial([1])
+    cur = z if kind == "first" else z.scale(2)
+    if degree == 0:
+        return prev
+    for _ in range(degree - 1):
+        prev, cur = cur, z.scale(2) * cur - prev
+    return cur

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesub.algebra import Polynomial, RationalFunction, chebyshev
+from edgesub.algebra import Polynomial, RationalFunction
 from edgesub.assemble import assemble, interior_multiplicity
 from edgesub.classify import classify_Q, classify_Qinterior
 from edgesub.extensions import balance, independence_rank, residual
@@ -32,7 +32,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer, verify_resolvent_identity
 
 from randinst import random_host, random_substituent
-from reference import boundary_data, reorient_equivalence_check
+from reference import boundary_data, chebyshev, reorient_equivalence_check
 
 RF = RationalFunction
 

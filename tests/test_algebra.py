@@ -10,7 +10,6 @@ from edgesub import algebra
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
-    chebyshev,
     interpolate_solves,
     poly_gcd,
     real_roots_in_interval,
@@ -23,6 +22,7 @@ from edgesub.graph import Orientation
 from edgesub.transfer import compute_transfer
 
 from randinst import random_substituent
+from reference import chebyshev
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

@@ -39,7 +39,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance, sweep_instances
-from reference import cycle_walk
+from reference import cycle_walk, pi, random_orientation
 from test_transfer import EIGENBASIS_MIX_FIXTURES, _reference_kernels
 
 RESIDUAL_TOL = 1e-9
@@ -69,7 +69,7 @@ class TestTransferExtension:
         # the kernel value at -2/3 is (1/3)/(-2/3 - 1/3) = -1/3
         for e in range(5):
             for v in s.interior:
-                assert abs(fn.values[sub.pi(e, v)] - (-1 / 3) * 2) < 1e-12
+                assert abs(fn.values[pi(sub, e, v)] - (-1 / 3) * 2) < 1e-12
 
     def test_pole_raises(self):
         s = chorded_square_substituent()
@@ -117,7 +117,7 @@ class TestTransferExtension:
         for _ in range(8):
             X = random_host(rng, max_n=6)
             s = random_substituent(rng, max_v=6)
-            orient = Orientation.random(X, rng)
+            orient = random_orientation(X, rng)
             reversed_heads += sum(orient.ea(e) > orient.eb(e) for e in range(X.num_edges))
             sub = substitute(X, orient, s)
             kernels = boundary_kernels(s)
@@ -137,7 +137,7 @@ class TestTransferExtension:
                 for e in range(X.num_edges):
                     fa, fb = f_host[orient.ea(e)], f_host[orient.eb(e)]
                     for j, u in enumerate(s.interior):
-                        want[sub.pi(e, u)] = fa * to_a[j] + fb * to_b[j]
+                        want[pi(sub, e, u)] = fa * to_a[j] + fb * to_b[j]
                 assert np.all(np.abs(fn.values - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         assert reversed_heads > 0
 
@@ -330,7 +330,7 @@ class TestNodalFamilies:
 
 # ---------------------------------------------------------------------------
 # Per-vertex references: every family written one X[V] vertex at a time
-# through the identification map sub.pi, as the constructions were first
+# through the identification map `reference.pi`, as the constructions were first
 # written.  The library writes rows of the (edge, interior index) block.
 # ---------------------------------------------------------------------------
 
@@ -351,7 +351,7 @@ def _ref_per_edge(sub, t):
         for e in range(sub.host.num_edges):
             values = np.zeros(sub.graph.n)
             for v, fv in fvec.items():
-                values[sub.pi(e, v)] = fv
+                values[pi(sub, e, v)] = fv
             out.append(ExtensionFunction(values, t.value, TAG_PER_EDGE, f"f_{j + 1} on edge {e}"))
     return out
 
@@ -365,7 +365,7 @@ def _ref_embed_specQ(sub, t):
         values[: X.n] = tail[s.a]
         for e in range(X.num_edges):
             for v in s.interior:
-                values[sub.pi(e, v)] = tail[v]
+                values[pi(sub, e, v)] = tail[v]
         fns.append(ExtensionFunction(values, t.value, TAG_CONSTANT, "symmetric tail"))
     elif t.type == "III" and X.bipartition() is not None:
         part1, _ = X.bipartition()
@@ -376,7 +376,7 @@ def _ref_embed_specQ(sub, t):
         for e in range(X.num_edges):
             sign = 1.0 if o.ea(e) in part1 else -1.0
             for v in s.interior:
-                values[sub.pi(e, v)] = sign * tail[v]
+                values[pi(sub, e, v)] = sign * tail[v]
         fns.append(ExtensionFunction(values, t.value, TAG_BIPARTITE, "antisymmetric tail"))
     elif t.type == "IV":
         f_prev, f_top = t.tails()[:, 0], t.tails()[:, 1]
@@ -391,7 +391,7 @@ def _ref_embed_specQ(sub, t):
                 else:
                     continue
                 for v in s.interior:
-                    values[sub.pi(e, v)] = copy[v]
+                    values[pi(sub, e, v)] = copy[v]
             fns.append(ExtensionFunction(values, t.value, TAG_PER_VERTEX, f"star of vertex {x}"))
     return fns
 
@@ -432,7 +432,7 @@ def _ref_defect(sub, t, tail, defects, label):
             continue
         w = df / float(sub.host.edges[e][2])
         for v, fv in tail.items():
-            values[sub.pi(e, v)] = w * fv
+            values[pi(sub, e, v)] = w * fv
     return ExtensionFunction(values, t.value, TAG_DEFECT, label)
 
 
@@ -447,7 +447,7 @@ def _ref_nodal(sub, t, base):
             for e, xj in zip(edges, verts):
                 w = (1.0 if o.ea(e) == xj else -1.0) / float(X.edges[e][2])
                 for v, fv in tails[0].items():
-                    values[sub.pi(e, v)] += w * fv
+                    values[pi(sub, e, v)] += w * fv
             fns.append(ExtensionFunction(values, t.value, TAG_ODD_CYCLE, f"cycle {i}"))
     elif t.type == "II":
         walks = [cycle_walk(base, k)[1] for k in base.cycles]
@@ -469,7 +469,7 @@ def _ref_nodal(sub, t, base):
                     copy = f_top if o.ea(e_k) == x else f_prev
                     w = sign / float(X.edges[e_k][2])
                     for v, fv in copy.items():
-                        values[sub.pi(e_k, v)] = w * fv
+                        values[pi(sub, e_k, v)] = w * fv
                 label = f"edges {e},{star[-1]} at vertex {x}"
                 fns.append(ExtensionFunction(values, t.value, TAG_MIXED, label))
     return fns
@@ -482,9 +482,9 @@ def _ref_balance(sub, f, x):
     for e in range(X.num_edges):
         ax = float(X.edges[e][2])
         if o.ea(e) == x:
-            total += ax * sum(float(q[s.a][v]) * f[sub.pi(e, v)] for v in s.interior)
+            total += ax * sum(float(q[s.a][v]) * f[pi(sub, e, v)] for v in s.interior)
         if o.eb(e) == x:
-            total += ax * sum(float(q[s.b][v]) * f[sub.pi(e, v)] for v in s.interior)
+            total += ax * sum(float(q[s.b][v]) * f[pi(sub, e, v)] for v in s.interior)
     return total
 
 
@@ -495,7 +495,7 @@ def _family_pairs():
     for _ in range(10):
         X = random_host(rng, max_n=6)
         s = random_substituent(rng, max_v=7)
-        yield substitute(X, Orientation.random(X, rng), s), fundamental_cycle_base(X)
+        yield substitute(X, random_orientation(X, rng), s), fundamental_cycle_base(X)
 
 
 def _assert_same_functions(got, want):
@@ -571,6 +571,18 @@ def _eigenbasis_pass(X, s):
             t = next(q for q in r.classified_Q if abs(q.value - e.value) <= CLUSTER_TOL)
             fns += embed_specQ(r.substituted, t)
     return r, fns
+
+
+def test_residuals_of_one_layout_build_its_matrix_once(monkeypatch):
+    r, fns = _eigenbasis_pass(cycle_host(5), chorded_square_substituent())
+    calls = []
+    matrix_float = ReversibleOperator.matrix_float
+    monkeypatch.setattr(
+        ReversibleOperator, "matrix_float", lambda op: calls.append(op.dim) or matrix_float(op)
+    )
+    assert len(fns) > 1
+    assert all(residual(r.substituted, f) < RESIDUAL_TOL for f in fns)
+    assert calls == [r.substituted.n]
 
 
 class TestEigenbasisPassLeavesXVUnbuilt:

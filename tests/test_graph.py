@@ -19,7 +19,7 @@ from edgesub.graph import (
     validate_substituent,
 )
 
-from reference import cycle_walk
+from reference import cycle_walk, random_orientation
 
 ONE = Fraction(1)
 
@@ -170,6 +170,16 @@ class TestOrientation:
 
     def test_random_orientation_consistent(self):
         g = cycle_host(5)
-        orient = Orientation.random(g, random.Random(1))
+        orient = random_orientation(g, random.Random(1))
         for k, (u, v, _) in enumerate(g.edges):
             assert {orient.ea(k), orient.eb(k)} == {u, v}
+
+    @pytest.mark.parametrize(
+        "heads",
+        [(0, 1, 2, 9), (0, 1, 2, 1), (0, 1), (0, 1, 2, 3, 0)],
+        ids=["head-out-of-range", "head-not-an-endpoint", "too-few", "too-many"],
+    )
+    def test_heads_must_be_endpoints_of_their_edges(self, heads):
+        # edge 3 of cycle-4 is (3, 0): vertex 1 is a vertex of the host but not of the edge
+        with pytest.raises(GraphInvariantError):
+            Orientation(cycle_host(4), heads)

@@ -9,7 +9,6 @@ from edgesub import algebra, transfer
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
-    chebyshev,
     real_roots_in_interval,
     resolvent_matrix,
 )
@@ -30,11 +29,11 @@ from edgesub.transfer import (
     POLE_GUARD,
     boundary_kernels,
     compute_transfer,
-    solve_boundary,
     verify_resolvent_identity,
 )
 
 from randinst import random_host, random_substituent, relabel_substituent, sweep_instance
+from reference import chebyshev
 
 RF = RationalFunction
 ONE = RF(Polynomial([1]))
@@ -258,7 +257,8 @@ class TestBoundaryKernels:
             s = random_substituent(rng, max_v=6)
             V = s.graph
             z = 1.7 + rng.random()
-            f = solve_boundary(s, 1.0, -0.5, z)
+            fa, fb = boundary_kernels(s).eval_interior(z)
+            f = {s.a: 1.0, s.b: -0.5, **dict(zip(s.interior, (1.0 * fa - 0.5 * fb).tolist()))}
             for u in s.interior:
                 qf = sum(
                     float(V.conductance(u, v) / V.m(u)) * f[v] for v in range(V.n)
@@ -271,9 +271,8 @@ class TestBoundaryKernels:
         _, s = sweep_instance(2, 96)
         mu = next(t.value for t in classify_Qinterior(s) if t.type == "I")
         assert abs(mu) < 1e-12
-        kernels = boundary_kernels(s)
-        f = solve_boundary(s, 1.0, 0.0, mu, kernels)
-        fa, _ = kernels.eval_interior(mu)
+        fa, fb = boundary_kernels(s).eval_interior(mu)
+        f = {s.a: 1.0, s.b: 0.0, **dict(zip(s.interior, (1.0 * fa + 0.0 * fb).tolist()))}
         got = np.array([f[u] for u in s.interior])
         assert np.all(np.isfinite(got)) and np.array_equal(got, fa)
         assert (f[s.a], f[s.b]) == (1.0, 0.0)
@@ -281,11 +280,6 @@ class TestBoundaryKernels:
         for u in s.interior:
             qf = sum(float(V.conductance(u, v) / V.m(u)) * f[v] for v in range(V.n))
             assert abs(qf - mu * f[u]) < 1e-12
-
-    def test_solve_boundary_rejects_interior_eigenvalue(self):
-        s = chorded_square_substituent()
-        with pytest.raises(TooCloseToInteriorSpectrum):
-            solve_boundary(s, 1.0, 0.0, 1 / 3)
 
 
 def _horner_over_float_coefficients(p, x):
