@@ -43,6 +43,7 @@ from .operators import (
     CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
+    _eigenpairs,
     eigen,
 )
 from .substitution import SubstitutedGraph, substitute
@@ -137,10 +138,13 @@ def solve_S1(
         lams[-1] = -1.0
     mus, S, D = (np.array([getattr(t, f) for t in interior]) for f in ("value", "S", "D"))
     w = np.outer(1 + lams, S) + np.outer(1 - lams, D)
-    patterns, pattern_of = np.unique(w > 0, axis=0, return_inverse=True)
+    positive = w > 0
+    batches: dict[bytes, list[int]] = {}
+    for i, row in enumerate(positive):
+        batches.setdefault(row.tobytes(), []).append(i)
     roots, owner = [], []
-    for k, live in enumerate(patterns):
-        idx = np.flatnonzero(pattern_of == k)
+    for idx in batches.values():
+        live = positive[idx[0]]
         found = _arrowhead_eigenvalues(lams[idx] * q_ab, mus[live], w[np.ix_(idx, live)])
         roots.append(found.ravel())
         owner.append(np.repeat(idx, found.shape[1]))
@@ -328,8 +332,8 @@ def assemble(
     validate_substituent(s)
 
     spec_P = eigen(ReversibleOperator.full(X))
-    spec_Q = eigen(ReversibleOperator.full(s.graph))
-    spec_int = eigen(ReversibleOperator.restricted(s.graph, s.interior))
+    spec_Q = _eigenpairs(ReversibleOperator.full(s.graph))
+    spec_int = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
     cQ = classify_Q(s, spec_Q)
     cI = classify_Qinterior(s, spec_int)
     # each interior eigenvalue with its Q row: the eigenvalue of Q at it, or None

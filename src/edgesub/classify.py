@@ -24,18 +24,31 @@ vanishing boundary data.
 The same vectors weigh each interior cluster in the secular equation of S1
 (`assemble.solve_S1`): S = m(a)|s|^2/4 and D = m(a)|d|^2/4, zero where the
 type says that s or d vanishes.
+
+Each operator is factorized once (`operators._eigenpairs`, one `eigh`), and
+all its clusters are typed in one array pass (`_type_clusters`): the type,
+S, D and `ambiguous` are array expressions of the RANK_TOL rule over
+per-cluster segment sums, and only a multiple eigenvalue with boundary data
+takes a small product of its own.  A simple eigenvalue typed IV raises
+`InvalidTypeCombination`: its eigenfunction is gamma-even or gamma-odd, so
+both s and d passing the rule is float mixing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .errors import InvalidTypeCombination
 from .graph import Substituent
-from .operators import EigenDecomposition, ReversibleOperator, eigen
+from .operators import EigenDecomposition, ReversibleOperator, _eigenpairs
 
 RANK_TOL = 1e-7
+_KINDS = ("I", "II", "III", "IV")
+_RANKS = (0, 1, 1, 2)
+_S_AND_D = np.array([[1.0, 1.0], [1.0, -1.0]])  # (at a, at b) -> (s, d)
 
 
 @dataclass(frozen=True)
@@ -69,71 +82,97 @@ class TypedEigenvalue:
         return self.basis[:, self.nu_prime :]
 
 
-def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]):
-    """Linear map from functions on the support to their (a, b) boundary data."""
+def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]) -> np.ndarray:
+    """Linear map from functions on the support to their (a, b) boundary data:
+    unit rows at a and b for Q, the float rows q(a, .) and q(b, .) for Q°."""
     rows = np.zeros((2, len(support)))
+    pos = {x: i for i, x in enumerate(support)}
     if source == "Q":
-        pos = {x: i for i, x in enumerate(support)}
         rows[0, pos[s.a]] = 1.0
         rows[1, pos[s.b]] = 1.0
     else:
         g = s.graph
         for row, x in zip(rows, (s.a, s.b)):
-            row[:] = [float(g.conductance(x, v) / g.m(x)) for v in support]
+            for y, c in g.adjacency(x).items():
+                if y in pos:
+                    q = c / g.m(x)
+                    row[pos[y]] = q.numerator / q.denominator
     return rows
 
 
-def _classify_cluster(
-    value: float, basis: np.ndarray, boundary: np.ndarray, source: str, mass: float
-) -> TypedEigenvalue:
-    nu = basis.shape[1]
-    at_a, at_b = boundary @ basis
-    pair = (at_a + at_b, at_a - at_b)  # s, d: gamma-fixed and gamma-negated
-    norms = [float(np.linalg.norm(v)) / np.sqrt(2.0) for v in pair]
-    cut = RANK_TOL * max(1.0, *norms)
-    keep = [n > cut for n in norms]
-    S, D = (mass * n * n / 2 if k else 0.0 for n, k in zip(norms, keep))
-    ambiguous = any(cut / 10 < n < cut * 10 for n in norms)
-    kind = ("I", "II", "III", "IV")[keep[0] + 2 * keep[1]]
-    kept = [v for v, k in zip(pair, keep) if k]
-    rank = len(kept)
+def _type_clusters(
+    values: tuple[float, ...],
+    multiplicities: tuple[int, ...],
+    h: np.ndarray,
+    boundary: np.ndarray,
+    source: str,
+    mass: float,
+) -> list[TypedEigenvalue]:
+    """Every cluster typed in one pass over `h`, the clusters' m-orthonormal
+    bases side by side.  The s and d of all columns are one product, |s|^2
+    and |d|^2 per cluster are segment sums, and the type, S, D and
+    `ambiguous` are array expressions of the RANK_TOL rule.  A simple
+    eigenvalue's normal form is its column scaled, by 1 for type I and by
+    the coefficient of its one tail otherwise; only a multiple eigenvalue
+    with boundary data takes a product of its own, and a QR complement where
+    its zero block sits next to a tail."""
+    starts = [0, *accumulate(multiplicities)][:-1]
+    sd = _S_AND_D @ boundary @ h  # s, d: gamma-fixed and gamma-negated
+    squares = np.add.reduceat(sd * sd, starts, axis=1)
+    norms = np.sqrt(squares / 2)
+    cut = RANK_TOL * norms.max(axis=0, initial=1.0)
+    keep = norms > cut
+    kinds = np.dot((1, 2), keep)  # index into _KINDS
+    S, D = (keep * squares * (mass / 4)).tolist()
+    ambiguous = ((cut / 10 < norms) & (norms < cut * 10)).any(axis=0).tolist()
 
-    # zero-boundary block: coefficients orthogonal to the kept s and d;
-    # orthonormal coefficients keep the m-orthonormal basis m-orthonormal
-    if rank == 0:
-        zero_block = basis
-    elif rank == nu:
-        zero_block = basis[:, :0]
-    else:
-        q = np.linalg.qr(np.column_stack(kept), mode="complete")[0]
-        zero_block = basis @ q[:, rank:]
+    # tail coefficients 2s/|s|^2 (boundary (1, 1)) and 2d/|d|^2 (boundary
+    # (1, -1)), zero where not kept
+    scale = np.divide(2.0, squares, out=np.zeros_like(squares), where=keep)
+    coef = sd * np.repeat(scale, multiplicities, axis=1)
+    normal = h * (coef[0] + coef[1] + np.repeat(kinds == 0, multiplicities))
+    kinds = kinds.tolist()
+    for k, (a, nu, kind) in enumerate(zip(starts, multiplicities, kinds)):
+        rank = _RANKS[kind]
+        if rank > nu:  # a simple eigenfunction is gamma-even or gamma-odd
+            raise InvalidTypeCombination(
+                f"simple eigenvalue {values[k]!r} of {source} keeps both boundary norms, "
+                f"|s|/sqrt(2) = {norms[0, k]:.3e} and |d|/sqrt(2) = {norms[1, k]:.3e}"
+            )
+        if nu == 1 or rank == 0:
+            continue
+        basis = h[:, a : a + nu]
+        tails = basis @ coef[keep[:, k], a : a + nu].T
+        if kind == 3:
+            even, odd = tails.T
+            tails = np.column_stack([0.5 * (even - odd), 0.5 * (even + odd)])  # (0, 1), (1, 0)
+        if rank < nu:
+            # zero-boundary block: coefficients orthogonal to the kept s and d;
+            # orthonormal coefficients keep the basis m-orthonormal
+            q = np.linalg.qr(sd[keep[:, k], a : a + nu].T, mode="complete")[0]
+            normal[:, a : a + nu - rank] = basis @ q[:, rank:]
+        normal[:, a + nu - rank : a + nu] = tails
 
-    # boundary (1, 1) from s, (1, -1) from d
-    tails = [basis @ (2.0 * v / (v @ v)) for v in kept]
-    if rank == 2:
-        plus, minus = tails
-        tails = [0.5 * (plus - minus), 0.5 * (plus + minus)]  # (0, 1), (1, 0)
-    full = np.column_stack([zero_block, *tails])
-    return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous, S, D)
+    return [
+        TypedEigenvalue(value, source, _KINDS[c], nu, nu - _RANKS[c], normal[:, a : a + nu], amb, s, d)
+        for value, nu, a, c, amb, s, d in zip(values, multiplicities, starts, kinds, ambiguous, S, D)
+    ]
 
 
 def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
-    support = decomp.operator.support
-    boundary = _boundary_map(s, source, support)
+    boundary = _boundary_map(s, source, decomp.operator.support)
+    h = np.concatenate(decomp.bases, axis=1)
     mass = float(s.graph.m(s.a))
-    return [
-        _classify_cluster(v, basis, boundary, source, mass)
-        for v, basis in zip(decomp.values, decomp.bases)
-    ]
+    return _type_clusters(decomp.values, decomp.multiplicities, h, boundary, source, mass)
 
 
 def classify_Q(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
     if decomp is None:
-        decomp = eigen(ReversibleOperator.full(s.graph))
+        decomp = _eigenpairs(ReversibleOperator.full(s.graph))
     return _classify(s, decomp, "Q")
 
 
 def classify_Qinterior(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
     if decomp is None:
-        decomp = eigen(ReversibleOperator.restricted(s.graph, s.interior))
+        decomp = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
     return _classify(s, decomp, "Qo")

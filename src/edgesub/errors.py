@@ -43,7 +43,7 @@ class KernelPole(EdgeSubError):
 
 class InvalidTypeCombination(EdgeSubError):
     """Multiplicity table queried at an impossible type pair, or giving a
-    negative count."""
+    negative count; or a simple eigenvalue typed IV."""
 
 
 class TotalMismatch(EdgeSubError):

@@ -5,8 +5,11 @@ Eigendecomposition symmetrizes by s(x,y) = a(x,y)/sqrt(m(x)m(y)), so a
 standard symmetric solver applies.  `eigen` finds the eigenvalues alone: on a
 bipartite graph S = [[0, B], [B^T, 0]] over the colour classes, so they are
 +- the singular values of B and |n1 - n2| zeros; otherwise `eigvalsh` of S.
-The orthonormal eigenvectors u, from one `eigh` when `EigenDecomposition.bases`
-is first read, map back to m-orthonormal eigenfunctions h = u/sqrt(m).
+The orthonormal eigenvectors u map back to m-orthonormal eigenfunctions
+h = u/sqrt(m).  A host's come from one `eigh` when `EigenDecomposition.bases`
+is first read.  The substituent operators Q and Q°, whose types need every
+eigenvector, take `_eigenpairs`: one `eigh` gives their values and bases at
+once, clustered by the same rule as `eigen`.
 """
 
 from __future__ import annotations
@@ -117,11 +120,8 @@ class EigenDecomposition:
     def bases(self) -> tuple[np.ndarray, ...]:
         """One `eigh`, its vectors in descending order, split by the multiplicities."""
         if self._bases is None:
-            _, u = np.linalg.eigh(self.operator.symmetrized())
-            h = u[:, ::-1] / np.sqrt(self.operator._measures())[:, None]
-            ends = accumulate(self.multiplicities)
-            bases = tuple(h[:, e - nu : e] for e, nu in zip(ends, self.multiplicities))
-            object.__setattr__(self, "_bases", bases)
+            _, h = _descending_eigh(self.operator)
+            object.__setattr__(self, "_bases", _split(h, self.multiplicities))
         return self._bases
 
     @property
@@ -154,22 +154,47 @@ def _descending_values(op: ReversibleOperator) -> list[float]:
     return sigma + [0.0] * abs(len(left) - len(right)) + [-s for s in reversed(sigma)]
 
 
-def eigen(op: ReversibleOperator) -> EigenDecomposition:
-    """The eigenvalues of the operator, descending and clustered: eigenvalues
-    within CLUSTER_TOL of a cluster's largest are one cluster, its value their
-    mean.  A bipartite operator's eigenvalues are plus and minus the singular
-    values of its colour-class block, with |n1 - n2| exact zeros; any other
-    takes `eigvalsh`.  No eigenvector is computed until `bases` is read."""
+def _clustered(descending: list[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """(values, multiplicities) of descending eigenvalues: eigenvalues within
+    CLUSTER_TOL of a cluster's largest are one cluster, its value their mean."""
     clusters: list[list[float]] = []
     top = math.inf  # the largest eigenvalue of the last cluster
-    for w in _descending_values(op):
+    for w in descending:
         if top - w <= CLUSTER_TOL:
             clusters[-1].append(w)
         else:
             top = w
             clusters.append([w])
-    values = tuple(math.fsum(c) / len(c) for c in clusters)
-    return EigenDecomposition(op, values, tuple(map(len, clusters)))
+    return tuple(math.fsum(c) / len(c) for c in clusters), tuple(map(len, clusters))
+
+
+def _descending_eigh(op: ReversibleOperator) -> tuple[np.ndarray, np.ndarray]:
+    """One `eigh` of the symmetrized operator: the eigenvalues descending, and
+    the m-orthonormal eigenfunctions as columns in the same order."""
+    w, u = np.linalg.eigh(op.symmetrized())
+    return w[::-1], u[:, ::-1] / np.sqrt(op._measures())[:, None]
+
+
+def _split(h: np.ndarray, multiplicities: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The column blocks of `h`, one per cluster."""
+    ends = accumulate(multiplicities)
+    return tuple(h[:, e - nu : e] for e, nu in zip(ends, multiplicities))
+
+
+def eigen(op: ReversibleOperator) -> EigenDecomposition:
+    """The eigenvalues of the operator, descending and clustered (`_clustered`).
+    A bipartite operator's eigenvalues are plus and minus the singular
+    values of its colour-class block, with |n1 - n2| exact zeros; any other
+    takes `eigvalsh`.  No eigenvector is computed until `bases` is read."""
+    return EigenDecomposition(op, *_clustered(_descending_values(op)))
+
+
+def _eigenpairs(op: ReversibleOperator) -> EigenDecomposition:
+    """Values and bases from one `eigh`, clustered as in `eigen`: for an
+    operator whose every eigenvector is read, as Q and Q° are by `classify`."""
+    w, h = _descending_eigh(op)
+    values, multiplicities = _clustered(w.tolist())
+    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
 
 
 def spectral_radius(op: ReversibleOperator) -> float:

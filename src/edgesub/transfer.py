@@ -49,7 +49,9 @@ from .algebra import resolvent_matrix  # noqa: F401
 from .classify import classify_Qinterior
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
-from .operators import ReversibleOperator, eigen
+from .operators import ReversibleOperator
+# eigen is unused here but stays importable: bench/spans.py traces it
+from .operators import eigen  # noqa: F401
 from .substitution import SubstitutedGraph
 
 POLE_GUARD = 1e-12  # a kernel pole this close to z is a pole at z
@@ -138,7 +140,7 @@ def boundary_kernels(s: Substituent) -> BoundaryKernels:
     and (1, -1) and S, D are the secular weights of `solve_S1`.  A type-I°
     mu has neither tail nor weight, so it is no pole.
     """
-    typed = classify_Qinterior(s, eigen(ReversibleOperator.restricted(s.graph, s.interior)))
+    typed = classify_Qinterior(s)
     poles, residues = [], []
     for t in typed:
         if t.type == "I":

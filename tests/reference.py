@@ -1,5 +1,6 @@
 """Test-side checks and references that the library does not need: boundary
-data of a classified basis, row sums of an operator, random orientations and
+data of a classified basis, the per-cluster type classifier that the array
+pass of `classify` replaced, row sums of an operator, random orientations and
 the orientation independence of the spectrum of X[V], the identification map
 of X[V] one vertex at a time, the fundamental cycles of a cycle base as closed
 walks, and the Chebyshev polynomials."""
@@ -11,9 +12,9 @@ import random
 import numpy as np
 
 from edgesub.algebra import Polynomial
-from edgesub.classify import TypedEigenvalue, _boundary_map
+from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
-from edgesub.operators import ReversibleOperator, eigen
+from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
 from edgesub.substitution import SubstitutedGraph, substitute
 
 
@@ -21,6 +22,52 @@ def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
     """Boundary rows (at a, at b) of the normal-form basis."""
     support = tuple(range(s.graph.n)) if t.source == "Q" else tuple(sorted(s.interior))
     return _boundary_map(s, t.source, support) @ t.basis
+
+
+def classify_cluster(
+    value: float, basis: np.ndarray, boundary: np.ndarray, source: str, mass: float
+) -> TypedEigenvalue:
+    """One cluster typed on its own, with small numpy calls of its own: the
+    classifier that `classify._type_clusters` replaced."""
+    nu = basis.shape[1]
+    at_a, at_b = boundary @ basis
+    pair = (at_a + at_b, at_a - at_b)  # s, d: gamma-fixed and gamma-negated
+    norms = [float(np.linalg.norm(v)) / np.sqrt(2.0) for v in pair]
+    cut = RANK_TOL * max(1.0, *norms)
+    keep = [n > cut for n in norms]
+    S, D = (mass * n * n / 2 if k else 0.0 for n, k in zip(norms, keep))
+    ambiguous = any(cut / 10 < n < cut * 10 for n in norms)
+    kind = ("I", "II", "III", "IV")[keep[0] + 2 * keep[1]]
+    kept = [v for v, k in zip(pair, keep) if k]
+    rank = len(kept)
+
+    # zero-boundary block: coefficients orthogonal to the kept s and d;
+    # orthonormal coefficients keep the m-orthonormal basis m-orthonormal
+    if rank == 0:
+        zero_block = basis
+    elif rank == nu:
+        zero_block = basis[:, :0]
+    else:
+        q = np.linalg.qr(np.column_stack(kept), mode="complete")[0]
+        zero_block = basis @ q[:, rank:]
+
+    # boundary (1, 1) from s, (1, -1) from d
+    tails = [basis @ (2.0 * v / (v @ v)) for v in kept]
+    if rank == 2:
+        plus, minus = tails
+        tails = [0.5 * (plus - minus), 0.5 * (plus + minus)]  # (0, 1), (1, 0)
+    full = np.column_stack([zero_block, *tails])
+    return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous, S, D)
+
+
+def classify_per_cluster(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
+    """`classify_cluster` over every cluster of `decomp` ("Q" or "Qo")."""
+    boundary = _boundary_map(s, source, decomp.operator.support)
+    mass = float(s.graph.m(s.a))
+    return [
+        classify_cluster(v, basis, boundary, source, mass)
+        for v, basis in zip(decomp.values, decomp.bases)
+    ]
 
 
 def is_stochastic(op: ReversibleOperator) -> bool:

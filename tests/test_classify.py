@@ -1,17 +1,24 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgesub import operators
 from edgesub.assemble import assemble
 from edgesub.classify import (
     RANK_TOL,
     TypedEigenvalue,
     _boundary_map,
+    _classify,
+    _type_clusters,
     classify_Q,
     classify_Qinterior,
 )
+from edgesub.errors import InvalidTypeCombination
 from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
@@ -21,12 +28,12 @@ from edgesub.fixtures import (
     star_host,
 )
 from edgesub.graph import Orientation, Substituent, WeightedGraph, validate_substituent
-from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
+from edgesub.operators import EigenDecomposition, ReversibleOperator, _eigenpairs, eigen
 from edgesub.oracle import direct_spectrum
-from edgesub.transfer import compute_transfer
+from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, relabel_substituent
-from reference import boundary_data
+from reference import boundary_data, classify_cluster, classify_per_cluster
 
 BOUNDARY_TOL = 1e-7
 
@@ -413,3 +420,109 @@ class TestSecularWeights:
                 assert psi == pytest.approx(float(tf.psi.eval_exact(z)), abs=1e-10)
             for t in typed:
                 assert (t.S > 0, t.D > 0) == (t.type in ("II", "IV"), t.type in ("III", "IV"))
+
+
+def _fixture_substituents() -> list[Substituent]:
+    return [
+        chorded_square_substituent(),
+        *(path_substituent(L) for L in range(2, 9)),
+        *(circle_substituent(L, p) for L in (2, 3, 4, 5) for p in ("antipodal", "adjacent")),
+        _order_four_substituent(),
+        _relabelled_antipodal_circle(),
+    ]
+
+
+def _check_array_pass_matches_per_cluster(s: Substituent):
+    """On one decomposition of each of Q and Q°, the array pass and the
+    per-cluster reference give the same types, nu, nu' and `ambiguous`, and
+    S, D and normal-form bases within 1e-12 (relative to their size)."""
+    for source, op in (
+        ("Q", ReversibleOperator.full(s.graph)),
+        ("Qo", ReversibleOperator.restricted(s.graph, s.interior)),
+    ):
+        dec = _eigenpairs(op)
+        got, want = _classify(s, dec, source), classify_per_cluster(s, dec, source)
+        assert len(got) == len(want)
+        for t, r in zip(got, want):
+            assert (t.value, t.type, t.nu, t.nu_prime, t.ambiguous) == (
+                r.value, r.type, r.nu, r.nu_prime, r.ambiguous
+            )
+            assert abs(t.S - r.S) <= 1e-12 * max(1.0, r.S)
+            assert abs(t.D - r.D) <= 1e-12 * max(1.0, r.D)
+            assert t.basis.shape == r.basis.shape
+            scale = max(1.0, float(np.max(np.abs(r.basis))))
+            assert np.max(np.abs(t.basis - r.basis)) <= 1e-12 * scale
+
+
+class TestArrayPassAgainstThePerClusterClassifier:
+    @pytest.mark.parametrize("s", _fixture_substituents())
+    def test_fixtures(self, s):
+        _check_array_pass_matches_per_cluster(s)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=10))
+    def test_random_substituents(self, seed, max_v):
+        _check_array_pass_matches_per_cluster(random_substituent(random.Random(seed), max_v=max_v))
+
+    def test_a_simple_eigenvalue_keeping_both_norms_raises(self):
+        # |s|/sqrt(2) = 1.3/sqrt(2) and |d|/sqrt(2) = 0.7/sqrt(2) are both kept
+        # on a 1-dimensional eigenspace: float mixing, as a simple
+        # eigenfunction is gamma-even or gamma-odd
+        value, h = 0.5, np.array([[1.0], [0.0], [0.0]])
+        boundary = np.array([[1.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+        with pytest.raises(InvalidTypeCombination, match=r"0\.5 of Qo .*9\.192e-01.*4\.950e-01"):
+            _type_clusters((value,), (1,), h, boundary, "Qo", 1.0)
+        # the per-cluster classifier returned a type IV with nu' = -1
+        broken = classify_cluster(value, h, boundary, "Qo", 1.0)
+        assert (broken.type, broken.nu, broken.nu_prime, broken.basis.shape) == ("IV", 1, -1, (3, 2))
+
+
+class _RecordedNumpy:
+    """numpy as `edgesub.operators` sees it, with its LAPACK calls recorded
+    as (name, shape of the matrix)."""
+
+    def __init__(self, calls: list):
+        def recorded(name):
+            real = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return real(a, *args, **kwargs)
+
+            return call
+
+        self.linalg = SimpleNamespace(**{name: recorded(name) for name in ("eigh", "eigvalsh", "svd")})
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _record_operator_lapack(monkeypatch) -> list:
+    calls: list = []
+    monkeypatch.setattr(operators, "np", _RecordedNumpy(calls))
+    return calls
+
+
+class TestOneFactorizationPerOperator:
+    @pytest.mark.parametrize(
+        "X, s, host_call",
+        [
+            (cycle_host(7), chorded_square_substituent(), ("eigvalsh", (7, 7))),
+            (cycle_host(8), path_substituent(5), ("svd", (4, 4))),
+            (star_host(9), circle_substituent(3, "adjacent"), ("svd", (1, 8))),
+        ],
+        ids=["odd-cycle", "even-cycle", "star"],
+    )
+    def test_spectrum_only_assemble(self, X, s, host_call, monkeypatch):
+        """One `eigh` for Q, one for Q°, and the host's values-only call."""
+        calls = _record_operator_lapack(monkeypatch)
+        assemble(X, Orientation.default(X), s, build_families=False)
+        n = s.graph.n
+        assert sorted(calls) == sorted([("eigh", (n, n)), ("eigh", (n - 2, n - 2)), host_call])
+
+    @pytest.mark.parametrize("s", [chorded_square_substituent(), path_substituent(6), _order_four_substituent()])
+    def test_boundary_kernels(self, s, monkeypatch):
+        calls = _record_operator_lapack(monkeypatch)
+        boundary_kernels(s)
+        k = len(s.interior)
+        assert calls == [("eigh", (k, k))]
