@@ -210,16 +210,12 @@ def exceptional_set(
 
     out = []
     for t, qt in interior_rows:
-        if t.nu != 1:
-            continue
-        if is_tree:
-            if t.type in ("II", "III") and qt is None:
-                out.append((t.value, "A"))
+        if is_tree:  # on a single edge, 2|E| - |X| = 0 drops a IV° value too
+            dropped = qt is None and (t.type in ("II", "III") or t.type == "IV" and X.n == 2)
         else:
-            if t.type == "II" and qt is None:
-                out.append((t.value, "B"))
-            elif t.type == "II" and qt is not None and qt.type == "III" and qt.nu == 1:
-                out.append((t.value, "B"))
+            dropped = t.nu == 1 and t.type == "II" and (qt is None or qt.type == "III" and qt.nu == 1)
+        if dropped:
+            out.append((t.value, "A" if is_tree else "B"))
     return out
 
 

@@ -3,7 +3,7 @@
 Two kinds of constructions:
 
 * transfer extensions: a host eigenfunction f with eigenvalue phi(lambda*)
-  extends to X[V] through the boundary kernels evaluated at lambda*;
+  extends to X[V] as f at the edge ends times the kernel table at lambda*;
 * embeddings/nodal gluings: eigenfunctions of Q or of the interior
   restriction are copied onto substituted edge copies with weights chosen so
   the one-step averages balance at every host vertex.
@@ -65,7 +65,7 @@ def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     ax = np.array([float(c) for _, _, c in sub.host.edges])
     block = sub.interior_block(f)
     total = 0.0
-    for ends, end in zip(sub.edge_ends, (s.a, s.b)):
+    for ends, end in zip(sub.edge_ends.T, (s.a, s.b)):
         at_x = ends == x
         q_end = np.array([float(q[end][v]) for v in s.interior])
         total += float(ax[at_x] @ (block[at_x] @ q_end))
@@ -91,16 +91,14 @@ def transfer_extension(
     interior eigenvalue of type I° is a pole of none, so lambda* may equal
     it.  `interior_spec` is not read; it is kept for existing callers.
 
-    The interior block of X[V] is filled in one broadcast.
+    Row e of the interior block is (f(e^a), f(e^b)) times the (2, |V°|)
+    kernel table: one gather of the edge ends and one product.
     """
     try:
-        fa, fb = kernels.eval_interior(lam_star)
+        table = kernels.eval_interior(lam_star)
     except TooCloseToInteriorSpectrum as exc:
         raise KernelPole(f"lambda*={lam_star} is at a pole of the boundary kernels: {exc}") from exc
-    ea, eb = sub.edge_ends
-    values = np.empty(sub.n)
-    values[: sub.host.n] = f_host
-    sub.interior_block(values)[:] = f_host[ea][:, None] * fa + f_host[eb][:, None] * fb
+    values = np.concatenate((f_host, (f_host[sub.edge_ends] @ table).ravel()))
     return ExtensionFunction(values, lam_star, TAG_TRANSFER, "host eigenfunction")
 
 
@@ -140,7 +138,7 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
     X = sub.host
     basis = _interior_basis(sub, t)
     tails = basis[:, t.nu_prime :]
-    ea, eb = sub.edge_ends
+    ea, eb = sub.edge_ends.T
     fns = _per_edge_functions(sub, t, basis)
 
     if t.type == "II":

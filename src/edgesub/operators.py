@@ -86,11 +86,11 @@ class ReversibleOperator:
         return mat
 
     def symmetrized(self) -> np.ndarray:
-        return self._symmetrized_block(range(self.dim), range(self.dim))
+        return self._symmetrized_block(self._measures(), range(self.dim), range(self.dim))
 
-    def _symmetrized_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """The symmetrized matrix on support positions `rows` x `cols`."""
-        m = self._measures()
+    def _symmetrized_block(self, m: list[float], rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """The symmetrized matrix on support positions `rows` x `cols`, from
+        the float measures `m`."""
         col = {self.support[j]: (k, m[j]) for k, j in enumerate(cols)}
         s = np.zeros((len(rows), len(cols)))
         flat = s.reshape(-1)
@@ -136,8 +136,11 @@ class EigenDecomposition:
         of two equally near, the lower index.  The descending `values` put
         the nearest next to the insertion point of `value`."""
         k = bisect_left(self.values, -value, key=neg)
-        dist = {j: abs(self.values[j] - value) for j in (k - 1, k) if 0 <= j < len(self.values)}
-        return min((j for j, d in dist.items() if d <= 1e-7), key=dist.get, default=None)
+        above = abs(self.values[k - 1] - value) if k else math.inf
+        below = abs(self.values[k] - value) if k < len(self.values) else math.inf
+        if not min(above, below) <= 1e-7:  # a NaN is near no cluster
+            return None
+        return k - 1 if above <= below else k
 
 
 def _descending_values(op: ReversibleOperator) -> list[float]:
@@ -150,7 +153,7 @@ def _descending_values(op: ReversibleOperator) -> list[float]:
     first = colours[0]
     left = [i for i, x in enumerate(op.support) if x in first]
     right = [i for i, x in enumerate(op.support) if x not in first]
-    sigma = np.linalg.svd(op._symmetrized_block(left, right), compute_uv=False).tolist()
+    sigma = np.linalg.svd(op._symmetrized_block(op._measures(), left, right), compute_uv=False).tolist()
     return sigma + [0.0] * abs(len(left) - len(right)) + [-s for s in reversed(sigma)]
 
 
@@ -171,8 +174,9 @@ def _clustered(descending: list[float]) -> tuple[tuple[float, ...], tuple[int, .
 def _descending_eigh(op: ReversibleOperator) -> tuple[np.ndarray, np.ndarray]:
     """One `eigh` of the symmetrized operator: the eigenvalues descending, and
     the m-orthonormal eigenfunctions as columns in the same order."""
-    w, u = np.linalg.eigh(op.symmetrized())
-    return w[::-1], u[:, ::-1] / np.sqrt(op._measures())[:, None]
+    m = op._measures()
+    w, u = np.linalg.eigh(op._symmetrized_block(m, range(op.dim), range(op.dim)))
+    return w[::-1], u[:, ::-1] / np.sqrt(m)[:, None]
 
 
 def _split(h: np.ndarray, multiplicities: Sequence[int]) -> tuple[np.ndarray, ...]:

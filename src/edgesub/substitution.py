@@ -7,9 +7,9 @@ vertices in (edge index, interior index) lexicographic order, so interior
 vertex i of edge e is vertex |X| + e |V°| + i, and X[V] has
 `SubstitutedGraph.n` = |X| + |E_X| |V°| vertices.  This layout is read only
 through `interior_block` (the interior vertices as an (edge, interior index)
-block) and `edge_ends` (e^a and e^b of every edge).  Every eigenfunction
-family in `extensions` writes whole rows of the block, so none of them builds
-X[V] itself: the exact `WeightedGraph` is `SubstitutedGraph.graph`, built on
+block) and `edge_ends` (|E_X| rows (e^a, e^b)).  Every eigenfunction family
+in `extensions` writes whole rows of the block, so none of them builds X[V]
+itself: the exact `WeightedGraph` is `SubstitutedGraph.graph`, built on
 first read (by residuals, the oracle and the `substitute` command).
 """
 
@@ -48,7 +48,7 @@ class SubstitutedGraph:
         copies[:, list(s.interior)] = np.arange(X.n, len(labels)).reshape(
             X.num_edges, len(s.interior)
         )
-        copies[:, s.a], copies[:, s.b] = self.edge_ends
+        copies[:, [s.a, s.b]] = self.edge_ends
         edges = [
             (copy[u], copy[v], ax * c)
             for copy, (_, _, ax) in zip(copies.tolist(), X.edges)
@@ -62,13 +62,12 @@ class SubstitutedGraph:
         return ReversibleOperator.full(self.graph).matrix_float()
 
     @cached_property
-    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays of e^a and e^b over the host edges, in edge order."""
-        edges = range(self.host.num_edges)
-        return (
-            np.array([self.orientation.ea(e) for e in edges], dtype=np.intp),
-            np.array([self.orientation.eb(e) for e in edges], dtype=np.intp),
-        )
+    def edge_ends(self) -> np.ndarray:
+        """The (|E_X|, 2) index array of e^a and e^b, in edge order: e^b is
+        the endpoint sum less the head."""
+        heads = np.array(self.orientation.heads, dtype=np.intp)
+        sums = np.array([u + v for u, v, _ in self.host.edges], dtype=np.intp)
+        return np.column_stack((heads, sums - heads))
 
     def interior_block(self, values: np.ndarray) -> np.ndarray:
         """The interior entries of a function on X[V] as an (|E_X|, |V°|) view.

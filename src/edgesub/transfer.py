@@ -32,11 +32,14 @@ access).
 
 The boundary kernels are float pole expansions over the same classified
 interior eigenvalues that give `solve_S1` its weights, so no exact solve
-builds them and the two agree on which interior eigenvalues are poles.
+builds them and the two agree on which interior eigenvalues are poles; at
+one z they are one (2, |V°|) table, a product over the sorted poles.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,27 +110,26 @@ class BoundaryKernels:
     to_a(u | z) = F_{V-b}(u, a | z) and to_b(u | z) = F_{V-a}(u, b | z), the
     f with Qf = z f on the interior and boundary values (1, 0), resp. (0, 1).
     Both are sum_mu r(mu) / (z - mu) over the `poles`, the interior
-    eigenvalues of type II°, III° and IV°; row mu of `residues` holds r_a(mu)
-    then r_b(mu), each in `substituent.interior` order.
+    eigenvalues of type II°, III° and IV° in ascending order; row mu of
+    `residues` holds r_a(mu) then r_b(mu), each in `substituent.interior` order.
     """
 
     substituent: Substituent
     poles: np.ndarray
     residues: np.ndarray  # (len(poles), 2 |V°|)
 
-    def eval_interior(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """(to_a(u | z), to_b(u | z)) over u in `substituent.interior` order.
+    def eval_interior(self, z: float) -> np.ndarray:
+        """The (2, |V°|) table of to_a(u | z) (row 0) and to_b(u | z) (row 1)
+        over u in `substituent.interior` order.
 
         Raises `TooCloseToInteriorSpectrum` when z is within POLE_GUARD of a
-        pole."""
-        gap = z - self.poles
-        if (np.abs(gap) < POLE_GUARD).any():
-            raise TooCloseToInteriorSpectrum(
-                f"distance {np.min(np.abs(gap)):.3e} to a kernel pole at z={z!r}"
-            )
-        values = (1.0 / gap) @ self.residues
-        k = len(self.substituent.interior)
-        return values[:k], values[k:]
+        pole: the nearer of the two poles that z bisects."""
+        poles = self.poles
+        k = bisect_left(poles, z)
+        near = min(z - poles[k - 1] if k else math.inf, poles[k] - z if k < len(poles) else math.inf)
+        if near < POLE_GUARD:
+            raise TooCloseToInteriorSpectrum(f"distance {near:.3e} to a kernel pole at z={z!r}")
+        return ((1.0 / (z - poles)) @ self.residues).reshape(2, -1)
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
@@ -153,8 +155,9 @@ def boundary_kernels(s: Substituent) -> BoundaryKernels:
             e = o = tails[:, 0]
         poles.append(t.value)
         residues.append(np.concatenate([t.S * e + t.D * o, t.S * e - t.D * o]))
-    k = len(s.interior)
-    return BoundaryKernels(s, np.array(poles), np.array(residues).reshape(len(poles), 2 * k))
+    order = np.argsort(poles)
+    residues = np.array(residues).reshape(len(poles), 2 * len(s.interior))
+    return BoundaryKernels(s, np.array(poles)[order], residues[order])
 
 
 def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:

@@ -3,11 +3,14 @@ data of a classified basis, the per-cluster type classifier that the array
 pass of `classify` replaced, row sums of an operator, random orientations and
 the orientation independence of the spectrum of X[V], the identification map
 of X[V] one vertex at a time, the fundamental cycles of a cycle base as closed
-walks, and the Chebyshev polynomials."""
+walks, the Chebyshev polynomials, the transfer extension as one broadcast of
+the two kernels, and the symmetrized operator one entry at a time."""
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import count
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
 from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
 from edgesub.substitution import SubstitutedGraph, substitute
+from edgesub.transfer import BoundaryKernels
 
 
 def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
@@ -142,3 +146,32 @@ def chebyshev(kind: str, degree: int) -> Polynomial:
     for _ in range(degree - 1):
         prev, cur = cur, z.scale(2) * cur - prev
     return cur
+
+
+def transfer_extension_broadcast(
+    sub: SubstitutedGraph, kernels: BoundaryKernels, f_host: np.ndarray, lam_star: float
+) -> np.ndarray:
+    """The values of `extensions.transfer_extension`, its interior block
+    filled in one broadcast: f(e^a) times the kernel toward a plus f(e^b)
+    times the kernel toward b, row by row."""
+    fa, fb = kernels.eval_interior(lam_star)
+    ea, eb = sub.edge_ends.T
+    values = np.empty(sub.n)
+    values[: sub.host.n] = f_host
+    sub.interior_block(values)[:] = f_host[ea][:, None] * fa + f_host[eb][:, None] * fb
+    return values
+
+
+def symmetrized_per_entry(op: ReversibleOperator, rows, cols) -> np.ndarray:
+    """The symmetrized operator on support positions `rows` x `cols`, each
+    entry a(x, y) / sqrt(m(x) m(y)) from its own Fraction conversions."""
+    m = [float(op.measure(i)) for i in range(op.dim)]
+    col = {op.support[j]: (k, m[j]) for k, j in enumerate(cols)}
+    s = np.zeros((len(rows), len(cols)))
+    flat = s.reshape(-1)
+    for start, i in zip(count(0, len(cols)), rows):
+        for y, a in op.graph.adjacency(op.support[i]).items():
+            hit = col.get(y)
+            if hit is not None:
+                flat[start + hit[0]] = float(a) / math.sqrt(m[i] * hit[1])
+    return s

@@ -26,7 +26,7 @@ from edgesub.oracle import direct_spectrum
 from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer
 
-from randinst import random_host, random_substituent, sweep_instance
+from randinst import random_host, random_substituent, sweep_instance, sweep_instances
 from reference import cycle_walk
 
 
@@ -162,6 +162,41 @@ class TestExceptionalRules:
         result = _run(cycle_host(4), chorded_square_substituent())
         assert result.report.exc == []
         assert _oracle_agrees(result)
+
+    @staticmethod
+    def _zero_count_values(result):
+        """The interior values whose table count is 0: the candidates the
+        host drops."""
+        X = result.host
+        out = []
+        for t in result.classified_interior:
+            qt = next((q for q in result.classified_Q if abs(q.value - t.value) <= CLUSTER_TOL), None)
+            row = qt.type if qt is not None else "0"
+            if interior_multiplicity(row, t.type, t.nu, X.n, X.num_edges, X.delta_b) == 0:
+                out.append(t.value)
+        return out
+
+    @pytest.mark.parametrize("seed, index", [(1, 20), (4, 239)])
+    def test_single_edge_host_lists_the_dropped_IV_value(self, seed, index):
+        # an interior IV° value with no Q row counts 2|E| - |X| = 0 on one edge
+        result = _run(*sweep_instance(seed, index))
+        X = result.host
+        assert (X.n, X.num_edges) == (2, 1)
+        q_values = [q.value for q in result.classified_Q]
+        dropped = [
+            t.value
+            for t in result.classified_interior
+            if t.type == "IV" and all(abs(v - t.value) > CLUSTER_TOL for v in q_values)
+        ]
+        assert dropped
+        assert all((v, "A") in result.report.exc for v in dropped)
+        assert [v for v, _ in result.report.exc] == self._zero_count_values(result)
+        assert _oracle_agrees(result)
+
+    def test_exc_is_where_the_table_count_is_0(self):
+        for X, s in sweep_instances(1, 338):
+            result = _run(X, s, build_families=False)
+            assert [v for v, _ in result.report.exc] == self._zero_count_values(result)
 
 
 class TestS2:

@@ -17,12 +17,14 @@ from edgesub.operators import (
     CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
+    _descending_eigh,
     eigen,
     spectral_radius,
 )
 
-from randinst import rand_weight, random_host
-from reference import is_stochastic
+from randinst import rand_weight, random_host, random_substituent
+from reference import is_stochastic, symmetrized_per_entry
+from test_transfer import WORKLOAD_FIXTURES
 
 ONE = Fraction(1)
 
@@ -145,6 +147,9 @@ class TestEigen:
         rng = random.Random(3)
         tie = 2.0**-25  # about 3e-8: 0.5 +- tie are exactly equidistant from 0.5
         lists = [(0.5 + tie, 0.5 - tie), (0.5 + tie, 0.5, 0.5 - tie)]
+        # exact ties at dyadic values, and clusters exactly 1e-7 from a probe
+        lists += [(2.0**-24, 0.0), (0.75, 0.25), (1.0, 0.5, 0.0, -0.5, -1.0)]
+        lists += [(0.5 + 2e-7, 0.5, 0.5 - 2e-7)]
         for _ in range(200):
             values = sorted({rng.uniform(-1, 1) for _ in range(rng.randint(0, 12))})
             # a window of several clusters 1e-8 to 1e-7 apart
@@ -157,10 +162,46 @@ class TestEigen:
             probes += [v + rng.uniform(-2e-7, 2e-7) for v in values]
             probes += [(u + v) / 2 for u, v in zip(values, values[1:])]
             probes += [v + d for v in values for d in (1e-7, -1e-7, 0.0)]
+            probes += [(u + v) / 2 for u, v in zip(values, values[2:])]
             for p in probes:
                 assert dec.cluster_near(p) == _linear_cluster_near(values, p), (values, p)
         ties = EigenDecomposition(op, lists[0], (1, 1))
         assert ties.cluster_near(0.5) == 0
+        assert EigenDecomposition(op, (2.0**-24, 0.0), (1, 1)).cluster_near(2.0**-25) == 0
+        assert EigenDecomposition(op, (0.75, 0.25), (1, 1)).cluster_near(0.5) is None
+        far = EigenDecomposition(op, (0.5 + 2e-7, 0.5, 0.5 - 2e-7), (1, 1, 1))
+        for p in (0.5 + 1e-7, 0.5 + 2e-7 - 1e-7, 0.5 - 1e-7):
+            # exactly 1e-7 from a cluster counts as within; the nearer wins
+            assert far.cluster_near(p) == _linear_cluster_near(far.values, p)
+        exact = EigenDecomposition(op, (0.0,), (1,))
+        assert exact.cluster_near(1e-7) == exact.cluster_near(-1e-7) == 0
+        assert exact.cluster_near(math.nextafter(1e-7, 1.0)) is None
+        assert exact.cluster_near(math.nan) is None
+        assert EigenDecomposition(op, (), ()).cluster_near(0.0) is None
+
+    def test_symmetrized_is_bitwise_the_per_entry_loop(self):
+        # the measures are built once per factorization and shared by the
+        # matrix and the m-normalization of the eigenvectors
+        rng = random.Random(50)
+        subs = [*WORKLOAD_FIXTURES.values(), *(random_substituent(rng) for _ in range(25))]
+        ops = [ReversibleOperator.full(random_host(rng)) for _ in range(25)]
+        ops += [ReversibleOperator.full(s.graph) for s in subs]
+        ops += [ReversibleOperator.restricted(s.graph, s.interior) for s in subs]
+        for op in ops:
+            full = range(op.dim)
+            want = symmetrized_per_entry(op, full, full)
+            assert op.symmetrized().tobytes() == want.tobytes()
+            w, u = np.linalg.eigh(want)
+            m = np.sqrt([float(op.measure(i)) for i in full])
+            got_w, got_h = _descending_eigh(op)
+            assert got_w.tobytes() == w[::-1].tobytes()
+            assert got_h.tobytes() == (u[:, ::-1] / m[:, None]).tobytes()
+            colours = op.graph.bipartition()
+            if colours is not None:
+                left = [i for i in full if op.support[i] in colours[0]]
+                right = [i for i in full if op.support[i] not in colours[0]]
+                block = op._symmetrized_block(op._measures(), left, right)
+                assert block.tobytes() == symmetrized_per_entry(op, left, right).tobytes()
 
     def test_sub_operator_bottom_chain(self):
         # lambda0 strictly increases as the kept subset grows

@@ -86,6 +86,14 @@ class TestConstruction:
             assert sub.graph.vertices == want.vertices
             assert sub.graph.edges == want.edges
 
+    def test_edge_ends_are_the_oriented_endpoints(self):
+        rng = random.Random(29)
+        for X, s in sweep_instances(2, 120):
+            o = random_orientation(X, rng)
+            ends = substitute(X, o, s).edge_ends
+            assert ends.shape == (X.num_edges, 2) and ends.dtype == np.intp
+            assert ends.tolist() == [[o.ea(e), o.eb(e)] for e in range(X.num_edges)]
+
     def test_single_edge_host_reproduces_substituent(self):
         X = WeightedGraph(["x0", "x1"], [(0, 1, ONE)])
         s = chorded_square_substituent()

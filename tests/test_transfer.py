@@ -14,7 +14,8 @@ from edgesub.algebra import (
 )
 from edgesub.assemble import assemble, solve_S1
 from edgesub.classify import classify_Qinterior
-from edgesub.errors import TooCloseToInteriorSpectrum
+from edgesub.errors import KernelPole, TooCloseToInteriorSpectrum
+from edgesub.extensions import transfer_extension
 from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
@@ -22,11 +23,12 @@ from edgesub.fixtures import (
     path_host,
     path_substituent,
 )
-from edgesub.graph import Orientation
+from edgesub.graph import Orientation, WeightedGraph
 from edgesub.operators import ReversibleOperator, eigen, spectral_radius
 from edgesub.substitution import substitute
 from edgesub.transfer import (
     POLE_GUARD,
+    BoundaryKernels,
     boundary_kernels,
     compute_transfer,
     verify_resolvent_identity,
@@ -226,6 +228,12 @@ def _assert_matches_reference(kernels, exact, z):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), (z, got, want)
 
 
+def _single_edge(s):
+    """The layout of s on one edge of unit conductance."""
+    X = WeightedGraph(["x0", "x1"], [(0, 1, Fraction(1))])
+    return substitute(X, Orientation.default(X), s)
+
+
 class TestBoundaryKernels:
     def test_chorded_square_kernel(self):
         s = chorded_square_substituent()
@@ -250,6 +258,41 @@ class TestBoundaryKernels:
         k = boundary_kernels(chorded_square_substituent())
         with pytest.raises(TooCloseToInteriorSpectrum):
             k.eval_interior(1 / 3)
+
+    @staticmethod
+    def _synthetic(poles):
+        """Kernels with the given ascending poles and unit residues on path-3."""
+        s = path_substituent(3)
+        return BoundaryKernels(s, np.array(poles, dtype=float), np.ones((len(poles), 2 * len(s.interior))))
+
+    def test_guard_is_the_distance_to_the_nearest_pole(self):
+        poles = [-0.7, 0.1, 0.3, 0.9]
+        k = self._synthetic(poles)
+        sub = _single_edge(k.substituent)
+        for p in poles:
+            for side in (-1, 1):
+                at = p + side * 0.5 * POLE_GUARD
+                with pytest.raises(TooCloseToInteriorSpectrum):
+                    k.eval_interior(at)
+                with pytest.raises(KernelPole):
+                    transfer_extension(sub, k, np.ones(2), at, None)
+                table = k.eval_interior(p + side * 2 * POLE_GUARD)
+                assert table.shape == (2, 2) and np.all(np.isfinite(table))
+
+    def test_between_two_poles_the_nearer_decides(self):
+        lo, hi = 0.3, 0.3 + 2.5 * POLE_GUARD
+        k = self._synthetic([-0.5, lo, hi, 0.8])
+        for z, near in ((lo + 0.5 * POLE_GUARD, lo), (hi - 0.5 * POLE_GUARD, hi)):
+            with pytest.raises(TooCloseToInteriorSpectrum, match=f"distance {abs(z - near):.3e} "):
+                k.eval_interior(z)
+        k.eval_interior((lo + hi) / 2)  # 1.25 POLE_GUARD from both
+
+    def test_no_pole_gives_a_zero_table(self):
+        # an all-I° interior: no classified eigenvalue is a pole of a kernel
+        k = self._synthetic([])
+        for z in (-1.0, 0.0, 0.5, 1.0):
+            table = k.eval_interior(z)
+            assert table.shape == (2, 2) and not table.any()
 
     def test_solve_boundary_satisfies_equation(self):
         rng = random.Random(31)
