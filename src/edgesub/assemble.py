@@ -6,7 +6,7 @@ The spectrum decomposes into three parts:
   with multiplicity nu_P(lambda), except at the points that S2 or the
   interior table already count.  For each lambda they are the eigenvalues
   of a symmetric arrowhead matrix built from lambda q(a, b), the interior
-  eigenvalues and their secular weights (`classify.TypedEigenvalue.S`, `.D`),
+  eigenvalues and their secular weights (`classify.ClusterTypes.S`, `.D`),
   all lambda in one stacked `eigvalsh`; no transfer function is built;
 * S2 — the common real zeros of psi and z - theta outside the interior
   spectrum, with multiplicity |X|: the eigenvalues of Q of type IV with
@@ -15,20 +15,29 @@ The spectrum decomposes into three parts:
   given by a table over the (Q-type, interior-type) pair; tree and
   odd-unicyclic hosts can drop some candidates (the exceptional set).
 
-The final report is checked against the dimension of X[V].
+The spectrum reads only the typing pass of Q and Q° (`classify.ClusterTypes`,
+arrays over their clusters), and every step runs on those arrays: the Q row
+of each interior eigenvalue, S2, the exclusions, S1, the table, the
+exceptional set, the merge, the total check and the gap.  The report keeps
+arrays too, and builds its entries and text on first read; the normal forms
+of Q and Q° are built on first read of `PipelineResult.classified_Q` and
+`.classified_interior`.  The total is checked against the dimension of X[V].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-# real_roots_in_interval is unused here but stays importable: bench/spans.py traces it
+# real_roots_in_interval, classify_Q and classify_Qinterior are unused here
+# but stay importable: bench/spans.py traces them
 from .algebra import real_roots_in_interval  # noqa: F401
-from .classify import TypedEigenvalue, classify_Q, classify_Qinterior
+from .classify import _KINDS, ClusterTypes, TypedEigenvalue, cluster_types
+from .classify import classify_Q, classify_Qinterior  # noqa: F401
 from .errors import InvalidTypeCombination, PreconditionNotMet, TotalMismatch
 from .extensions import ExtensionFunction, nodal_from_interior
 from .graph import (
@@ -43,26 +52,50 @@ from .operators import (
     CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
-    _eigenpairs,
+    _eigenpairs_with_block,
     eigen,
 )
 from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
+# The table row of an interior eigenvalue: "0" when it is no eigenvalue of Q,
+# else the type of Q there (row code 1 + its kind).
+_ROWS = ("0", *_KINDS)
+# A report part's provenance code indexes these; an S1 part's text also
+# names its root and lambda.  Interior cell (row, col) has code 2 + 4 row + col.
+_PROVENANCE = ("S1", "S2", *(f"Interior: ({row}, {col}°)" for row in _ROWS for col in _KINDS))
+_S1, _S2, _INTERIOR = 0, 1, 2
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+
+class SpectrumEntry(NamedTuple):
+    """One eigenvalue of X[V] with its multiplicity, where it comes from and
+    the host cluster of each S1 root in it.  A named tuple: as immutable as
+    a frozen dataclass, and half its construction cost per entry."""
+
     value: float
     nu: int
     provenance: tuple[str, ...]
+    lam_index: tuple[int, ...] = ()
 
     def describe(self) -> str:
         return f"{self.value:+.12f}  nu={self.nu}  [{'; '.join(self.provenance)}]"
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumReport:
-    entries: list[SpectrumEntry]
+    """The spectrum of X[V] as arrays over its parts: the S1 roots, the S2
+    points and the interior values with a positive count, in the order
+    `assemble` finds them.  Part k has `value[k]`, `nu[k]`, a provenance
+    `code[k]` (an index into `_PROVENANCE`) and, for an S1 root,
+    `lam_index[k]`, the index of its lambda among `host_values` (-1 for the
+    other parts).  `entries` and `to_text()` are built from the arrays on
+    first read."""
+
+    value: np.ndarray
+    nu: np.ndarray
+    code: np.ndarray
+    lam_index: np.ndarray
+    host_values: tuple[float, ...]
     exc: list[tuple[float, str]]
     gap: Optional[tuple[float, float]]
     total: int
@@ -70,6 +103,31 @@ class SpectrumReport:
     delta_b: int
     host_is_tree: bool
     host_is_odd_unicyclic: bool
+
+    @cached_property
+    def entries(self) -> list[SpectrumEntry]:
+        """The parts in descending order of value (at a tie in the order
+        found), a part within CLUSTER_TOL of the first value of the entry
+        before it merged into that entry: nu summed, its provenance and
+        "MergedProvenance" appended, its lambda index too."""
+        order = np.argsort(-self.value, kind="stable")
+        value, nu, code, lam = (a[order].tolist() for a in (self.value, self.nu, self.code, self.lam_index))
+        entries: list[SpectrumEntry] = []
+        top = math.inf  # the first value of the last entry
+        for v, n, c, k in zip(value, nu, code, lam):
+            if c == _S1:
+                provenance, ks = (f"S1: phi({v:.6f}) = {self.host_values[k]:.6f}, nu_P={n}",), (k,)
+            else:
+                provenance, ks = (_PROVENANCE[c],), ()
+            if abs(top - v) <= CLUSTER_TOL:
+                e = entries[-1]
+                entries[-1] = SpectrumEntry(
+                    e.value, e.nu + n, e.provenance + provenance + ("MergedProvenance",), e.lam_index + ks
+                )
+            else:
+                entries.append(SpectrumEntry(v, n, provenance, ks))
+                top = v
+        return entries
 
     def values(self) -> list[float]:
         return [e.value for e in self.entries]
@@ -109,16 +167,30 @@ def _arrowhead_eigenvalues(corner: np.ndarray, mus: np.ndarray, w: np.ndarray) -
     return np.linalg.eigvalsh(A)
 
 
+@dataclass(frozen=True)
+class S1Roots:
+    """The S1 roots that `solve_S1` keeps, by host cluster and ascending
+    within one: `roots[k]` solves phi(z) = lambda for the host cluster
+    `lam_index[k]`."""
+
+    roots: np.ndarray
+    lam_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+
 def solve_S1(
     s: Substituent,
-    interior: list[TypedEigenvalue],
+    interior: ClusterTypes,
     spec_P: EigenDecomposition,
-    excluded: list[tuple[float, Optional[float]]],
-) -> list[tuple[float, float, int]]:
-    """All (lambda*, lambda, nu_P(lambda)) with phi(lambda*) = lambda, except
-    the roots counted elsewhere: `excluded` holds pairs (p, v), and a root
-    within CLUSTER_TOL of p is dropped when its lambda is v, or for every
-    lambda when v is None.
+    points: np.ndarray,
+    point_lams: np.ndarray,
+) -> S1Roots:
+    """All lambda* with phi(lambda*) = lambda for a host eigenvalue lambda,
+    except the roots counted elsewhere: a root within CLUSTER_TOL of
+    `points[i]` is dropped when its lambda is `point_lams[i]`, or for every
+    lambda when `point_lams[i]` is NaN.
 
     Over the interior clusters mu, z - theta - lambda psi is
     z - lambda q(a, b) - sum_mu w_mu / (z - mu) with the weight
@@ -132,35 +204,29 @@ def solve_S1(
     """
     g = s.graph
     q_ab = float(g.conductance(s.a, s.b) / g.m(s.a))
-    lams = np.array(spec_P.values)
-    lams[0] = 1.0
+    lam = np.array(spec_P.values)
+    lam[0] = 1.0
     if spec_P.operator.graph.delta_b:
-        lams[-1] = -1.0
-    mus, S, D = (np.array([getattr(t, f) for t in interior]) for f in ("value", "S", "D"))
-    w = np.outer(1 + lams, S) + np.outer(1 - lams, D)
+        lam[-1] = -1.0
+    w = np.outer(1 + lam, interior.S) + np.outer(1 - lam, interior.D)
     positive = w > 0
     batches: dict[bytes, list[int]] = {}
     for i, row in enumerate(positive):
         batches.setdefault(row.tobytes(), []).append(i)
     roots, owner = [], []
-    for idx in batches.values():
+    for idx in map(np.array, batches.values()):
         live = positive[idx[0]]
-        found = _arrowhead_eigenvalues(lams[idx] * q_ab, mus[live], w[np.ix_(idx, live)])
+        found = _arrowhead_eigenvalues(lam[idx] * q_ab, interior.values[live], w[idx][:, live])
         roots.append(found.ravel())
         owner.append(np.repeat(idx, found.shape[1]))
     roots, owner = np.concatenate(roots), np.concatenate(owner)
-    if excluded:
-        points = np.array([p for p, _ in excluded])
-        values = np.array([np.nan if v is None else v for _, v in excluded])
+    if len(points):
         near = np.abs(roots[:, None] - points[None, :]) <= CLUSTER_TOL
-        same = np.isnan(values) | (np.abs(lams[owner][:, None] - values[None, :]) <= CLUSTER_TOL)
+        same = np.isnan(point_lams) | (np.abs(lam[owner][:, None] - point_lams[None, :]) <= CLUSTER_TOL)
         keep = ~np.any(near & same, axis=1)
         roots, owner = roots[keep], owner[keep]
     order = np.lexsort((roots, owner))
-    return [
-        (float(roots[k]), spec_P.values[owner[k]], spec_P.multiplicities[owner[k]])
-        for k in order
-    ]
+    return S1Roots(roots[order], owner[order])
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +234,27 @@ def solve_S1(
 # ---------------------------------------------------------------------------
 
 
-def solve_S2(classified_Q: list[TypedEigenvalue], interior_spec: list[float]) -> list[float]:
+def solve_S2(Q: ClusterTypes, interior_spec: np.ndarray) -> np.ndarray:
     """The eigenvalues of Q of type IV with nu = 2 that are not within
     CLUSTER_TOL of an interior eigenvalue, ascending: the points where
     psi(lambda*) = 0 and theta(lambda*) = lambda*."""
-    return sorted(
-        t.value for t in classified_Q
-        if t.type == "IV" and t.nu == 2 and all(abs(t.value - mu) > CLUSTER_TOL for mu in interior_spec)
-    )
+    values = Q.values[(Q.kind == 3) & (Q.nu == 2)]
+    return np.sort(values[np.all(np.abs(values[:, None] - interior_spec) > CLUSTER_TOL, axis=1)])
 
 
-# The interior table counts, at an interior eigenvalue mu, the S1 roots of
-# phi(z) = lambda for these host eigenvalues lambda, by the Q row of mu
-# (None: every lambda).  The interior type of mu needs no such list: a mu
-# with weight is a pole of the secular equation, never one of its roots.
-_ROW_COUNTS = {"II": [1.0], "III": [-1.0], "IV": [None]}
+# The interior table counts, at an interior eigenvalue mu in row II, III or
+# IV, the S1 roots of phi(z) = lambda for lambda = 1, -1 or every lambda
+# (NaN), by row code; rows "0" and I count none.  The interior type of mu
+# needs no such list: a mu with weight is a pole of the secular equation,
+# never one of its roots.
+_ROW_COUNTS = np.array([0.0, 0.0, 1.0, -1.0, np.nan])
+
+
+def _q_rows(Q: ClusterTypes, interior: ClusterTypes) -> np.ndarray:
+    """Each interior eigenvalue's Q row: the index of the first cluster of Q
+    within CLUSTER_TOL of it, or -1."""
+    near = np.abs(interior.values[:, None] - Q.values[None, :]) <= CLUSTER_TOL
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +271,38 @@ def _host_shape(X: WeightedGraph) -> tuple[bool, bool]:
 
 
 def exceptional_set(
-    X: WeightedGraph,
-    interior_rows: list[tuple[TypedEigenvalue, Optional[TypedEigenvalue]]],
+    X: WeightedGraph, Q: ClusterTypes, interior: ClusterTypes, q_row: np.ndarray
 ) -> list[tuple[float, str]]:
-    """Interior candidates that a tree or odd-unicyclic host drops, from each
-    interior eigenvalue paired with the eigenvalue of Q at it, or None."""
+    """Interior candidates that a tree or odd-unicyclic host drops, from the
+    types of Q and Q° and each interior eigenvalue's Q row (`_q_rows`)."""
     is_tree, is_odd_unicyclic = _host_shape(X)
     if not (is_tree or is_odd_unicyclic):
         return []
-
-    out = []
-    for t, qt in interior_rows:
-        if is_tree:  # on a single edge, 2|E| - |X| = 0 drops a IV° value too
-            dropped = qt is None and (t.type in ("II", "III") or t.type == "IV" and X.n == 2)
-        else:
-            dropped = t.nu == 1 and t.type == "II" and (qt is None or qt.type == "III" and qt.nu == 1)
-        if dropped:
-            out.append((t.value, "A" if is_tree else "B"))
-    return out
+    kind = interior.kind
+    none = q_row < 0
+    if is_tree:  # on a single edge, 2|E| - |X| = 0 drops a IV° value too
+        dropped = none & ((kind == 1) | (kind == 2) | (kind == 3) & (X.n == 2))
+    else:
+        simple_III = ~none & (Q.kind[q_row] == 2) & (Q.nu[q_row] == 1)
+        dropped = (interior.nu == 1) & (kind == 1) & (none | simple_III)
+    rule = "A" if is_tree else "B"
+    return [(value, rule) for value in interior.values[dropped].tolist()]
 
 
 # ---------------------------------------------------------------------------
 # Interior multiplicity table
 # ---------------------------------------------------------------------------
+
+# Cell (row, col) of the table, at index 4 row + col, as the coefficients of
+# (nu° |E|, |E|, |X|, delta_b, 1); rows "0", I-IV as in _ROWS, columns
+# I°-IV°.  The cell ("0", I°) cannot occur and is all zero.
+_TABLE = np.array([
+    [(0, 0, 0, 0, 0), (0, 1, -1, 1, 0), (0, 1, -1, 0, 1), (0, 2, -1, 0, 0)],
+    [(1, 0, 0, 0, 0), (1, 0, -1, 1, 0), (1, 0, -1, 0, 1), (1, 0, -1, 0, 0)],
+    [(1, 0, 0, 0, 1), (1, 0, -1, 1, 1), (1, 0, -1, 0, 2), (1, 0, -1, 0, 1)],
+    [(1, 0, 0, 1, 0), (1, 0, -1, 2, 0), (1, 0, -1, 1, 1), (1, 0, -1, 1, 0)],
+    [(1, 0, 1, 0, 0), (1, 0, 0, 1, 0), (1, 0, 0, 0, 1), (1, 0, 0, 0, 0)],
+]).reshape(20, 5)
 
 
 def interior_multiplicity(
@@ -233,34 +314,11 @@ def interior_multiplicity(
     InvalidTypeCombination for a cell that cannot occur and for a negative
     count, which sizes inconsistent with the types produce.
     """
-    E, X, d = n_E, n_X, delta_b
-    table = {
-        ("0", "I"): None,
-        ("0", "II"): E - X + d,
-        ("0", "III"): E - X + 1,
-        ("0", "IV"): 2 * E - X,
-        ("I", "I"): nu_o * E,
-        ("I", "II"): nu_o * E - X + d,
-        ("I", "III"): nu_o * E - X + 1,
-        ("I", "IV"): nu_o * E - X,
-        ("II", "I"): nu_o * E + 1,
-        ("II", "II"): nu_o * E - X + 1 + d,
-        ("II", "III"): nu_o * E - X + 2,
-        ("II", "IV"): nu_o * E - X + 1,
-        ("III", "I"): nu_o * E + d,
-        ("III", "II"): nu_o * E - X + 2 * d,
-        ("III", "III"): nu_o * E - X + 1 + d,
-        ("III", "IV"): nu_o * E - X + d,
-        ("IV", "I"): nu_o * E + X,
-        ("IV", "II"): nu_o * E + d,
-        ("IV", "III"): nu_o * E + 1,
-        ("IV", "IV"): nu_o * E,
-    }
-    if (row, col) not in table:
+    if row not in _ROWS or col not in _KINDS:
         raise InvalidTypeCombination(f"({row}, {col})")
-    value = table[(row, col)]
-    if value is None:
+    if (row, col) == ("0", "I"):
         raise InvalidTypeCombination(f"({row}, {col}°) cannot occur")
+    value = int(_TABLE[4 * _ROWS.index(row) + _KINDS.index(col)] @ (nu_o * n_E, n_E, n_X, delta_b, 1))
     if value < 0:
         raise InvalidTypeCombination(f"({row}, {col}°) gives the negative multiplicity {value}")
     return value
@@ -273,12 +331,13 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
-    """Everything `assemble` computed.  The layout of X[V], the host's cycle
-    base and the transfer functions' three series are built on first access
-    of `substituted`, `cycle_base` and `transfer`: the spectrum needs none
-    of them.  The eigenfunctions read only the layout; the exact graph of
-    X[V] is built on first read of `substituted.graph`, and each transfer
-    function on its own first read."""
+    """Everything `assemble` computed.  The normal forms of Q and Q°, the
+    layout of X[V], the host's cycle base and the transfer functions' three
+    series are built on first access of `classified_Q`,
+    `classified_interior`, `substituted`, `cycle_base` and `transfer`: the
+    spectrum needs none of them.  The eigenfunctions read only the layout;
+    the exact graph of X[V] is built on first read of `substituted.graph`,
+    and each transfer function on its own first read."""
 
     report: SpectrumReport
     host: WeightedGraph
@@ -287,9 +346,17 @@ class PipelineResult:
     spec_P: EigenDecomposition
     spec_Q: EigenDecomposition
     spec_interior: EigenDecomposition
-    classified_Q: list[TypedEigenvalue]
-    classified_interior: list[TypedEigenvalue]
+    types_Q: ClusterTypes
+    types_interior: ClusterTypes
     nodal_families: dict[float, list[ExtensionFunction]] = field(default_factory=dict)
+
+    @cached_property
+    def classified_Q(self) -> list[TypedEigenvalue]:
+        return self.types_Q.normal_forms()
+
+    @cached_property
+    def classified_interior(self) -> list[TypedEigenvalue]:
+        return self.types_interior.normal_forms()
 
     @cached_property
     def substituted(self) -> SubstitutedGraph:
@@ -304,21 +371,6 @@ class PipelineResult:
         return compute_transfer(self.substituent)
 
 
-def _merge(entries: list[SpectrumEntry]) -> list[SpectrumEntry]:
-    merged: list[SpectrumEntry] = []
-    for e in sorted(entries, key=lambda x: -x.value):
-        if merged and abs(merged[-1].value - e.value) <= CLUSTER_TOL:
-            prev = merged[-1]
-            merged[-1] = SpectrumEntry(
-                prev.value,
-                prev.nu + e.nu,
-                prev.provenance + e.provenance + ("MergedProvenance",),
-            )
-        else:
-            merged.append(e)
-    return merged
-
-
 def assemble(
     X: WeightedGraph,
     orient: Orientation,
@@ -328,47 +380,42 @@ def assemble(
     validate_substituent(s)
 
     spec_P = eigen(ReversibleOperator.full(X))
-    spec_Q = _eigenpairs(ReversibleOperator.full(s.graph))
-    spec_int = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
-    cQ = classify_Q(s, spec_Q)
-    cI = classify_Qinterior(s, spec_int)
-    # each interior eigenvalue with its Q row: the eigenvalue of Q at it, or None
-    rows = [
-        (t, next((q for q in cQ if abs(q.value - t.value) <= CLUSTER_TOL), None)) for t in cI
-    ]
+    spec_Q, spec_int = _eigenpairs_with_block(
+        ReversibleOperator.full(s.graph), ReversibleOperator.restricted(s.graph, s.interior)
+    )
+    tQ = cluster_types(s, spec_Q, "Q")
+    tI = cluster_types(s, spec_int, "Qo")
+    q_row = _q_rows(tQ, tI)
+    row = np.where(q_row < 0, 0, tQ.kind[q_row] + 1)  # an index into _ROWS
 
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
-    s2 = solve_S2(cQ, list(spec_int.values))
-    counted = [(p, None) for p in s2]  # S2 counts the roots of every lambda
-    for t, qt in rows:
-        if qt is not None:
-            counted += [(t.value, lam) for lam in _ROW_COUNTS.get(qt.type, [])]
-    s1 = solve_S1(s, cI, spec_P, counted)
-    entries: list[SpectrumEntry] = []
-    for root, lam, nu in s1:
-        entries.append(
-            SpectrumEntry(root, nu, (f"S1: phi({root:.6f}) = {lam:.6f}, nu_P={nu}",))
-        )
-    for lam_star in s2:
-        entries.append(SpectrumEntry(lam_star, n_X, ("S2",)))
+    s2 = solve_S2(tQ, tI.values)
+    counted = row >= 2  # rows II, III and IV
+    points = np.concatenate([s2, tI.values[counted]])
+    point_lams = np.concatenate([np.full(len(s2), np.nan), _ROW_COUNTS[row[counted]]])
+    s1 = solve_S1(s, tI, spec_P, points, point_lams)
 
-    exc = exceptional_set(X, rows)
-    for t, qt in rows:
-        row = qt.type if qt is not None else "0"
-        nu_star = interior_multiplicity(row, t.type, t.nu, n_X, n_E, delta_b)
-        if nu_star > 0:
-            entries.append(
-                SpectrumEntry(t.value, nu_star, (f"Interior: ({row}, {t.type}°)",))
-            )
+    exc = exceptional_set(X, tQ, tI, q_row)
+    cell = 4 * row + tI.kind  # the table cell of each interior eigenvalue
+    counts = _TABLE[cell, 0] * tI.nu * n_E + _TABLE[cell, 1:] @ (n_E, n_X, delta_b, 1)
+    bad = np.flatnonzero((cell == 0) | (counts < 0))
+    if bad.size:  # raises for the first cell that cannot occur
+        k = bad[0]
+        interior_multiplicity(_ROWS[row[k]], _KINDS[tI.kind[k]], int(tI.nu[k]), n_X, n_E, delta_b)
+    live = counts > 0
 
-    entries = _merge(entries)
-    total = sum(e.nu for e in entries)
+    value = np.concatenate([s1.roots, s2, tI.values[live]])
+    nu = np.concatenate([np.array(spec_P.multiplicities)[s1.lam_index], np.full(len(s2), n_X), counts[live]])
+    code = np.concatenate([np.full(len(s1), _S1), np.full(len(s2), _S2), _INTERIOR + cell[live]])
+    lam_index = np.concatenate([s1.lam_index, np.full(len(s2) + int(live.sum()), -1)])
+
+    total = int(nu.sum())
     expected = n_X + n_E * (s.graph.n - 2)
     is_tree, is_odd_unicyclic = _host_shape(X)
     report = SpectrumReport(
-        entries=entries,
+        value, nu, code, lam_index, spec_P.values,
         exc=exc,
         gap=None,
         total=total,
@@ -385,17 +432,18 @@ def assemble(
     except PreconditionNotMet:
         report.gap = None
 
-    result = PipelineResult(report, X, orient, s, spec_P, spec_Q, spec_int, cQ, cI)
+    result = PipelineResult(report, X, orient, s, spec_P, spec_Q, spec_int, tQ, tI)
     if build_families:
         result.nodal_families = {
-            t.value: nodal_from_interior(result.substituted, t, result.cycle_base) for t in cI
+            t.value: nodal_from_interior(result.substituted, t, result.cycle_base)
+            for t in result.classified_interior
         }
     return result
 
 
 def spectral_gap(
     report: SpectrumReport,
-    s1: list[tuple[float, float, int]],
+    s1: S1Roots,
     spec_P: EigenDecomposition,
     X: WeightedGraph,
     s: Substituent,
@@ -409,12 +457,14 @@ def spectral_gap(
     if not interior_connected and lam1 < 0:
         raise PreconditionNotMet("need connected interior or lambda1 >= 0")
 
-    roots = [root for root, lam, _ in s1 if lam == lam1]
-    if not roots:
+    roots = s1.roots[s1.lam_index == 1]
+    if not roots.size:
         raise PreconditionNotMet(f"no S1 root for lambda1 = {lam1}")
-    lam1_star = max(roots)
+    lam1_star = float(roots.max())
 
-    second = sorted(report.values(), reverse=True)[1]
+    # the second entry's first value: the largest part not merged into the first entry
+    top = report.value.max()
+    second = float(report.value[top - report.value > CLUSTER_TOL].max())
     if abs(second - lam1_star) > 1e-9:
         raise PreconditionNotMet(
             f"largest phi-root {lam1_star} is not the report's second entry {second}"

@@ -26,18 +26,22 @@ The same vectors weigh each interior cluster in the secular equation of S1
 type says that s or d vanishes.
 
 Each operator is factorized once (`operators._eigenpairs`, one `eigh`), and
-all its clusters are typed in one array pass (`_type_clusters`): the type,
-S, D and `ambiguous` are array expressions of the RANK_TOL rule over
-per-cluster segment sums, and only a multiple eigenvalue with boundary data
-takes a small product of its own.  A simple eigenvalue typed IV raises
-`InvalidTypeCombination`: its eigenfunction is gamma-even or gamma-odd, so
-both s and d passing the rule is float mixing.
+classification is two passes over its eigenvectors.  The typing pass
+(`cluster_types`) returns `ClusterTypes`: arrays over the clusters of nu,
+the type, nu', S, D and `ambiguous`, array expressions of the RANK_TOL rule
+over per-cluster segment sums.  The spectrum reads these alone.  The
+normal-form pass (`ClusterTypes.normal_forms`) builds the bases and the
+`TypedEigenvalue` list from the same arrays, only for a caller that reads
+them (`classify_Q`, `classify_Qinterior` and the eigenfunctions): a simple
+eigenvalue's column scaled, and only a multiple eigenvalue with boundary
+data takes a small product of its own.  A simple eigenvalue typed IV raises
+`InvalidTypeCombination` in the typing pass: its eigenfunction is
+gamma-even or gamma-odd, so both s and d passing the rule is float mixing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .operators import EigenDecomposition, ReversibleOperator, _eigenpairs
 
 RANK_TOL = 1e-7
 _KINDS = ("I", "II", "III", "IV")
-_RANKS = (0, 1, 1, 2)
+_RANKS = np.array([0, 1, 1, 2])  # how many of s and d each type keeps
 _S_AND_D = np.array([[1.0, 1.0], [1.0, -1.0]])  # (at a, at b) -> (s, d)
 
 
@@ -82,6 +86,72 @@ class TypedEigenvalue:
         return self.basis[:, self.nu_prime :]
 
 
+@dataclass(eq=False)
+class ClusterTypes:
+    """The typing pass over one operator's clusters (source "Q" or "Qo"):
+    arrays over the clusters, in the descending order of their values, of
+    nu, the type (`kind`, an index into I-IV), nu', the secular weights S
+    and D, and `ambiguous`.  The normal forms are built from the same arrays
+    only by `normal_forms`: `h` holds the clusters' m-orthonormal bases side
+    by side, `boundary` maps a function on the support to its (a, b) data,
+    `sd` is s and d of every column of `h`, and `squares` and `keep` are
+    |s|^2, |d|^2 and which of them the RANK_TOL rule keeps, per cluster."""
+
+    source: str
+    mass: float  # m(a)
+    values: np.ndarray
+    nu: np.ndarray
+    kind: np.ndarray
+    nu_prime: np.ndarray
+    S: np.ndarray
+    D: np.ndarray
+    ambiguous: np.ndarray
+    h: np.ndarray = field(repr=False)
+    boundary: np.ndarray = field(repr=False)
+    sd: np.ndarray = field(repr=False)
+    squares: np.ndarray = field(repr=False)
+    keep: np.ndarray = field(repr=False)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The first column of each cluster in `h`."""
+        return self.nu.cumsum() - self.nu
+
+    def normal_forms(self) -> list[TypedEigenvalue]:
+        """The normal-form pass.  A simple eigenvalue's normal form is its
+        column scaled, by 1 for type I and by the coefficient of its one tail
+        otherwise; only a multiple eigenvalue with boundary data takes a
+        product of its own, and a QR complement where its zero block sits
+        next to a tail."""
+        h, sd, keep, nu, kind = self.h, self.sd, self.keep, self.nu, self.kind
+        # tail coefficients 2s/|s|^2 (boundary (1, 1)) and 2d/|d|^2 (boundary
+        # (1, -1)), zero where not kept
+        scale = np.divide(2.0, self.squares, out=np.zeros_like(self.squares), where=keep)
+        coef = sd * np.repeat(scale, nu, axis=1)
+        normal = h * (coef[0] + coef[1] + np.repeat(kind == 0, nu))
+        starts = self.starts.tolist()
+        for k in np.flatnonzero((nu > 1) & (kind > 0)).tolist():
+            a, n, rank = starts[k], int(nu[k]), int(_RANKS[kind[k]])
+            basis = h[:, a : a + n]
+            tails = basis @ coef[keep[:, k], a : a + n].T
+            if rank == 2:  # type IV
+                even, odd = tails.T
+                tails = np.column_stack([0.5 * (even - odd), 0.5 * (even + odd)])  # (0, 1), (1, 0)
+            if rank < n:
+                # zero-boundary block: coefficients orthogonal to the kept s and d;
+                # orthonormal coefficients keep the basis m-orthonormal
+                q = np.linalg.qr(sd[keep[:, k], a : a + n].T, mode="complete")[0]
+                normal[:, a : a + n - rank] = basis @ q[:, rank:]
+            normal[:, a + n - rank : a + n] = tails
+        return [
+            TypedEigenvalue(value, self.source, _KINDS[c], n, n_prime, normal[:, a : a + n], amb, s, d)
+            for value, n, n_prime, a, c, amb, s, d in zip(
+                self.values.tolist(), nu.tolist(), self.nu_prime.tolist(), starts, kind.tolist(),
+                self.ambiguous.tolist(), self.S.tolist(), self.D.tolist(),
+            )
+        ]
+
+
 def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]) -> np.ndarray:
     """Linear map from functions on the support to their (a, b) boundary data:
     unit rows at a and b for Q, the float rows q(a, .) and q(b, .) for Q°."""
@@ -107,59 +177,37 @@ def _type_clusters(
     boundary: np.ndarray,
     source: str,
     mass: float,
-) -> list[TypedEigenvalue]:
-    """Every cluster typed in one pass over `h`, the clusters' m-orthonormal
-    bases side by side.  The s and d of all columns are one product, |s|^2
-    and |d|^2 per cluster are segment sums, and the type, S, D and
-    `ambiguous` are array expressions of the RANK_TOL rule.  A simple
-    eigenvalue's normal form is its column scaled, by 1 for type I and by
-    the coefficient of its one tail otherwise; only a multiple eigenvalue
-    with boundary data takes a product of its own, and a QR complement where
-    its zero block sits next to a tail."""
-    starts = [0, *accumulate(multiplicities)][:-1]
+) -> ClusterTypes:
+    """The typing pass: every cluster typed in one pass over `h`, the
+    clusters' m-orthonormal bases side by side.  The s and d of all columns
+    are one product, |s|^2 and |d|^2 per cluster are segment sums, and the
+    type, nu', S, D and `ambiguous` are array expressions of the RANK_TOL
+    rule.  A simple eigenvalue that keeps both norms raises."""
+    nu = np.array(multiplicities)
     sd = _S_AND_D @ boundary @ h  # s, d: gamma-fixed and gamma-negated
-    squares = np.add.reduceat(sd * sd, starts, axis=1)
+    squares = np.add.reduceat(sd * sd, nu.cumsum() - nu, axis=1)
     norms = np.sqrt(squares / 2)
     cut = RANK_TOL * norms.max(axis=0, initial=1.0)
     keep = norms > cut
-    kinds = np.dot((1, 2), keep)  # index into _KINDS
-    S, D = (keep * squares * (mass / 4)).tolist()
-    ambiguous = ((cut / 10 < norms) & (norms < cut * 10)).any(axis=0).tolist()
-
-    # tail coefficients 2s/|s|^2 (boundary (1, 1)) and 2d/|d|^2 (boundary
-    # (1, -1)), zero where not kept
-    scale = np.divide(2.0, squares, out=np.zeros_like(squares), where=keep)
-    coef = sd * np.repeat(scale, multiplicities, axis=1)
-    normal = h * (coef[0] + coef[1] + np.repeat(kinds == 0, multiplicities))
-    kinds = kinds.tolist()
-    for k, (a, nu, kind) in enumerate(zip(starts, multiplicities, kinds)):
-        rank = _RANKS[kind]
-        if rank > nu:  # a simple eigenfunction is gamma-even or gamma-odd
-            raise InvalidTypeCombination(
-                f"simple eigenvalue {values[k]!r} of {source} keeps both boundary norms, "
-                f"|s|/sqrt(2) = {norms[0, k]:.3e} and |d|/sqrt(2) = {norms[1, k]:.3e}"
-            )
-        if nu == 1 or rank == 0:
-            continue
-        basis = h[:, a : a + nu]
-        tails = basis @ coef[keep[:, k], a : a + nu].T
-        if kind == 3:
-            even, odd = tails.T
-            tails = np.column_stack([0.5 * (even - odd), 0.5 * (even + odd)])  # (0, 1), (1, 0)
-        if rank < nu:
-            # zero-boundary block: coefficients orthogonal to the kept s and d;
-            # orthonormal coefficients keep the basis m-orthonormal
-            q = np.linalg.qr(sd[keep[:, k], a : a + nu].T, mode="complete")[0]
-            normal[:, a : a + nu - rank] = basis @ q[:, rank:]
-        normal[:, a + nu - rank : a + nu] = tails
-
-    return [
-        TypedEigenvalue(value, source, _KINDS[c], nu, nu - _RANKS[c], normal[:, a : a + nu], amb, s, d)
-        for value, nu, a, c, amb, s, d in zip(values, multiplicities, starts, kinds, ambiguous, S, D)
-    ]
+    kind = np.dot((1, 2), keep)  # index into _KINDS
+    S, D = keep * squares * (mass / 4)
+    ambiguous = ((cut / 10 < norms) & (norms < cut * 10)).any(axis=0)
+    nu_prime = nu - _RANKS[kind]
+    simple_IV = np.flatnonzero(nu_prime < 0)
+    if simple_IV.size:  # a simple eigenfunction is gamma-even or gamma-odd
+        k = simple_IV[0]
+        raise InvalidTypeCombination(
+            f"simple eigenvalue {values[k]!r} of {source} keeps both boundary norms, "
+            f"|s|/sqrt(2) = {norms[0, k]:.3e} and |d|/sqrt(2) = {norms[1, k]:.3e}"
+        )
+    return ClusterTypes(
+        source, mass, np.array(values), nu, kind, nu_prime, S, D, ambiguous, h, boundary, sd, squares, keep
+    )
 
 
-def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
+def cluster_types(s: Substituent, decomp: EigenDecomposition, source: str) -> ClusterTypes:
+    """The typing pass over the clusters of `decomp`, the factorization of
+    Q (source "Q") or of Q° (source "Qo")."""
     boundary = _boundary_map(s, source, decomp.operator.support)
     h = np.concatenate(decomp.bases, axis=1)
     mass = float(s.graph.m(s.a))
@@ -169,10 +217,10 @@ def _classify(s: Substituent, decomp: EigenDecomposition, source: str) -> list[T
 def classify_Q(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
     if decomp is None:
         decomp = _eigenpairs(ReversibleOperator.full(s.graph))
-    return _classify(s, decomp, "Q")
+    return cluster_types(s, decomp, "Q").normal_forms()
 
 
 def classify_Qinterior(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
     if decomp is None:
         decomp = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
-    return _classify(s, decomp, "Qo")
+    return cluster_types(s, decomp, "Qo").normal_forms()

@@ -9,7 +9,9 @@ The orthonormal eigenvectors u map back to m-orthonormal eigenfunctions
 h = u/sqrt(m).  A host's come from one `eigh` when `EigenDecomposition.bases`
 is first read.  The substituent operators Q and Q°, whose types need every
 eigenvector, take `_eigenpairs`: one `eigh` gives their values and bases at
-once, clustered by the same rule as `eigen`.
+once, clustered by the same rule as `eigen`.  `assemble` builds one
+symmetrized matrix for both (`_eigenpairs_with_block`): that of Q° is the
+interior block of that of Q, bitwise, so each is factorized once from it.
 """
 
 from __future__ import annotations
@@ -86,7 +88,11 @@ class ReversibleOperator:
         return mat
 
     def symmetrized(self) -> np.ndarray:
-        return self._symmetrized_block(self._measures(), range(self.dim), range(self.dim))
+        return self._symmetrized_and_measures()[0]
+
+    def _symmetrized_and_measures(self) -> tuple[np.ndarray, list[float]]:
+        m = self._measures()
+        return self._symmetrized_block(m, range(self.dim), range(self.dim)), m
 
     def _symmetrized_block(self, m: list[float], rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """The symmetrized matrix on support positions `rows` x `cols`, from
@@ -120,7 +126,7 @@ class EigenDecomposition:
     def bases(self) -> tuple[np.ndarray, ...]:
         """One `eigh`, its vectors in descending order, split by the multiplicities."""
         if self._bases is None:
-            _, h = _descending_eigh(self.operator)
+            _, h = _descending_eigh(*self.operator._symmetrized_and_measures())
             object.__setattr__(self, "_bases", _split(h, self.multiplicities))
         return self._bases
 
@@ -171,11 +177,11 @@ def _clustered(descending: list[float]) -> tuple[tuple[float, ...], tuple[int, .
     return tuple(math.fsum(c) / len(c) for c in clusters), tuple(map(len, clusters))
 
 
-def _descending_eigh(op: ReversibleOperator) -> tuple[np.ndarray, np.ndarray]:
-    """One `eigh` of the symmetrized operator: the eigenvalues descending, and
-    the m-orthonormal eigenfunctions as columns in the same order."""
-    m = op._measures()
-    w, u = np.linalg.eigh(op._symmetrized_block(m, range(op.dim), range(op.dim)))
+def _descending_eigh(sym: np.ndarray, m: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """One `eigh` of a symmetrized operator with float measures `m`: the
+    eigenvalues descending, and the m-orthonormal eigenfunctions as columns
+    in the same order."""
+    w, u = np.linalg.eigh(sym)
     return w[::-1], u[:, ::-1] / np.sqrt(m)[:, None]
 
 
@@ -193,12 +199,29 @@ def eigen(op: ReversibleOperator) -> EigenDecomposition:
     return EigenDecomposition(op, *_clustered(_descending_values(op)))
 
 
+def _pairs(op: ReversibleOperator, sym: np.ndarray, m: Sequence[float]) -> EigenDecomposition:
+    w, h = _descending_eigh(sym, m)
+    values, multiplicities = _clustered(w.tolist())
+    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
+
+
 def _eigenpairs(op: ReversibleOperator) -> EigenDecomposition:
     """Values and bases from one `eigh`, clustered as in `eigen`: for an
     operator whose every eigenvector is read, as Q and Q° are by `classify`."""
-    w, h = _descending_eigh(op)
-    values, multiplicities = _clustered(w.tolist())
-    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
+    return _pairs(op, *op._symmetrized_and_measures())
+
+
+def _eigenpairs_with_block(
+    op: ReversibleOperator, part: ReversibleOperator
+) -> tuple[EigenDecomposition, EigenDecomposition]:
+    """`_eigenpairs` of `op` and of `part`, its restriction to a subset of its
+    support, from one symmetrized matrix: the restriction's is the block of
+    the whole one's on that subset, bitwise, since both divide the same
+    conductances by the same measures."""
+    sym, m = op._symmetrized_and_measures()
+    index = {x: i for i, x in enumerate(op.support)}
+    rows = [index[x] for x in part.support]
+    return _pairs(op, sym, m), _pairs(part, sym.take(rows, 0).take(rows, 1), [m[i] for i in rows])
 
 
 def spectral_radius(op: ReversibleOperator) -> float:

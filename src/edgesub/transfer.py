@@ -30,10 +30,10 @@ common zeros of psi and z - theta off the types of Q.  They serve the
 back to its host eigenvalue (`PipelineResult.transfer`, built on first
 access).
 
-The boundary kernels are float pole expansions over the same classified
-interior eigenvalues that give `solve_S1` its weights, so no exact solve
-builds them and the two agree on which interior eigenvalues are poles; at
-one z they are one (2, |V°|) table, a product over the sorted poles.
+The boundary kernels are float pole expansions over the same typed interior
+clusters that give `solve_S1` its weights, so no exact solve builds them and
+the two agree on which interior eigenvalues are poles; at one z they are one
+(2, |V°|) table, a product over the sorted poles.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ import numpy as np
 from .algebra import Polynomial, RationalFunction, interpolate_solves, solve_fraction_system
 # resolvent_matrix is unused here but stays importable: bench/spans.py traces it
 from .algebra import resolvent_matrix  # noqa: F401
-from .classify import classify_Qinterior
+from .classify import cluster_types
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
-from .operators import ReversibleOperator
+from .operators import ReversibleOperator, _eigenpairs
 # eigen is unused here but stays importable: bench/spans.py traces it
 from .operators import eigen  # noqa: F401
 from .substitution import SubstitutedGraph
@@ -133,31 +133,21 @@ class BoundaryKernels:
 
 
 def boundary_kernels(s: Substituent) -> BoundaryKernels:
-    """The kernels' pole expansions over `classify_Qinterior`.
+    """The kernels' pole expansions over the typed interior clusters.
 
     With the m-orthonormal eigenbasis B of an interior eigenvalue mu, the
-    residue of to_a is m(a) B B^T q(a, .), and that of to_b the same with b.
-    In the classified normal form these are r_a = S e + D o and
-    r_b = S e - D o, where e and o are the tails with boundary data (1, 1)
-    and (1, -1) and S, D are the secular weights of `solve_S1`.  A type-I°
-    mu has neither tail nor weight, so it is no pole.
+    residue of to_a is m(a) B B^T q(a, .), and that of to_b the same with b:
+    one product of `eigh`'s vectors with their boundary data and one segment
+    sum over the clusters.  The poles are the clusters of type II°, III° and
+    IV°, the ones with a secular weight in `solve_S1`; a type-I° mu has
+    neither weight nor boundary data, so it is no pole.
     """
-    typed = classify_Qinterior(s)
-    poles, residues = [], []
-    for t in typed:
-        if t.type == "I":
-            continue
-        tails = t.tails()
-        if t.type == "IV":
-            t01, t10 = tails.T
-            e, o = t01 + t10, t10 - t01
-        else:  # the one tail is e for II°, o for III°, and the other weight is 0
-            e = o = tails[:, 0]
-        poles.append(t.value)
-        residues.append(np.concatenate([t.S * e + t.D * o, t.S * e - t.D * o]))
-    order = np.argsort(poles)
-    residues = np.array(residues).reshape(len(poles), 2 * len(s.interior))
-    return BoundaryKernels(s, np.array(poles)[order], residues[order])
+    t = cluster_types(s, _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior)), "Qo")
+    at = t.boundary @ t.h  # B^T q(a, .) and B^T q(b, .), column by column
+    sums = np.add.reduceat(t.h[None] * at[:, None], t.starts, axis=2)
+    poles = np.flatnonzero(t.kind)[::-1]  # ascending values
+    residues = t.mass * sums[:, :, poles].transpose(2, 0, 1).reshape(len(poles), -1)
+    return BoundaryKernels(s, t.values[poles], residues)
 
 
 def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:

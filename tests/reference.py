@@ -4,20 +4,27 @@ pass of `classify` replaced, row sums of an operator, random orientations and
 the orientation independence of the spectrum of X[V], the identification map
 of X[V] one vertex at a time, the fundamental cycles of a cycle base as closed
 walks, the Chebyshev polynomials, the transfer extension as one broadcast of
-the two kernels, and the symmetrized operator one entry at a time."""
+the two kernels, the symmetrized operator one entry at a time, and the
+per-object spectrum that the array pass of `assemble` replaced: one
+`TypedEigenvalue` per cluster, one tuple per S1 root and one entry object
+per part, merged and formatted as the report does."""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import count
+from typing import Optional
 
 import numpy as np
 
 from edgesub.algebra import Polynomial
-from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map
+from edgesub.assemble import _arrowhead_eigenvalues, _host_shape
+from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map, classify_Q, classify_Qinterior
+from edgesub.errors import InvalidTypeCombination, TotalMismatch
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
-from edgesub.operators import EigenDecomposition, ReversibleOperator, eigen
+from edgesub.operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
 from edgesub.substitution import SubstitutedGraph, substitute
 from edgesub.transfer import BoundaryKernels
 
@@ -175,3 +182,185 @@ def symmetrized_per_entry(op: ReversibleOperator, rows, cols) -> np.ndarray:
             if hit is not None:
                 flat[start + hit[0]] = float(a) / math.sqrt(m[i] * hit[1])
     return s
+
+
+# -- the per-object spectrum ----------------------------------------------------
+
+
+def interior_multiplicity_cells(row: str, col: str, nu_o: int, n_X: int, n_E: int, delta_b: int) -> int:
+    """The interior table as a dict of its cells, rebuilt on every call: the
+    form that `assemble.interior_multiplicity`'s coefficient array replaced."""
+    E, X, d = n_E, n_X, delta_b
+    table = {
+        ("0", "I"): None,
+        ("0", "II"): E - X + d,
+        ("0", "III"): E - X + 1,
+        ("0", "IV"): 2 * E - X,
+        ("I", "I"): nu_o * E,
+        ("I", "II"): nu_o * E - X + d,
+        ("I", "III"): nu_o * E - X + 1,
+        ("I", "IV"): nu_o * E - X,
+        ("II", "I"): nu_o * E + 1,
+        ("II", "II"): nu_o * E - X + 1 + d,
+        ("II", "III"): nu_o * E - X + 2,
+        ("II", "IV"): nu_o * E - X + 1,
+        ("III", "I"): nu_o * E + d,
+        ("III", "II"): nu_o * E - X + 2 * d,
+        ("III", "III"): nu_o * E - X + 1 + d,
+        ("III", "IV"): nu_o * E - X + d,
+        ("IV", "I"): nu_o * E + X,
+        ("IV", "II"): nu_o * E + d,
+        ("IV", "III"): nu_o * E + 1,
+        ("IV", "IV"): nu_o * E,
+    }
+    if (row, col) not in table:
+        raise InvalidTypeCombination(f"({row}, {col})")
+    value = table[(row, col)]
+    if value is None:
+        raise InvalidTypeCombination(f"({row}, {col}°) cannot occur")
+    if value < 0:
+        raise InvalidTypeCombination(f"({row}, {col}°) gives the negative multiplicity {value}")
+    return value
+
+
+def solve_S1_triples(s, interior: list[TypedEigenvalue], spec_P: EigenDecomposition, excluded):
+    """`assemble.solve_S1` over classified interior eigenvalues and (point,
+    lambda or None) exclusion pairs, as (root, lambda, nu_P) triples."""
+    g = s.graph
+    q_ab = float(g.conductance(s.a, s.b) / g.m(s.a))
+    lams = np.array(spec_P.values)
+    lams[0] = 1.0
+    if spec_P.operator.graph.delta_b:
+        lams[-1] = -1.0
+    mus, S, D = (np.array([getattr(t, f) for t in interior]) for f in ("value", "S", "D"))
+    w = np.outer(1 + lams, S) + np.outer(1 - lams, D)
+    positive = w > 0
+    batches: dict[bytes, list[int]] = {}
+    for i, row in enumerate(positive):
+        batches.setdefault(row.tobytes(), []).append(i)
+    roots, owner = [], []
+    for idx in batches.values():
+        live = positive[idx[0]]
+        found = _arrowhead_eigenvalues(lams[idx] * q_ab, mus[live], w[np.ix_(idx, live)])
+        roots.append(found.ravel())
+        owner.append(np.repeat(idx, found.shape[1]))
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
+    if excluded:
+        points = np.array([p for p, _ in excluded])
+        values = np.array([np.nan if v is None else v for _, v in excluded])
+        near = np.abs(roots[:, None] - points[None, :]) <= CLUSTER_TOL
+        same = np.isnan(values) | (np.abs(lams[owner][:, None] - values[None, :]) <= CLUSTER_TOL)
+        keep = ~np.any(near & same, axis=1)
+        roots, owner = roots[keep], owner[keep]
+    order = np.lexsort((roots, owner))
+    return [(float(roots[k]), spec_P.values[owner[k]], spec_P.multiplicities[owner[k]]) for k in order]
+
+
+@dataclass(frozen=True)
+class Entry:
+    value: float
+    nu: int
+    provenance: tuple[str, ...]
+
+    def describe(self) -> str:
+        return f"{self.value:+.12f}  nu={self.nu}  [{'; '.join(self.provenance)}]"
+
+
+@dataclass
+class PerObjectReport:
+    entries: list[Entry]
+    exc: list[tuple[float, str]]
+    gap: Optional[tuple[float, float]]
+    total: int
+    expected_total: int
+    delta_b: int
+    host_is_tree: bool
+    host_is_odd_unicyclic: bool
+
+    def to_text(self) -> str:
+        lines = ["spectrum-report", f"  setting cluster_tol = {CLUSTER_TOL}"]
+        lines.append(f"  delta_b = {self.delta_b}")
+        lines.append(f"  host_is_tree = {self.host_is_tree}")
+        lines.append(f"  host_is_odd_unicyclic = {self.host_is_odd_unicyclic}")
+        lines.append(f"  total = {self.total} / {self.expected_total}")
+        if self.gap is not None:
+            lines.append(f"  gap lambda1 = {self.gap[0]:.12f} lambda1* = {self.gap[1]:.12f}")
+        for fval, rule in self.exc:
+            lines.append(f"  excluded {fval:+.12f} (rule {rule})")
+        lines.append("  entries:")
+        for e in self.entries:
+            lines.append("    " + e.describe())
+        return "\n".join(lines)
+
+
+def _exceptional_per_object(X: WeightedGraph, rows) -> list[tuple[float, str]]:
+    is_tree, is_odd_unicyclic = _host_shape(X)
+    if not (is_tree or is_odd_unicyclic):
+        return []
+    out = []
+    for t, qt in rows:
+        if is_tree:
+            dropped = qt is None and (t.type in ("II", "III") or t.type == "IV" and X.n == 2)
+        else:
+            dropped = t.nu == 1 and t.type == "II" and (qt is None or qt.type == "III" and qt.nu == 1)
+        if dropped:
+            out.append((t.value, "A" if is_tree else "B"))
+    return out
+
+
+def _merge(entries: list[Entry]) -> list[Entry]:
+    merged: list[Entry] = []
+    for e in sorted(entries, key=lambda x: -x.value):
+        if merged and abs(merged[-1].value - e.value) <= CLUSTER_TOL:
+            prev = merged[-1]
+            merged[-1] = Entry(prev.value, prev.nu + e.nu, prev.provenance + e.provenance + ("MergedProvenance",))
+        else:
+            merged.append(e)
+    return merged
+
+
+def _gap_per_object(entries, s1, spec_P, X, s) -> Optional[tuple[float, float]]:
+    if X.n < 3:
+        return None
+    lam1 = spec_P.values[1]
+    if not s.graph.connected_on(s.interior) and lam1 < 0:
+        return None
+    roots = [root for root, lam, _ in s1 if lam == lam1]
+    if not roots:
+        return None
+    second = sorted((e.value for e in entries), reverse=True)[1]
+    return (lam1, max(roots)) if abs(second - max(roots)) <= 1e-9 else None
+
+
+def assemble_per_object(X: WeightedGraph, s: Substituent) -> PerObjectReport:
+    """The spectrum report of X[V] one object at a time: classified lists,
+    (root, lambda, nu) triples, one entry per part, merged in order."""
+    spec_P = eigen(ReversibleOperator.full(X))
+    cQ, cI = classify_Q(s), classify_Qinterior(s)
+    rows = [(t, next((q for q in cQ if abs(q.value - t.value) <= CLUSTER_TOL), None)) for t in cI]
+    n_X, n_E, delta_b = X.n, X.num_edges, X.delta_b
+    s2 = sorted(
+        t.value for t in cQ
+        if t.type == "IV" and t.nu == 2 and all(abs(t.value - mu.value) > CLUSTER_TOL for mu in cI)
+    )
+    counted = [(p, None) for p in s2]
+    for t, qt in rows:
+        if qt is not None:
+            counted += [(t.value, lam) for lam in {"II": [1.0], "III": [-1.0], "IV": [None]}.get(qt.type, [])]
+    s1 = solve_S1_triples(s, cI, spec_P, counted)
+    entries = [Entry(root, nu, (f"S1: phi({root:.6f}) = {lam:.6f}, nu_P={nu}",)) for root, lam, nu in s1]
+    entries += [Entry(p, n_X, ("S2",)) for p in s2]
+    for t, qt in rows:
+        row = qt.type if qt is not None else "0"
+        nu_star = interior_multiplicity_cells(row, t.type, t.nu, n_X, n_E, delta_b)
+        if nu_star > 0:
+            entries.append(Entry(t.value, nu_star, (f"Interior: ({row}, {t.type}°)",)))
+    entries = _merge(entries)
+    report = PerObjectReport(
+        entries, _exceptional_per_object(X, rows), None, sum(e.nu for e in entries),
+        n_X + n_E * (s.graph.n - 2), delta_b, *_host_shape(X),
+    )
+    if report.total != report.expected_total:
+        raise TotalMismatch(report.to_text())
+    report.gap = _gap_per_object(entries, s1, spec_P, X, s)
+    return report

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,8 +292,12 @@ class TestRootFinder:
     def test_s1_and_gap_are_python_floats(self):
         s = chorded_square_substituent()
         result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), s)
-        counted = [(mu, None) for mu in result.spec_interior.values]
-        s1 = solve_S1(s, result.classified_interior, result.spec_P, counted)
-        assert s1 and all(type(r) is float and type(lam) is float and type(nu) is int for r, lam, nu in s1)
+        points = np.array(result.spec_interior.values)
+        s1 = solve_S1(s, result.types_interior, result.spec_P, points, np.full(len(points), np.nan))
+        assert len(s1) and s1.roots.dtype == np.float64 and s1.lam_index.dtype.kind == "i"
+        # the report keeps arrays; the entries built from them hold Python numbers
+        entries = result.report.entries
+        assert all(type(e.value) is float and type(e.nu) is int for e in entries)
+        assert all(type(k) is int for e in entries for k in e.lam_index)
         assert result.report.gap is not None
         assert all(type(v) is float for v in result.report.gap)

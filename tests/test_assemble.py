@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesub.algebra import poly_gcd, real_roots_in_interval
-from edgesub.assemble import assemble, interior_multiplicity, solve_S2
-from edgesub.classify import classify_Q, classify_Qinterior
+from edgesub.assemble import _PROVENANCE, assemble, interior_multiplicity, solve_S1, solve_S2
+from edgesub.classify import classify_Qinterior, cluster_types
 from edgesub.errors import InvalidTypeCombination
 from edgesub.fixtures import (
     chorded_square_substituent,
@@ -21,13 +21,13 @@ from edgesub.fixtures import (
     star_host,
 )
 from edgesub.graph import Orientation, Substituent, WeightedGraph, fundamental_cycle_base
-from edgesub.operators import CLUSTER_TOL, ReversibleOperator
+from edgesub.operators import CLUSTER_TOL, ReversibleOperator, _eigenpairs
 from edgesub.oracle import direct_spectrum
 from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance, sweep_instances
-from reference import cycle_walk
+from reference import assemble_per_object, cycle_walk, interior_multiplicity_cells
 
 
 def _run(X, s, **kw):
@@ -139,6 +139,28 @@ class TestMultiplicityTable:
         for col, extra in (("I", 4), ("II", 1), ("III", 1), ("IV", 0)):
             assert interior_multiplicity("IV", col, 1, 4, 6, 1) >= 6
 
+    def test_every_cell_equals_the_dict_of_cells(self):
+        # the coefficient table against the dict it replaced, value or message
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except InvalidTypeCombination as exc:
+                return str(exc)
+
+        checked = 0
+        for row in ("0", "I", "II", "III", "IV", "V"):
+            for col in ("I", "II", "III", "IV"):
+                for nu_o in (1, 2, 3):
+                    for n_X in (2, 3, 5):
+                        for n_E in (1, 2, 4, 7):
+                            for delta_b in (0, 1):
+                                args = (row, col, nu_o, n_X, n_E, delta_b)
+                                got = outcome(interior_multiplicity, *args)
+                                assert got == outcome(interior_multiplicity_cells, *args), args
+                                assert type(got) in (int, str)
+                                checked += isinstance(got, str) and "negative" in got
+        assert checked > 0
+
 
 class TestExceptionalRules:
     def test_tree_host_rule_A(self):
@@ -244,16 +266,16 @@ class TestS2:
         subs += [random_substituent(rng, max_v=10) for _ in range(300)]
         nonempty = 0
         for s in subs:
-            interior = [t.value for t in classify_Qinterior(s)]
+            interior = np.array([t.value for t in classify_Qinterior(s)])
             tf = compute_transfer(s)
             want = [
                 root for root in real_roots_in_interval(poly_gcd(tf.psi.num, tf.z_minus_theta.num), -1, 1)
                 if all(abs(root - mu) > CLUSTER_TOL for mu in interior)
             ]
-            got = solve_S2(classify_Q(s), interior)
+            got = solve_S2(cluster_types(s, _eigenpairs(ReversibleOperator.full(s.graph)), "Q"), interior)
             assert len(got) == len(want)
             assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
-            nonempty += bool(got)
+            nonempty += bool(len(got))
         assert nonempty >= 10
 
 
@@ -503,3 +525,89 @@ class TestS1AgainstOracle:
         # the table counts the roots for lambda = +1 and -1 only
         result = _run(*sweep_instance(seed, index), build_families=False)
         assert _oracle_agrees(result, tol=1e-8)
+
+
+# the three chains of proximity merges on the sweep (ROADMAP F4): entries
+# whose first value takes in roots up to the next entry
+F4_CHAINS = [(2, 175), (3, 147), (4, 195)]
+
+
+def _assert_report_matches_the_per_object_path(X, s):
+    result = _run(X, s, build_families=False)
+    want = assemble_per_object(X, s)
+    got = result.report
+    assert got.to_text() == want.to_text()
+    assert [(e.value, e.nu, e.provenance) for e in got.entries] == [
+        (e.value, e.nu, e.provenance) for e in want.entries
+    ]
+    assert got.exc == want.exc
+    assert got.gap == want.gap
+    return result
+
+
+class TestArrayReportAgainstThePerObjectPath:
+    """The report built on arrays has the entries, exceptional set, gap and
+    text of the per-object path, bitwise."""
+
+    def test_sweep_seed_1(self):
+        for X, s in sweep_instances(1, 338):
+            _assert_report_matches_the_per_object_path(X, s)
+
+    @pytest.mark.parametrize("seed, index", F4_CHAINS, ids=str)
+    def test_merge_chains(self, seed, index):
+        result = _assert_report_matches_the_per_object_path(*sweep_instance(seed, index))
+        assert any(e.provenance.count("MergedProvenance") for e in result.report.entries)
+
+    def test_workload_fixtures(self):
+        subs = [path_substituent(L) for L in (2, 3, 4, 5, 10, 15)] + [chorded_square_substituent()]
+        subs += [circle_substituent(L, p) for L in (2, 3) for p in ("antipodal", "adjacent")]
+        subs += [circle_substituent(7, "antipodal"), circle_substituent(6, "adjacent")]
+        for s in subs:
+            for X in (cycle_host(6), cycle_host(7), path_host(5), star_host(5)):
+                _assert_report_matches_the_per_object_path(X, s)
+
+
+class TestSpectrumOnlyBuildsNoObjects:
+    """Spectrum-only `assemble` reads the typing arrays alone: the normal
+    forms and the report entries are built on first read."""
+
+    def _record_s1(self, monkeypatch):
+        found = []
+
+        def recorded(*args):
+            found.append(solve_S1(*args))
+            return found[-1]
+
+        # the package rebinds edgesub.assemble to the function of that name
+        monkeypatch.setattr(sys.modules["edgesub.assemble"], "solve_S1", recorded)
+        return found
+
+    def test_classified_lists_and_entries_unbuilt(self, monkeypatch):
+        found = self._record_s1(monkeypatch)
+        for X, s in sweep_instances(1, 60):
+            found.clear()
+            result = _run(X, s, build_families=False)
+            assert not {"classified_Q", "classified_interior"} & set(result.__dict__)
+            assert "entries" not in result.report.__dict__
+            (s1,) = found
+            # bench/spans.py counts assemble.s1_roots with len
+            assert len(s1) == len(s1.roots) == int(np.sum(result.report.code == _PROVENANCE.index("S1")))
+            assert result.classified_Q and "classified_Q" in result.__dict__
+
+    def test_lam_index_is_the_host_cluster_of_each_root(self, monkeypatch):
+        found = self._record_s1(monkeypatch)
+        for X, s in [*sweep_instances(1, 100), *(sweep_instance(*c) for c in F4_CHAINS)]:
+            found.clear()
+            result = _run(X, s, build_families=False)
+            (s1,) = found
+            report, values = result.report, result.spec_P.values
+            is_s1 = report.code == _PROVENANCE.index("S1")
+            pairs = sorted(zip(report.value[is_s1].tolist(), report.lam_index[is_s1].tolist()))
+            assert pairs == sorted(zip(s1.roots.tolist(), s1.lam_index.tolist()))
+            for e in report.entries:
+                labels = [p for p in e.provenance if p.startswith("S1")]
+                assert len(labels) == len(e.lam_index)
+                for label, k in zip(labels, e.lam_index):
+                    assert f" = {values[k]:.6f}, nu_P={result.spec_P.multiplicities[k]}" in label
+                if labels and len(e.provenance) == 1:
+                    assert (e.value, e.lam_index[0]) in pairs

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesub import operators
+from edgesub import classify, operators
 from edgesub.assemble import assemble
 from edgesub.classify import (
     RANK_TOL,
     TypedEigenvalue,
     _boundary_map,
-    _classify,
     _type_clusters,
     classify_Q,
     classify_Qinterior,
+    cluster_types,
 )
 from edgesub.errors import InvalidTypeCombination
 from edgesub.fixtures import (
@@ -441,7 +441,7 @@ def _check_array_pass_matches_per_cluster(s: Substituent):
         ("Qo", ReversibleOperator.restricted(s.graph, s.interior)),
     ):
         dec = _eigenpairs(op)
-        got, want = _classify(s, dec, source), classify_per_cluster(s, dec, source)
+        got, want = cluster_types(s, dec, source).normal_forms(), classify_per_cluster(s, dec, source)
         assert len(got) == len(want)
         for t, r in zip(got, want):
             assert (t.value, t.type, t.nu, t.nu_prime, t.ambiguous) == (
@@ -454,15 +454,42 @@ def _check_array_pass_matches_per_cluster(s: Substituent):
             assert np.max(np.abs(t.basis - r.basis)) <= 1e-12 * scale
 
 
+def _assert_bitwise_equal(got: list[TypedEigenvalue], want: list[TypedEigenvalue]):
+    assert len(got) == len(want)
+    for t, r in zip(got, want):
+        assert (t.value, t.source, t.type, t.nu, t.nu_prime, t.ambiguous, t.S, t.D) == (
+            r.value, r.source, r.type, r.nu, r.nu_prime, r.ambiguous, r.S, r.D
+        )
+        assert t.basis.shape == r.basis.shape and t.basis.tobytes() == r.basis.tobytes()
+
+
+def _check_normal_forms_on_first_read(s: Substituent):
+    """`assemble` types Q and Q° from one symmetrized matrix and builds their
+    normal forms on first read: bitwise those of `classify_Q` and
+    `classify_Qinterior`, each from its own factorization, which
+    `_check_array_pass_matches_per_cluster` holds to the per-cluster
+    reference."""
+    X = cycle_host(3)
+    result = assemble(X, Orientation.default(X), s, build_families=False)
+    assert not {"classified_Q", "classified_interior"} & set(result.__dict__)
+    _assert_bitwise_equal(result.classified_Q, classify_Q(s))
+    _assert_bitwise_equal(result.classified_Q, classify_Q(s, result.spec_Q))
+    _assert_bitwise_equal(result.classified_interior, classify_Qinterior(s))
+    _assert_bitwise_equal(result.classified_interior, classify_Qinterior(s, result.spec_interior))
+
+
 class TestArrayPassAgainstThePerClusterClassifier:
     @pytest.mark.parametrize("s", _fixture_substituents())
     def test_fixtures(self, s):
         _check_array_pass_matches_per_cluster(s)
+        _check_normal_forms_on_first_read(s)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=10))
     def test_random_substituents(self, seed, max_v):
-        _check_array_pass_matches_per_cluster(random_substituent(random.Random(seed), max_v=max_v))
+        s = random_substituent(random.Random(seed), max_v=max_v)
+        _check_array_pass_matches_per_cluster(s)
+        _check_normal_forms_on_first_read(s)
 
     def test_a_simple_eigenvalue_keeping_both_norms_raises(self):
         # |s|/sqrt(2) = 1.3/sqrt(2) and |d|/sqrt(2) = 0.7/sqrt(2) are both kept
@@ -519,6 +546,23 @@ class TestOneFactorizationPerOperator:
         assemble(X, Orientation.default(X), s, build_families=False)
         n = s.graph.n
         assert sorted(calls) == sorted([("eigh", (n, n)), ("eigh", (n - 2, n - 2)), host_call])
+
+    def test_one_typing_per_operator(self, monkeypatch):
+        """With the families, which read the normal forms of Q°, `assemble`
+        still types Q and Q° once each."""
+        sources = []
+        real = classify._type_clusters
+
+        def recorded(*args):
+            sources.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(classify, "_type_clusters", recorded)
+        for s in (chorded_square_substituent(), circle_substituent(4, "adjacent"), _order_four_substituent()):
+            sources.clear()
+            result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), s, build_families=True)
+            assert result.nodal_families and result.classified_Q
+            assert sources == ["Q", "Qo"]
 
     @pytest.mark.parametrize("s", [chorded_square_substituent(), path_substituent(6), _order_four_substituent()])
     def test_boundary_kernels(self, s, monkeypatch):

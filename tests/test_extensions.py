@@ -144,7 +144,7 @@ class TestTransferExtension:
 
 def _s1_transfer_extensions(X, s, monkeypatch):
     """The transfer extension of every S1 root and host eigenvector of its
-    lambda, with the (root, lambda, nu) triples that `assemble` reads from
+    lambda, with the roots and host clusters that `assemble` reads from
     `solve_S1`."""
     for sub, kernels, f_host, root in _s1_pairs(X, s, monkeypatch):
         yield sub, transfer_extension(sub, kernels, f_host, root, None)
@@ -153,18 +153,19 @@ def _s1_transfer_extensions(X, s, monkeypatch):
 def _s1_pairs(X, s, monkeypatch):
     """(layout, kernels, host eigenvector, S1 root) for every S1 root and
     every column of the host basis of its lambda."""
-    triples = []
+    pairs = []
 
     def recorded(*args):
-        triples.extend(solve_S1(*args))
-        return triples[:]
+        found = solve_S1(*args)
+        pairs.extend(zip(found.roots.tolist(), found.lam_index.tolist()))
+        return found
 
     # the package rebinds edgesub.assemble to the function of that name
     monkeypatch.setattr(sys.modules["edgesub.assemble"], "solve_S1", recorded)
     result = assemble(X, Orientation.default(X), s, build_families=False)
     kernels = boundary_kernels(s)
-    for root, lam, _ in triples:
-        basis = result.spec_P.bases[result.spec_P.values.index(lam)]
+    for root, k in pairs:
+        basis = result.spec_P.bases[k]
         for f_host in basis.T:
             yield result.substituted, kernels, f_host, root
 

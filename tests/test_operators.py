@@ -193,7 +193,7 @@ class TestEigen:
             assert op.symmetrized().tobytes() == want.tobytes()
             w, u = np.linalg.eigh(want)
             m = np.sqrt([float(op.measure(i)) for i in full])
-            got_w, got_h = _descending_eigh(op)
+            got_w, got_h = _descending_eigh(*op._symmetrized_and_measures())
             assert got_w.tobytes() == w[::-1].tobytes()
             assert got_h.tobytes() == (u[:, ::-1] / m[:, None]).tobytes()
             colours = op.graph.bipartition()

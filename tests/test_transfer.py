@@ -220,12 +220,12 @@ def _reference_kernels(s):
     return col_a + col_b
 
 
-def _assert_matches_reference(kernels, exact, z):
-    """`eval_interior(z)` within 1e-10 of the exact kernels at Fraction(z),
+def _assert_matches_reference(kernels, exact, z, tol=1e-10):
+    """`eval_interior(z)` within `tol` of the exact kernels at Fraction(z),
     relative to max(1, |exact value|)."""
     want = np.array([float(f.eval_exact(Fraction(z))) for f in exact])
     got = np.concatenate(kernels.eval_interior(z))
-    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), (z, got, want)
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))), (z, got, want)
 
 
 def _single_edge(s):
@@ -348,7 +348,7 @@ class TestKernelsFromOneColumn:
     some exact kernel has one."""
 
     @staticmethod
-    def _check(s, rng):
+    def _check(s, rng, tol=1e-10):
         kernels, exact = boundary_kernels(s), _reference_kernels(s)
         poles = [p for den in {f.den for f in exact} for p in real_roots_in_interval(den, -1, 1)]
         interior_spec = eigen(ReversibleOperator.restricted(s.graph, s.interior)).values
@@ -357,7 +357,7 @@ class TestKernelsFromOneColumn:
                 with pytest.raises(TooCloseToInteriorSpectrum):
                     kernels.eval_interior(z)
             else:
-                _assert_matches_reference(kernels, exact, z)
+                _assert_matches_reference(kernels, exact, z, tol)
 
     @pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
     def test_workload_fixtures(self, name):
@@ -367,6 +367,15 @@ class TestKernelsFromOneColumn:
         rng = random.Random(62)
         for _ in range(60):
             self._check(random_substituent(rng, max_v=10), rng)
+
+    def test_residues_keep_what_typing_rounds_away(self):
+        # the residues m(a) B B^T q(a, .) over each cluster keep the terms
+        # that the rank rule zeroes in a II° or III° cluster's boundary data;
+        # residues from the typed tails read 2.4e-11 on the 4th draw, a
+        # III°/II° pair 5e-6 apart at -0.22135, where these read 1e-14
+        draws = random.Random(62)
+        for i in range(60):
+            self._check(random_substituent(draws, max_v=10), random.Random(i), tol=1e-12)
 
     def test_no_exact_solve(self, monkeypatch):
         def forbidden(*args):
@@ -385,11 +394,11 @@ class TestPhiAtS1Roots:
     float value is the plain quotient."""
 
     def test_phi_maps_each_root_into_the_cluster_of_its_lambda(self, monkeypatch):
-        triples = []
+        pairs = []
 
         def recorded(*args):
             found = solve_S1(*args)
-            triples.extend(found)
+            pairs.extend(zip(found.roots.tolist(), found.lam_index.tolist()))
             return found
 
         # the package rebinds edgesub.assemble to the function of that name
@@ -398,12 +407,12 @@ class TestPhiAtS1Roots:
         for _ in range(10):
             X = random_host(rng, max_n=12, min_n=3)
             s = random_substituent(rng, max_v=16, min_interior=10)
-            triples.clear()
+            pairs.clear()
             result = assemble(X, Orientation.default(X), s, build_families=False)
             phi, spec = result.transfer.phi, result.spec_P
-            assert triples
-            for root, lam, _ in triples:
-                assert spec.cluster_near(phi.eval_float(root)) == spec.values.index(lam)
+            assert pairs
+            for root, k in pairs:
+                assert spec.cluster_near(phi.eval_float(root)) == k
 
 
 class TestResolventIdentity:
