@@ -4,17 +4,21 @@ Coefficient lists are stored lowest degree first.  Rational functions are
 kept reduced (gcd cancelled, monic denominator) so that equality is plain
 structural equality; the library builds each one as a single reduced
 quotient, and their field arithmetic serves the tests as reference algebra.
-Also provides exact linear solving over Fraction, resolvent columns
-(zI - M)^{-1} c over det(zI - M), and exact isolation of the real roots of a
-polynomial in an interval.
+Reduction runs in integers: numerator and denominator are scaled to integer
+coefficients, `poly_gcd` runs a primitive pseudo-remainder sequence, the
+divisions by the gcd are exact integer divisions, and each coefficient of the
+result is made a Fraction once, at the end.
 
-The resolvent is never eliminated over the rational-function field:
-det(zI - M) and det(zI - M) (zI - M)^{-1} c are polynomials in z of degree at
-most k = dim M, so `interpolate_solves` interpolates them, or fixed
-combinations of them, from one exact fraction-free (Bareiss) elimination in
-integers at each of k + 1 integer nodes.  The transfer functions interpolate
-three such series and are four quotients of them, `resolvent_matrix` 1 + k
-per column; each result is reduced once when its RationalFunction is built.
+Also provides exact linear solving over Fraction, and exact isolation of the
+real roots of a polynomial in an interval.
+
+The resolvent is never eliminated over the rational-function field, and no
+polynomial is interpolated: with M scaled to an integer matrix N = mu M,
+zI - M = (wI - N) / mu at w = mu z, and one Faddeev-LeVerrier pass over the
+integers (`adjugate_series`) gives det(wI - N) and the columns
+adj(wI - N) c = sum_j w^(k-1-j) B_j c, k = dim M.  `resolvent_matrix` is
+1 + k per column reduced quotients of these series, and the transfer
+functions read theirs off the same pass.
 
 Real roots are isolated exactly: a Sturm sequence over Fraction counts the
 distinct roots of the square-free part in an interval, and bisection at
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def _as_fraction(x) -> Fraction:
@@ -131,11 +135,6 @@ class Polynomial:
             rem.pop()
         return Polynomial(q), Polynomial(rem)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
@@ -181,12 +180,111 @@ def _as_poly(x) -> Polynomial:
     return Polynomial.const(_as_fraction(x))
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero() else r
-    return a.monic() if not a.is_zero() else a
+def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
+    """p times the positive lcm of its denominators, as integer coefficients
+    with the same signs, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs over the gcd of its entries, signed so that the leading entry is
+    positive; [] stays []."""
+    if not cs:
+        return cs
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, b nonzero.
+
+    Each step scales the partial remainder by lead(b) / g and takes
+    lead(r) / g times the shifted b, g = gcd(lead(r), lead(b)), so that the
+    leading term cancels in integers."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        f = r.pop()
+        g = math.gcd(f, lead)
+        s, t = lead // g, f // g
+        if s != 1:
+            r = [s * x for x in r]
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= t * b[i]
+        _trim(r)
+    return r
+
+
+def _exact_quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
+    """a / g for integer coefficient lists whose quotient has integer
+    coefficients, as when g is primitive and divides a (Gauss's lemma)."""
+    r = list(a)
+    lead, dg = g[-1], len(g) - 1
+    q = [0] * (len(a) - dg)
+    for k in reversed(range(len(q))):
+        f = q[k] = r[k + dg] // lead
+        if f:
+            for i in range(dg):
+                r[k + i] -= f * g[i]
+    return q
+
+
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def poly_gcd(a, b):
+    """Greatest common divisor by a primitive pseudo-remainder sequence in
+    integers.
+
+    Two Polynomials give their monic gcd, scaled to integer coefficients by
+    `_integer_coeffs` first.  Two integer coefficient lists (lowest degree
+    first, no trailing zeros) give their primitive gcd with a positive
+    leading coefficient, and make no Fraction.  The gcd of two zeros is zero.
+    """
+    if isinstance(a, Polynomial):
+        g = _primitive_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
+        return Polynomial([Fraction(c, g[-1]) for c in g])
+    return _primitive_gcd(a, b)
+
+
+def _reduce(
+    num: list[int], den: list[int], scale_num: int, scale_den: int, mu: int
+) -> tuple[Polynomial, Polynomial]:
+    """The reduced numerator and monic denominator of
+    (scale_num / scale_den) num(w) / den(w) at w = mu z, mu > 0, for integer
+    coefficient lists: one `poly_gcd`, exact integer divisions, and one
+    Fraction per coefficient of the result."""
+    num, den = _trim(list(num)), _trim(list(den))
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return Polynomial(), Polynomial([1])
+    g = poly_gcd(num, den)
+    if len(g) > 1:
+        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+    powers = [1]
+    for _ in range(max(len(num), len(den)) - 1):
+        powers.append(powers[-1] * mu)
+    lead = den[-1] * powers[len(den) - 1]
+    top = scale_den * lead
+    return (
+        Polynomial([Fraction(scale_num * c * p, top) for c, p in zip(num, powers)]),
+        Polynomial([Fraction(c * p, lead) for c, p in zip(den, powers)]),
+    )
 
 
 @dataclass(frozen=True)
@@ -197,21 +295,8 @@ class RationalFunction:
     den: Polynomial
 
     def __init__(self, num, den=Polynomial([1])):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Polynomial([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.leading()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+        (n, n_scale), (d, d_scale) = _integer_coeffs(_as_poly(num)), _integer_coeffs(_as_poly(den))
+        num, den = _reduce(n, d, d_scale, n_scale, 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -224,6 +309,19 @@ class RationalFunction:
     @staticmethod
     def z() -> "RationalFunction":
         return RationalFunction(Polynomial.z())
+
+    @staticmethod
+    def from_integers(
+        num: Sequence[int], den: Sequence[int], scale_num: int = 1, scale_den: int = 1, mu: int = 1
+    ) -> "RationalFunction":
+        """(scale_num / scale_den) num(w) / den(w) at w = mu z, reduced, for
+        integer coefficient lists and mu > 0: no Fraction arithmetic before
+        the coefficients of the result."""
+        out = object.__new__(RationalFunction)
+        num, den = _reduce(num, den, scale_num, scale_den, mu)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -346,61 +444,67 @@ def solve_fraction_system(
     return [v / det for v in adjugate_columns[0]]
 
 
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial:
-    """The polynomial of degree < len(nodes) through (nodes, values), by
-    Newton divided differences expanded into the monomial basis."""
-    c = list(values)
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
-    coeffs = [c[-1]]
-    for i in range(len(nodes) - 2, -1, -1):  # coeffs := coeffs * (z - x_i) + c_i
-        coeffs = [c[i] - nodes[i] * coeffs[0]] + [
-            lo - nodes[i] * hi for lo, hi in zip(coeffs, coeffs[1:])
-        ] + [coeffs[-1]]
-    return Polynomial(coeffs)
+def adjugate_series(
+    matrix: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+) -> tuple[list[int], list[list[list[int]]]]:
+    """det(wI - N), lowest degree first, and for each column c the vectors
+    B_0 c, ..., B_{k-1} c, where adj(wI - N) = sum_j w^(k-1-j) B_j, for a
+    k x k integer matrix N and integer columns.
 
-
-def interpolate_solves(
-    matrix: Sequence[Sequence[Fraction]],
-    columns: Sequence[Sequence[Fraction]],
-    sample: Callable[[Fraction, list[list[Fraction]]], Sequence[Fraction]],
-) -> list[Polynomial]:
-    """The polynomials in z whose values at z are `sample(det, columns)`,
-    where det = det(zI - M) and columns holds det (zI - M)^{-1} c for each c.
-
-    Each is interpolated, so must have degree at most k = dim M, from exact
-    solves at k + 1 integer nodes z = 2, 3, ...; a node where zI - M is
-    singular (an integer eigenvalue of M) is skipped.
+    One Faddeev-LeVerrier pass in integers: B_0 = I, then
+    c_{k-j} = -tr(N B_{j-1}) / j, an exact division, and
+    B_j = N B_{j-1} + c_{k-j} I.  The products run over the nonzero entries
+    of N, and B_j c = N B_{j-1} c + c_{k-j} c follows on vectors.
     """
     k = len(matrix)
-    shifted = [[-v for v in row] for row in matrix]
-    nodes: list[int] = []
-    samples: list[Sequence[Fraction]] = []
-    z = 1
-    while len(nodes) < k + 1:
-        z += 1
-        for i, row in enumerate(shifted):
-            row[i] = z - matrix[i][i]
-        det, adjugate_columns = _eliminate(shifted, columns)
-        if det != 0:
-            nodes.append(z)
-            samples.append(sample(det, adjugate_columns))
-    return [_interpolate(nodes, series) for series in zip(*samples)]
+    rows = [[(v, x) for v, x in enumerate(row) if x] for row in matrix]
+    charpoly = [0] * k + [1]
+    series = [[list(c)] for c in columns]
+    B = [list(row) for row in matrix]  # N B_0
+    for j in range(1, k + 1):
+        c = -sum(B[i][i] for i in range(k)) // j
+        charpoly[k - j] = c
+        if j == k:
+            break
+        for i in range(k):
+            B[i][i] += c
+        for col, s in zip(columns, series):
+            v = s[-1]
+            s.append([sum(x * v[t] for t, x in r) + c * y for r, y in zip(rows, col)])
+        B = [_combine(r, B, k) for r in rows]  # N B_j
+    return charpoly, series
+
+
+def _combine(row: Sequence[tuple[int, int]], B: Sequence[Sequence[int]], k: int) -> list[int]:
+    """sum x B[v] over the nonzero entries (v, x) of a row."""
+    if not row:
+        return [0] * k
+    (v, x), *rest = row
+    acc = [x * y for y in B[v]]
+    for v, x in rest:
+        acc = [a + x * y for a, y in zip(acc, B[v])]
+    return acc
 
 
 def resolvent_matrix(
     matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
 ) -> list[list[RationalFunction]]:
     """The columns (zI - M)^{-1} c for each given column c, as reduced
-    rational functions over det(zI - M): 1 + k * len(columns) interpolated
-    series, k = dim M."""
+    rational functions: with N = mu M and C = l c integral,
+    (zI - M)^{-1} c = (mu / l) adj(wI - N) C / det(wI - N) at w = mu z,
+    from one `adjugate_series` pass."""
     k = len(matrix)
-    det, *entries = interpolate_solves(
-        matrix, columns, lambda det, adjugate: [det, *(v for col in adjugate for v in col)]
-    )
+    mu = math.lcm(*(v.denominator for row in matrix for v in row))
+    N = [[v.numerator * (mu // v.denominator) for v in row] for row in matrix]
+    scales = [math.lcm(*(v.denominator for v in col)) for col in columns]
+    C = [[v.numerator * (l // v.denominator) for v in col] for col, l in zip(columns, scales)]
+    det, series = adjugate_series(N, C)
     return [
-        [RationalFunction(p, det) for p in entries[j * k : (j + 1) * k]] for j in range(len(columns))
+        [
+            RationalFunction.from_integers([s[k - 1 - i][u] for i in range(k)], det, mu, l, mu)
+            for u in range(k)
+        ]
+        for s, l in zip(series, scales)
     ]
 
 
@@ -409,12 +513,6 @@ def resolvent_matrix(
 # ---------------------------------------------------------------------------
 
 _ROOT_BITS = 60  # a root is refined to an interval narrower than 2^-_ROOT_BITS
-
-
-def _integer_coeffs(p: Polynomial) -> list[int]:
-    """p times the positive lcm of its denominators: same signs, integer coefficients."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * scale) for c in p.coeffs]
 
 
 def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
@@ -434,7 +532,7 @@ def _sturm_sequence(p: Polynomial) -> list[list[int]]:
         if rem.is_zero():
             break
         seq.append(rem.scale(-1 / abs(rem.leading())))
-    return [_integer_coeffs(s) for s in seq]
+    return [_integer_coeffs(s)[0] for s in seq]
 
 
 def _refine(coeffs: Sequence[int], a: Fraction, b: Fraction) -> Fraction:

@@ -190,12 +190,13 @@ class Substituent:
 
 
 def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
+    """perm is a bijection of the vertices that keeps every conductance: the
+    adjacency of each x, mapped by perm, is the adjacency of perm[x]."""
     if sorted(perm) != list(range(g.n)):
         return False
     return all(
-        g.conductance(perm[x], perm[y]) == c
+        {perm[y]: c for y, c in g.adjacency(x).items()} == g.adjacency(perm[x])
         for x in range(g.n)
-        for y, c in g.adjacency(x).items()
     )
 
 

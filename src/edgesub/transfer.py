@@ -8,12 +8,17 @@ of the interior restriction Q_{V°}:
     theta(z) = sum_{u,v interior} q(a,u) G(u,v|z) q(v,a)
     phi(z)   = (z - theta(z)) / psi(z), reduced
 
-At each of k + 1 integer nodes z, one exact solve of zI - Q_{V°} against
-q(., a) and q(., b) is reduced to three numbers, det, det q(a, .) x_a and
-det (q(a, b) + q(a, .) x_b), whose interpolants are det = det(zI - Q_{V°})
-and the numerators theta_n and psi_n.  `TransferFunctions` holds these
-three series; each function is one reduced quotient of them, with one gcd,
-built on its first read:
+They are quotients of three polynomial series: det = det(zI - Q_{V°}) and
+the numerators theta_n = q(a, .) adj(zI - Q_{V°}) q(., a) and
+psi_n = det q(a, b) + q(a, .) adj(zI - Q_{V°}) q(., b).  With V's
+conductances scaled to integers, mu the lcm of the interior measures and
+N = mu Q_{V°} an integer matrix, adj(zI - Q_{V°}) is mu^(1-k) adj(wI - N)
+at w = mu z, so one integer Faddeev-LeVerrier pass (`algebra.adjugate_series`)
+gives all three series in w, and 2k integers l_a^T B_j r_a and l_a^T B_j r_b
+besides its charpoly.  `TransferFunctions` holds the three series over
+Fraction, each coefficient made once, and the same series over the integers
+in w; each function is one reduced quotient of the integer series, with one
+gcd and exact divisions in integers, built on its first read:
 
     phi       = (z det - theta_n) / psi_n
     psi       = psi_n / det
@@ -39,14 +44,15 @@ the two agree on which interior eigenvalues are poles; at one z they are one
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, interpolate_solves, solve_fraction_system
+from .algebra import Polynomial, RationalFunction, adjugate_series, solve_fraction_system
 # resolvent_matrix is unused here but stays importable: bench/spans.py traces it
 from .algebra import resolvent_matrix  # noqa: F401
 from .classify import cluster_types
@@ -61,46 +67,90 @@ POLE_GUARD = 1e-12  # a kernel pole this close to z is a pole at z
 
 
 @dataclass(frozen=True)
+class SeriesInW:
+    """The three series over the integers in w = mu z, lowest degree first:
+    det is mu^k det(z), theta_num and psi_num are m(a) mu^k times theta_n and
+    psi_n, and z_minus_theta_num is m(a) mu^(k+1) (z det - theta_n), where
+    m(a) is the scaled measure of a and k = |V°|."""
+
+    mu: int
+    m_a: int
+    det: list[int]
+    theta_num: list[int]
+    psi_num: list[int]
+    z_minus_theta_num: list[int]
+
+
+@dataclass(frozen=True)
 class TransferFunctions:
-    """The interpolated series det, theta_n and psi_n; each transfer
-    function is reduced from them on its first read."""
+    """The series det, theta_n and psi_n; each transfer function is reduced
+    from their integer form `in_w` on its first read."""
 
     det: Polynomial
     theta_num: Polynomial
     psi_num: Polynomial
-
-    @cached_property
-    def _z_minus_theta_num(self) -> Polynomial:
-        return Polynomial.z() * self.det - self.theta_num
+    in_w: SeriesInW = field(repr=False, compare=False)
 
     @cached_property
     def phi(self) -> RationalFunction:
-        return RationalFunction(self._z_minus_theta_num, self.psi_num)
+        w = self.in_w
+        return RationalFunction.from_integers(w.z_minus_theta_num, w.psi_num, 1, w.mu, w.mu)
 
     @cached_property
     def psi(self) -> RationalFunction:
-        return RationalFunction(self.psi_num, self.det)
+        w = self.in_w
+        return RationalFunction.from_integers(w.psi_num, w.det, 1, w.m_a, w.mu)
 
     @cached_property
     def theta(self) -> RationalFunction:
-        return RationalFunction(self.theta_num, self.det)
+        w = self.in_w
+        return RationalFunction.from_integers(w.theta_num, w.det, 1, w.m_a, w.mu)
 
     @cached_property
     def z_minus_theta(self) -> RationalFunction:
-        return RationalFunction(self._z_minus_theta_num, self.det)
+        w = self.in_w
+        return RationalFunction.from_integers(w.z_minus_theta_num, w.det, 1, w.m_a * w.mu, w.mu)
 
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
-    q = ReversibleOperator.full(s.graph).matrix_exact()
-    q_a = [q[s.a][u] for u in s.interior]
+    """The three series from one integer Faddeev-LeVerrier pass over
+    N = mu Q_{V°}: with integer conductances c and measures m, N(u, v) is
+    c(u, v) mu / m(u), r_x(u) = c(u, x) mu / m(u) is mu q(u, x) and
+    l_a(u) = c(a, u) is m(a) q(a, u), so theta_n at z is
+    l_a^T adj(wI - N) r_a / (m(a) mu^k), and likewise psi_n."""
+    g = s.graph
+    scale = math.lcm(*(c.denominator for _, _, c in g.edges))
+    adj = [{y: c.numerator * (scale // c.denominator) for y, c in g.adjacency(x).items()} for x in range(g.n)]
+    m = [sum(row.values()) for row in adj]
+    mu = math.lcm(*(m[u] for u in s.interior))
+    index = {u: i for i, u in enumerate(s.interior)}
+    N = [[0] * len(index) for _ in index]
+    for u, i in index.items():
+        for v, c in adj[u].items():
+            if v in index:
+                N[i][index[v]] = c * (mu // m[u])
+    r_a, r_b = ([adj[u].get(x, 0) * (mu // m[u]) for u in s.interior] for x in (s.a, s.b))
+    l_a = [adj[s.a].get(u, 0) for u in s.interior]
+    det, (b_a, b_b) = adjugate_series(N, [r_a, r_b])
+    # B_j is the coefficient of w^(k-1-j): the theta and psi series run backwards
+    theta = [sum(map(operator.mul, l_a, v)) for v in reversed(b_a)]
+    adj_b = [sum(map(operator.mul, l_a, v)) for v in reversed(b_b)] + [0]
+    c_ab, m_a = adj[s.a].get(s.b, 0), m[s.a]
+    psi = [c_ab * d + t for d, t in zip(det, adj_b)]
+    z_minus_theta = [m_a * d - mu * t for d, t in zip([0, *det], [*theta, 0, 0])]
+    k, powers = len(det) - 1, [1]
+    for _ in det:
+        powers.append(powers[-1] * mu)
 
-    def sample(det: Fraction, adjugate_columns: list[list[Fraction]]) -> list[Fraction]:
-        theta_num, psi_num = (sum(c * v for c, v in zip(q_a, x) if c) for x in adjugate_columns)
-        return [det, theta_num, det * q[s.a][s.b] + psi_num]
+    def in_z(series: list[int], denominator: int) -> Polynomial:
+        return Polynomial([Fraction(c, denominator * powers[k - i]) for i, c in enumerate(series)])
 
-    M = [[q[u][v] for v in s.interior] for u in s.interior]
-    columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
-    return TransferFunctions(*interpolate_solves(M, columns, sample))
+    return TransferFunctions(
+        in_z(det, 1),
+        in_z(theta, m_a),
+        in_z(psi, m_a),
+        SeriesInW(mu, m_a, det, theta, psi, z_minus_theta),
+    )
 
 
 @dataclass(frozen=True)

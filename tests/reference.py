@@ -7,7 +7,11 @@ walks, the Chebyshev polynomials, the transfer extension as one broadcast of
 the two kernels, the symmetrized operator one entry at a time, and the
 per-object spectrum that the array pass of `assemble` replaced: one
 `TypedEigenvalue` per cluster, one tuple per S1 root and one entry object
-per part, merged and formatted as the report does."""
+per part, merged and formatted as the report does.  Also the exact layer the
+integer Faddeev-LeVerrier pass replaced: the three transfer series and the
+resolvent interpolated from Bareiss solves at k + 1 integer nodes, reduced by
+a Euclidean gcd over Fraction, and the automorphism test one conductance
+pair at a time."""
 
 from __future__ import annotations
 
@@ -15,11 +19,12 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from edgesub.algebra import Polynomial
+from edgesub.algebra import Polynomial, RationalFunction, _eliminate
 from edgesub.assemble import _arrowhead_eigenvalues, _host_shape
 from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map, classify_Q, classify_Qinterior
 from edgesub.errors import InvalidTypeCombination, TotalMismatch
@@ -364,3 +369,141 @@ def assemble_per_object(X: WeightedGraph, s: Substituent) -> PerObjectReport:
         raise TotalMismatch(report.to_text())
     report.gap = _gap_per_object(entries, s1, spec_P, X, s)
     return report
+
+
+# ---------------------------------------------------------------------------
+# The exact layer by interpolation and Euclid over Fraction
+# ---------------------------------------------------------------------------
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    return p.scale(1 / p.leading()) if not p.is_zero() else p
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by the Euclidean algorithm over Fraction."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, _monic(r)
+    return _monic(a)
+
+
+def euclid_reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num / den reduced over Fraction: Euclid's gcd, long division, and a
+    monic denominator; built without `RationalFunction.__init__`."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        den = Polynomial([1])
+    else:
+        g = euclid_gcd(num, den)
+        if g.degree > 0:
+            num, _ = num.divmod(g)
+            den, _ = den.divmod(g)
+        lead = den.leading()
+        num, den = num.scale(1 / lead), den.scale(1 / lead)
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial:
+    """The polynomial of degree < len(nodes) through (nodes, values), by
+    Newton divided differences expanded into the monomial basis."""
+    c = list(values)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = [c[-1]]
+    for i in range(len(nodes) - 2, -1, -1):  # coeffs := coeffs * (z - x_i) + c_i
+        coeffs = [c[i] - nodes[i] * coeffs[0]] + [
+            lo - nodes[i] * hi for lo, hi in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
+    return Polynomial(coeffs)
+
+
+def interpolate_solves(
+    matrix: Sequence[Sequence[Fraction]],
+    columns: Sequence[Sequence[Fraction]],
+    sample: Callable[[Fraction, list[list[Fraction]]], Sequence[Fraction]],
+) -> list[Polynomial]:
+    """The polynomials in z whose values at z are `sample(det, columns)`,
+    where det = det(zI - M) and columns holds det (zI - M)^{-1} c for each c.
+
+    Each is interpolated, so must have degree at most k = dim M, from exact
+    Bareiss solves at k + 1 integer nodes z = 2, 3, ...; a node where zI - M
+    is singular (an integer eigenvalue of M) is skipped.
+    """
+    k = len(matrix)
+    shifted = [[-v for v in row] for row in matrix]
+    nodes: list[int] = []
+    samples: list[Sequence[Fraction]] = []
+    z = 1
+    while len(nodes) < k + 1:
+        z += 1
+        for i, row in enumerate(shifted):
+            row[i] = z - matrix[i][i]
+        det, adjugate_columns = _eliminate(shifted, columns)
+        if det != 0:
+            nodes.append(z)
+            samples.append(sample(det, adjugate_columns))
+    return [_interpolate(nodes, series) for series in zip(*samples)]
+
+
+def charpoly_by_interpolation(matrix) -> Polynomial:
+    """det(zI - M), interpolated from the exact determinants at the nodes."""
+    return interpolate_solves(matrix, [], lambda det, _: [det])[0]
+
+
+def resolvent_by_interpolation(matrix, columns) -> list[list[RationalFunction]]:
+    """The columns (zI - M)^{-1} c: 1 + k interpolated series per column,
+    each entry reduced by `euclid_reduced`."""
+    k = len(matrix)
+    det, *entries = interpolate_solves(
+        matrix, columns, lambda det, adjugate: [det, *(v for col in adjugate for v in col)]
+    )
+    return [[euclid_reduced(p, det) for p in entries[j * k : (j + 1) * k]] for j in range(len(columns))]
+
+
+def transfer_series_by_interpolation(s: Substituent) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """det, theta_n and psi_n from one Bareiss solve against q(., a) and
+    q(., b) at each of k + 1 nodes, reduced there to three numbers."""
+    q = ReversibleOperator.full(s.graph).matrix_exact()
+    q_a = [q[s.a][u] for u in s.interior]
+
+    def sample(det: Fraction, adjugate_columns: list[list[Fraction]]) -> list[Fraction]:
+        theta_num, psi_num = (sum(c * v for c, v in zip(q_a, x) if c) for x in adjugate_columns)
+        return [det, theta_num, det * q[s.a][s.b] + psi_num]
+
+    M = [[q[u][v] for v in s.interior] for u in s.interior]
+    columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
+    return tuple(interpolate_solves(M, columns, sample))
+
+
+def transfer_by_interpolation(s: Substituent):
+    """The series det, theta_n, psi_n, then phi, psi, theta and z - theta as
+    quotients of them reduced by `euclid_reduced`."""
+    det, theta_num, psi_num = transfer_series_by_interpolation(s)
+    z_minus_theta_num = Polynomial.z() * det - theta_num
+    return (
+        det,
+        theta_num,
+        psi_num,
+        euclid_reduced(z_minus_theta_num, psi_num),
+        euclid_reduced(psi_num, det),
+        euclid_reduced(theta_num, det),
+        euclid_reduced(z_minus_theta_num, det),
+    )
+
+
+def is_automorphism_per_pair(g: WeightedGraph, perm: Sequence[int]) -> bool:
+    """perm is a bijection of the vertices that keeps every conductance:
+    one lookup and one Fraction comparison per adjacent pair."""
+    if sorted(perm) != list(range(g.n)):
+        return False
+    return all(
+        g.conductance(perm[x], perm[y]) == c
+        for x in range(g.n)
+        for y, c in g.adjacency(x).items()
+    )

@@ -11,7 +11,7 @@ from edgesub import algebra
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
-    interpolate_solves,
+    adjugate_series,
     poly_gcd,
     real_roots_in_interval,
     resolvent_matrix,
@@ -23,7 +23,7 @@ from edgesub.graph import Orientation
 from edgesub.transfer import compute_transfer
 
 from randinst import random_substituent
-from reference import chebyshev
+from reference import charpoly_by_interpolation, chebyshev, euclid_gcd, resolvent_by_interpolation
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -118,8 +118,11 @@ class TestRationalFunction:
 
 
 def charpoly(matrix):
-    """det(zI - M), interpolated from the exact determinants at the nodes."""
-    return interpolate_solves(matrix, [], lambda det, _: [det])[0]
+    """det(zI - M) from one `adjugate_series` pass over N = mu M: the
+    coefficient of z^i is that of w^i over mu^(k - i)."""
+    mu = math.lcm(*(v.denominator for row in matrix for v in row))
+    det, _ = adjugate_series([[v.numerator * (mu // v.denominator) for v in row] for row in matrix], [])
+    return Polynomial(Fraction(c, mu ** (len(matrix) - i)) for i, c in enumerate(det))
 
 
 def _identity(n):
@@ -175,6 +178,110 @@ class TestResolvent:
                 trace = trace + G[i][i]
             p = charpoly(sym)
             assert trace == RationalFunction(p.derivative(), p)
+
+
+def _random_rational(rng, n, denominators=3):
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, denominators)) for _ in range(n)] for _ in range(n)]
+
+
+class TestAgainstInterpolation:
+    """`resolvent_matrix` and the charpoly from one Faddeev-LeVerrier pass
+    equal the Bareiss-and-interpolation reference, reduced by Euclid."""
+
+    @staticmethod
+    def _check(m, columns):
+        assert resolvent_matrix(m, columns) == resolvent_by_interpolation(m, columns)
+        assert charpoly(m) == charpoly_by_interpolation(m)
+
+    def test_random_non_symmetric(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            m = _random_rational(rng, n)
+            columns = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(2)]
+            self._check(m, columns + _identity(n))
+
+    def test_k_equals_one(self):
+        for v in (Fraction(0), Fraction(2), Fraction(-7, 3), Fraction(5, 2)):
+            self._check([[v]], [[Fraction(1)], [Fraction(-2, 9)], [Fraction(0)]])
+
+    def test_singular(self):
+        rng = random.Random(72)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            m = _random_rational(rng, n)
+            m[-1] = [2 * v for v in m[0]]  # rank below n: det M = 0, z = 0 a root
+            assert charpoly(m).coeffs[0] == 0
+            self._check(m, _identity(n))
+        self._check([[Fraction(0)] * 3 for _ in range(3)], _identity(3))
+
+    def test_integer_eigenvalues(self):
+        # eigenvalues at the nodes z = 2, 3, 4 that the reference skips, some
+        # repeated: M = S D S^-1 with S unit upper triangular
+        rng = random.Random(73)
+        for _ in range(15):
+            n = rng.randint(2, 5)
+            d = [rng.choice([2, 3, 4, -1, Fraction(1, 2)]) for _ in range(n)]
+            S = [[Fraction(int(i == j) + (rng.randint(-1, 1) if j > i else 0)) for j in range(n)] for i in range(n)]
+            Sinv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            for i in reversed(range(n)):  # back substitution: S is unit upper triangular
+                for j in range(i + 1, n):
+                    Sinv[i] = [a - S[i][j] * b for a, b in zip(Sinv[i], Sinv[j])]
+            SD = [[S[i][j] * d[j] for j in range(n)] for i in range(n)]
+            m = [[sum(SD[i][t] * Sinv[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+            want = Polynomial([1])
+            for v in d:
+                want = want * Polynomial([-v, 1])
+            assert charpoly(m) == want
+            self._check(m, _identity(n) + [[Fraction(rng.randint(-2, 2)) for _ in range(n)]])
+
+
+int_poly_st = st.lists(st.integers(-6, 6), max_size=5).map(Polynomial)
+
+
+def _gcd_pair_st():
+    """Pairs with zeros, constants, negative leading coefficients and shared
+    factors: (f a, f b) for random f, a and b."""
+    factor = st.one_of(
+        st.just(Polynomial([1])),
+        st.just(Polynomial([-1])),
+        poly_st(2).filter(lambda p: not p.is_zero()),
+        int_poly_st.filter(lambda p: not p.is_zero()),
+    )
+    part = st.one_of(poly_st(3), int_poly_st, st.just(Polynomial()), st.builds(Polynomial.const, fractions_st))
+    return st.tuples(factor, part, part).map(lambda t: (t[0] * t[1], t[0] * t[2]))
+
+
+class TestGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(_gcd_pair_st())
+    def test_equals_euclid(self, pair):
+        a, b = pair
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        assert poly_gcd(b, a) == euclid_gcd(a, b)
+        assert poly_gcd(-a, b) == euclid_gcd(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_gcd_pair_st())
+    def test_integer_form_is_primitive_and_proportional(self, pair):
+        a, b = pair
+        ints = [algebra._integer_coeffs(p)[0] for p in (a, b)]
+        g = poly_gcd(*ints)
+        want = euclid_gcd(a, b)
+        if want.is_zero():
+            assert g == []
+            return
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        assert Polynomial(Fraction(c, g[-1]) for c in g) == want
+
+    def test_edge_cases(self):
+        zero, one = Polynomial(), Polynomial([1])
+        p = Polynomial([2, -4, -6])  # -6 z^2 - 4 z + 2 = -2 (3z - 1)(z + 1)
+        assert poly_gcd(zero, zero) == zero
+        assert poly_gcd(p, zero) == poly_gcd(zero, p) == Polynomial([Fraction(-1, 3), Fraction(2, 3), 1])
+        assert poly_gcd(p, Polynomial([-5])) == one
+        assert poly_gcd(p, Polynomial([1, 1]) * Polynomial([0, -7])) == Polynomial([1, 1])
+        assert poly_gcd([2, -4, -6], [-3, 0, 3]) == [1, 1]
 
 
 class TestLinearSolve:

@@ -14,12 +14,14 @@ from edgesub.graph import (
     Orientation,
     Substituent,
     WeightedGraph,
+    _is_automorphism,
     find_gamma,
     fundamental_cycle_base,
     validate_substituent,
 )
 
-from reference import cycle_walk, random_orientation
+from randinst import random_host, random_substituent
+from reference import cycle_walk, is_automorphism_per_pair, random_orientation
 
 ONE = Fraction(1)
 
@@ -118,6 +120,56 @@ class TestSubstituentValidation:
         s = path_substituent(3)
         found = find_gamma(s.graph, 0, 3)
         assert found == (3, 2, 1, 0)
+
+
+class TestAutomorphism:
+    """The mapped-adjacency test gives the per-pair predicate's answer."""
+
+    @staticmethod
+    def _graphs(rng):
+        for _ in range(40):
+            s = random_substituent(rng, max_v=9)
+            yield s.graph, s.gamma
+        for _ in range(20):
+            g = random_host(rng, max_n=8)
+            yield g, tuple(range(g.n))
+
+    @staticmethod
+    def _agree(g, perm):
+        got = _is_automorphism(g, perm)
+        assert got == is_automorphism_per_pair(g, perm)
+        return got
+
+    def test_random_permutations(self):
+        rng = random.Random(81)
+        for g, gamma in self._graphs(rng):
+            assert self._agree(g, gamma)
+            for _ in range(10):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                self._agree(g, perm)
+
+    def test_non_bijections(self):
+        rng = random.Random(82)
+        for g, gamma in self._graphs(rng):
+            repeated = list(gamma)
+            repeated[rng.randrange(g.n)] = gamma[rng.randrange(g.n)]
+            for perm in (repeated, gamma[:-1], (*gamma, g.n), [v + 1 for v in gamma]):
+                if sorted(perm) != list(range(g.n)):
+                    assert not self._agree(g, perm)
+
+    def test_one_conductance_changed(self):
+        rng = random.Random(83)
+        for g, gamma in self._graphs(rng):
+            edges = list(g.edges)
+            k = rng.randrange(len(edges))
+            u, v, c = edges[k]
+            edges[k] = (u, v, c + Fraction(1, rng.randint(1, 3)))
+            changed = WeightedGraph(list(g.vertices), edges)
+            # a non-identity gamma maps the changed edge onto one it no
+            # longer matches, unless gamma fixes that edge
+            fixes = {gamma[u], gamma[v]} == {u, v}
+            assert self._agree(changed, gamma) == fixes
 
 
 class TestCycleBase:

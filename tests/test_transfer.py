@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from edgesub import algebra, transfer
 from edgesub.algebra import (
     Polynomial,
     RationalFunction,
+    adjugate_series,
     real_roots_in_interval,
     resolvent_matrix,
 )
@@ -16,6 +19,7 @@ from edgesub.assemble import assemble, solve_S1
 from edgesub.classify import classify_Qinterior
 from edgesub.errors import KernelPole, TooCloseToInteriorSpectrum
 from edgesub.extensions import transfer_extension
+from edgesub.fileformat import load_substituent
 from edgesub.fixtures import (
     chorded_square_substituent,
     circle_substituent,
@@ -34,8 +38,8 @@ from edgesub.transfer import (
     verify_resolvent_identity,
 )
 
-from randinst import random_host, random_substituent, relabel_substituent, sweep_instance
-from reference import chebyshev
+from randinst import random_host, random_substituent, relabel_substituent, sweep_instance, sweep_instances
+from reference import chebyshev, transfer_by_interpolation
 
 RF = RationalFunction
 ONE = RF(Polynomial([1]))
@@ -166,26 +170,24 @@ class TestAgainstTheReference:
         for _ in range(3):
             assert compute_transfer(relabel_substituent(s, rng)) == tf
 
-    def test_one_solve_per_node_and_three_series(self, monkeypatch):
-        # the node loop, and the elimination and interpolation it runs, are
-        # counted where compute_transfer and interpolate_solves look them up
-        counts = {"interpolate_solves": 0, "_eliminate": 0, "_interpolate": 0}
+    def test_one_adjugate_pass_and_no_elimination(self, monkeypatch):
+        # the series come from one Faddeev-LeVerrier pass where compute_transfer
+        # looks it up, and no Bareiss elimination runs at all
+        calls = []
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def forbidden(*args):
+            raise AssertionError("compute_transfer ran an elimination")
 
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
+        def counted(*args):
+            calls.append(args)
+            return adjugate_series(*args)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(transfer, "interpolate_solves")
-        counted(algebra, "_eliminate")
-        counted(algebra, "_interpolate")
-        s = path_substituent(15)
-        compute_transfer(s)
-        assert counts == {"interpolate_solves": 1, "_eliminate": len(s.interior) + 1, "_interpolate": 3}
+        monkeypatch.setattr(algebra, "_eliminate", forbidden)
+        monkeypatch.setattr(transfer, "adjugate_series", counted)
+        for s in (path_substituent(15), circle_substituent(7, "antipodal"), chorded_square_substituent()):
+            calls.clear()
+            _functions(compute_transfer(s))
+            assert len(calls) == 1
 
     def test_four_reduced_quotients(self, monkeypatch):
         # phi, psi, theta and z - theta are each built once from the three
@@ -209,6 +211,54 @@ class TestAgainstTheReference:
             _functions(tf)
             _functions(tf)
             assert len(calls) == 4
+
+
+def _series_and_functions(tf):
+    return (tf.det, tf.theta_num, tf.psi_num, *_functions(tf))
+
+
+class TestAgainstInterpolation:
+    """The three series and the four functions equal the Bareiss-and-
+    interpolation path of `reference`, reduced by Euclid over Fraction."""
+
+    @staticmethod
+    def _check(s):
+        assert _series_and_functions(compute_transfer(s)) == transfer_by_interpolation(s)
+
+    def test_oracle_sweep_seed_1(self):
+        for _, s in sweep_instances(1, 338):
+            self._check(s)
+
+    @pytest.mark.parametrize("L", range(2, 22))
+    def test_paths(self, L):
+        self._check(path_substituent(L))
+
+    @pytest.mark.parametrize("placement", ["antipodal", "adjacent"])
+    def test_circles(self, placement):
+        for L in range(2, 12):  # |V°| = 2L - 2 up to 20
+            self._check(circle_substituent(L, placement))
+
+    @pytest.mark.parametrize("name", WORKLOAD_FIXTURES)
+    def test_workload_fixtures(self, name):
+        self._check(WORKLOAD_FIXTURES[name])
+
+    @pytest.mark.parametrize("workload", ["host-large", "sub-long", "eigenbasis-mix"])
+    def test_workload_substituents(self, workload):
+        # every substituent the benchmark generates, seeds 1-2, as it parses them
+        for seed in (1, 2):
+            for instance in _bench_instances().build(workload, seed):
+                self._check(load_substituent(instance.sub))
+
+
+def _bench_instances():
+    """bench/instances.py, loaded once as the module `bench_instances`."""
+    if "bench_instances" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+        spec = importlib.util.spec_from_file_location("bench_instances", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["bench_instances"]
 
 
 def _reference_kernels(s):
@@ -381,9 +431,10 @@ class TestKernelsFromOneColumn:
         def forbidden(*args):
             raise AssertionError("boundary_kernels ran an exact solve")
 
-        # resolvent_matrix reaches the node loop through algebra's own name
-        monkeypatch.setattr(algebra, "interpolate_solves", forbidden)
-        monkeypatch.setattr(transfer, "interpolate_solves", forbidden)
+        # resolvent_matrix reaches the adjugate pass through algebra's own name
+        monkeypatch.setattr(algebra, "adjugate_series", forbidden)
+        monkeypatch.setattr(transfer, "adjugate_series", forbidden)
+        monkeypatch.setattr(algebra, "_eliminate", forbidden)
         s = circle_substituent(7, "antipodal")
         boundary_kernels(s).eval_interior(0.3)
 
