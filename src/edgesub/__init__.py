@@ -44,7 +44,6 @@ from .transfer import (
     TransferFunctions,
     boundary_kernels,
     compute_transfer,
-    verify_resolvent_identity,
 )
 
 __version__ = "0.1.0"

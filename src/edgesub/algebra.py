@@ -1,26 +1,22 @@
-"""Exact univariate polynomials and rational functions over Fraction.
+"""Exact polynomials and rational functions in integer arithmetic.
 
-Coefficient lists are stored lowest degree first.  Rational functions are
-kept reduced (gcd cancelled, monic denominator) so that equality is plain
-structural equality; the library builds each one as a single reduced
-quotient, and their field arithmetic serves the tests as reference algebra.
-Reduction runs in integers: numerator and denominator are scaled to integer
-coefficients, `poly_gcd` runs a primitive pseudo-remainder sequence, the
-divisions by the gcd are exact integer divisions, and each coefficient of the
-result is made a Fraction once, at the end.
+Coefficient lists are stored lowest degree first.  A `Polynomial` holds
+Fraction coefficients and is only read: its degree, its float values and its
+text.  A `RationalFunction` is made only by `from_integers`, which reduces a
+quotient of integer series once: `poly_gcd` runs a primitive pseudo-remainder
+sequence, the divisions by the gcd are exact integer divisions, and each
+coefficient of the result is made a Fraction once, at the end.  Kept reduced
+(gcd cancelled, monic denominator), equality is plain structural equality.
+No field arithmetic is defined on either.
 
-Also provides exact linear solving over Fraction, and exact isolation of the
-real roots of a polynomial in an interval.
+The resolvent is never eliminated and no polynomial is interpolated: with M
+scaled to an integer matrix N = mu M, zI - M = (wI - N) / mu at w = mu z, and
+one Faddeev-LeVerrier pass over the integers (`adjugate_series`) gives
+det(wI - N) and the columns adj(wI - N) c = sum_j w^(k-1-j) B_j c, k = dim M.
+`resolvent_matrix` is 1 + k per column reduced quotients of these series, and
+the transfer functions read theirs off the same pass.
 
-The resolvent is never eliminated over the rational-function field, and no
-polynomial is interpolated: with M scaled to an integer matrix N = mu M,
-zI - M = (wI - N) / mu at w = mu z, and one Faddeev-LeVerrier pass over the
-integers (`adjugate_series`) gives det(wI - N) and the columns
-adj(wI - N) c = sum_j w^(k-1-j) B_j c, k = dim M.  `resolvent_matrix` is
-1 + k per column reduced quotients of these series, and the transfer
-functions read theirs off the same pass.
-
-Real roots are isolated exactly: a Sturm sequence over Fraction counts the
+Real roots are isolated exactly: a Sturm sequence in integers counts the
 distinct roots of the square-free part in an interval, and bisection at
 dyadic midpoints, with signs evaluated in integer arithmetic, refines each
 root until it is known far below float resolution.  No float grid and no
@@ -56,96 +52,12 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "Polynomial":
-        return Polynomial([_as_fraction(c)])
-
-    @staticmethod
-    def z() -> "Polynomial":
-        return Polynomial([0, 1])
-
-    # -- basic queries -------------------------------------------------
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial(c * a for a in self.coeffs)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.leading()
-        q = [Fraction(0)] * max(0, len(rem) - dn)
-        while len(rem) - 1 >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            k = len(rem) - 1 - dn
-            f = rem[-1] / lead
-            q[k] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= f * b
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    # -- evaluation ----------------------------------------------------
-
-    def eval_exact(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:
@@ -174,17 +86,11 @@ class Polynomial:
         return " + ".join(terms)
 
 
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    return Polynomial.const(_as_fraction(x))
-
-
-def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
+def _integer_coeffs(p: Polynomial) -> list[int]:
     """p times the positive lcm of its denominators, as integer coefficients
-    with the same signs, and that lcm."""
+    with the same signs."""
     scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -239,26 +145,15 @@ def _exact_quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
     return q
 
 
-def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd, with a positive leading coefficient, of two integer
+    coefficient lists (lowest degree first, no trailing zeros), by a primitive
+    pseudo-remainder sequence; the gcd of two zeros is [].  No Fraction is
+    made."""
     a, b = _primitive(list(a)), _primitive(list(b))
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
     return a
-
-
-def poly_gcd(a, b):
-    """Greatest common divisor by a primitive pseudo-remainder sequence in
-    integers.
-
-    Two Polynomials give their monic gcd, scaled to integer coefficients by
-    `_integer_coeffs` first.  Two integer coefficient lists (lowest degree
-    first, no trailing zeros) give their primitive gcd with a positive
-    leading coefficient, and make no Fraction.  The gcd of two zeros is zero.
-    """
-    if isinstance(a, Polynomial):
-        g = _primitive_gcd(_integer_coeffs(a)[0], _integer_coeffs(b)[0])
-        return Polynomial([Fraction(c, g[-1]) for c in g])
-    return _primitive_gcd(a, b)
 
 
 def _reduce(
@@ -287,28 +182,13 @@ def _reduce(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalFunction:
-    """Reduced quotient of polynomials; denominator monic and nonzero."""
+    """Reduced quotient of polynomials; denominator monic and nonzero.  Made
+    only by `from_integers`, so equality is structural equality."""
 
     num: Polynomial
     den: Polynomial
-
-    def __init__(self, num, den=Polynomial([1])):
-        (n, n_scale), (d, d_scale) = _integer_coeffs(_as_poly(num)), _integer_coeffs(_as_poly(den))
-        num, den = _reduce(n, d, d_scale, n_scale, 1)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(c))
-
-    @staticmethod
-    def z() -> "RationalFunction":
-        return RationalFunction(Polynomial.z())
 
     @staticmethod
     def from_integers(
@@ -318,130 +198,16 @@ class RationalFunction:
         integer coefficient lists and mu > 0: no Fraction arithmetic before
         the coefficients of the result."""
         out = object.__new__(RationalFunction)
-        num, den = _reduce(num, den, scale_num, scale_den, mu)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        out.__dict__["num"], out.__dict__["den"] = _reduce(num, den, scale_num, scale_den, mu)
         return out
-
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        # -num / den is reduced with a monic denominator already: no gcd
-        neg = object.__new__(RationalFunction)
-        object.__setattr__(neg, "num", -self.num)
-        object.__setattr__(neg, "den", self.den)
-        return neg
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-_as_rf(other))
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval_exact(self, x) -> Fraction:
-        x = _as_fraction(x)
-        d = self.den.eval_exact(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.eval_exact(x) / d
 
     def eval_float(self, x: float) -> float:
         """Float Horner values divided; a float zero denominator raises
-        ZeroDivisionError, as a pole does in `eval_exact`."""
+        ZeroDivisionError, and no other guard stands near a pole."""
         return self.num.eval_float(x) / self.den.eval_float(x)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
-
-
-def _as_rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    return RationalFunction.const(_as_fraction(x))
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra
-# ---------------------------------------------------------------------------
-
-
-def _eliminate(
-    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
-) -> tuple[Fraction, list[list[Fraction]]]:
-    """det(A) and det(A) A^{-1} c for each column c, exactly; no columns when
-    det(A) = 0.
-
-    Fraction-free (Bareiss) elimination: A and the columns are scaled to
-    integers by one common factor, and every division on the way is exact.
-    """
-    n = len(matrix)
-    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(matrix)]
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-    sign, prev = 1, 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0), []
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pivot_row = a[col]
-        p = pivot_row[col]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], pivot_row)]
-        prev = p
-    # prev is now the determinant of the scaled, row-swapped matrix, so each
-    # y = prev * x is integral (Cramer's rule) and det(A) x = y / (sign scale^n)
-    denom = sign * scale**n
-    adjugate_columns = []
-    for j in range(n, n + len(columns)):
-        y = [0] * n
-        for i in reversed(range(n)):
-            row = a[i]
-            acc = prev * row[j] - sum(row[t] * y[t] for t in range(i + 1, n) if row[t])
-            y[i] = acc // row[i]
-        adjugate_columns.append([Fraction(v, denom) for v in y])
-    return Fraction(prev, denom), adjugate_columns
-
-
-def solve_fraction_system(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction]:
-    """Solve A x = b exactly over Fraction."""
-    det, adjugate_columns = _eliminate(matrix, [rhs])
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    return [v / det for v in adjugate_columns[0]]
 
 
 def adjugate_series(
@@ -524,15 +290,23 @@ def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_sequence(p: Polynomial) -> list[list[int]]:
-    """p, p', then minus the remainders, each scaled by a positive constant."""
-    seq = [p, p.derivative()]
-    while seq[-1].degree > 0:
-        _, rem = seq[-2].divmod(seq[-1])
-        if rem.is_zero():
+def _derivative(cs: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _sturm_sequence(p: list[int]) -> list[list[int]]:
+    """p, p', then minus the remainders, each scaled by a positive constant:
+    each divisor is negated to a positive leading coefficient, so that its
+    pseudo-remainder is a positive multiple of the remainder."""
+    seq = [p, _derivative(p)]
+    while len(seq[-1]) > 1:
+        b = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
+        rem = _pseudo_remainder(seq[-2], b)
+        if not rem:
             break
-        seq.append(rem.scale(-1 / abs(rem.leading())))
-    return [_integer_coeffs(s)[0] for s in seq]
+        g = math.gcd(*rem)
+        seq.append([-c // g for c in rem])
+    return seq
 
 
 def _refine(coeffs: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
@@ -561,7 +335,7 @@ def real_roots_in_interval(p: Polynomial, lo, hi) -> list[float]:
     """The distinct real roots of p in [lo, hi], ascending, each once, as floats.
 
     Exact: the square-free part p / gcd(p, p') is isolated with its Sturm
-    sequence over Fraction.  The number of distinct roots in a half-open
+    sequence, all in integers.  The number of distinct roots in a half-open
     interval (a, b] is V(a) - V(b), V counting sign changes along the
     sequence; intervals holding several roots are halved, and one holding a
     single root is bisected by comparing signs with its right end, so that a
@@ -572,8 +346,8 @@ def real_roots_in_interval(p: Polynomial, lo, hi) -> list[float]:
         raise ValueError("need lo <= hi")
     if p.degree < 1:
         return []
-    square_free, _ = p.divmod(poly_gcd(p, p.derivative()))
-    sturm = _sturm_sequence(square_free)
+    cs = _integer_coeffs(p)
+    sturm = _sturm_sequence(_exact_quotient(cs, poly_gcd(cs, _derivative(cs))))
     head = sturm[0]
 
     def variations(x: Fraction) -> int:

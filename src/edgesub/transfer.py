@@ -1,5 +1,4 @@
-"""Transfer functions of a substituent, its boundary kernels and the
-resolvent identity.
+"""Transfer functions of a substituent and its boundary kernels.
 
 The transfer functions are exact rational functions built from the resolvent
 of the interior restriction Q_{V°}:
@@ -15,10 +14,10 @@ conductances scaled to integers, mu the lcm of the interior measures and
 N = mu Q_{V°} an integer matrix, adj(zI - Q_{V°}) is mu^(1-k) adj(wI - N)
 at w = mu z, so one integer Faddeev-LeVerrier pass (`algebra.adjugate_series`)
 gives all three series in w, and 2k integers l_a^T B_j r_a and l_a^T B_j r_b
-besides its charpoly.  `TransferFunctions` holds the three series over
-Fraction, each coefficient made once, and the same series over the integers
-in w; each function is one reduced quotient of the integer series, with one
-gcd and exact divisions in integers, built on its first read:
+besides its charpoly.  `TransferFunctions` holds only these integer series
+in w; the series in z and each function are built on their first read, each
+function one reduced quotient of the integer series, with one gcd and exact
+divisions in integers:
 
     phi       = (z det - theta_n) / psi_n
     psi       = psi_n / det
@@ -31,9 +30,10 @@ The spectrum itself needs none of these functions: `assemble.solve_S1`
 finds the roots of z - theta - lambda psi from the pole expansions of theta
 and psi over the interior eigenvalues, and `assemble.solve_S2` reads the
 common zeros of psi and z - theta off the types of Q.  They serve the
-`transfer` command, the resolvent identity and callers that map an S1 root
-back to its host eigenvalue (`PipelineResult.transfer`, built on first
-access).
+`transfer` command and callers that map an S1 root back to its host
+eigenvalue (`PipelineResult.transfer`, built on first access); the tests
+check the resolvent identity G_*(x, y | z) psi(z) = G_X(x, y | phi(z)) with
+them.
 
 The boundary kernels are float pole expansions over the same typed interior
 clusters that give `solve_S1` its weights, so no exact solve builds them and
@@ -46,13 +46,13 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import Polynomial, RationalFunction, adjugate_series, solve_fraction_system
+from .algebra import Polynomial, RationalFunction, adjugate_series
 # resolvent_matrix is unused here but stays importable: bench/spans.py traces it
 from .algebra import resolvent_matrix  # noqa: F401
 from .classify import cluster_types
@@ -61,55 +61,59 @@ from .graph import Substituent
 from .operators import ReversibleOperator, _eigenpairs
 # eigen is unused here but stays importable: bench/spans.py traces it
 from .operators import eigen  # noqa: F401
-from .substitution import SubstitutedGraph
 
 POLE_GUARD = 1e-12  # a kernel pole this close to z is a pole at z
 
 
 @dataclass(frozen=True)
-class SeriesInW:
+class TransferFunctions:
     """The three series over the integers in w = mu z, lowest degree first:
-    det is mu^k det(z), theta_num and psi_num are m(a) mu^k times theta_n and
-    psi_n, and z_minus_theta_num is m(a) mu^(k+1) (z det - theta_n), where
-    m(a) is the scaled measure of a and k = |V°|."""
+    det_w is mu^k det(z), theta_w and psi_w are m(a) mu^k times theta_n and
+    psi_n, and z_minus_theta_w is m(a) mu^(k+1) (z det - theta_n), where m(a)
+    is the scaled measure of a and k = |V°|.  The series in z and each
+    transfer function are built from them on their first read; equality
+    compares the integer data."""
 
     mu: int
     m_a: int
-    det: list[int]
-    theta_num: list[int]
-    psi_num: list[int]
-    z_minus_theta_num: list[int]
+    det_w: tuple[int, ...]
+    theta_w: tuple[int, ...]
+    psi_w: tuple[int, ...]
+    z_minus_theta_w: tuple[int, ...]
 
+    def _in_z(self, series: tuple[int, ...], denominator: int) -> Polynomial:
+        k = len(self.det_w) - 1
+        return Polynomial(Fraction(c, denominator * self.mu ** (k - i)) for i, c in enumerate(series))
 
-@dataclass(frozen=True)
-class TransferFunctions:
-    """The series det, theta_n and psi_n; each transfer function is reduced
-    from their integer form `in_w` on its first read."""
+    @cached_property
+    def det(self) -> Polynomial:
+        return self._in_z(self.det_w, 1)
 
-    det: Polynomial
-    theta_num: Polynomial
-    psi_num: Polynomial
-    in_w: SeriesInW = field(repr=False, compare=False)
+    @cached_property
+    def theta_num(self) -> Polynomial:
+        return self._in_z(self.theta_w, self.m_a)
+
+    @cached_property
+    def psi_num(self) -> Polynomial:
+        return self._in_z(self.psi_w, self.m_a)
 
     @cached_property
     def phi(self) -> RationalFunction:
-        w = self.in_w
-        return RationalFunction.from_integers(w.z_minus_theta_num, w.psi_num, 1, w.mu, w.mu)
+        return RationalFunction.from_integers(self.z_minus_theta_w, self.psi_w, 1, self.mu, self.mu)
 
     @cached_property
     def psi(self) -> RationalFunction:
-        w = self.in_w
-        return RationalFunction.from_integers(w.psi_num, w.det, 1, w.m_a, w.mu)
+        return RationalFunction.from_integers(self.psi_w, self.det_w, 1, self.m_a, self.mu)
 
     @cached_property
     def theta(self) -> RationalFunction:
-        w = self.in_w
-        return RationalFunction.from_integers(w.theta_num, w.det, 1, w.m_a, w.mu)
+        return RationalFunction.from_integers(self.theta_w, self.det_w, 1, self.m_a, self.mu)
 
     @cached_property
     def z_minus_theta(self) -> RationalFunction:
-        w = self.in_w
-        return RationalFunction.from_integers(w.z_minus_theta_num, w.det, 1, w.m_a * w.mu, w.mu)
+        return RationalFunction.from_integers(
+            self.z_minus_theta_w, self.det_w, 1, self.m_a * self.mu, self.mu
+        )
 
 
 def compute_transfer(s: Substituent) -> TransferFunctions:
@@ -138,19 +142,7 @@ def compute_transfer(s: Substituent) -> TransferFunctions:
     c_ab, m_a = adj[s.a].get(s.b, 0), m[s.a]
     psi = [c_ab * d + t for d, t in zip(det, adj_b)]
     z_minus_theta = [m_a * d - mu * t for d, t in zip([0, *det], [*theta, 0, 0])]
-    k, powers = len(det) - 1, [1]
-    for _ in det:
-        powers.append(powers[-1] * mu)
-
-    def in_z(series: list[int], denominator: int) -> Polynomial:
-        return Polynomial([Fraction(c, denominator * powers[k - i]) for i, c in enumerate(series)])
-
-    return TransferFunctions(
-        in_z(det, 1),
-        in_z(theta, m_a),
-        in_z(psi, m_a),
-        SeriesInW(mu, m_a, det, theta, psi, z_minus_theta),
-    )
+    return TransferFunctions(mu, m_a, *map(tuple, (det, theta, psi, z_minus_theta)))
 
 
 @dataclass(frozen=True)
@@ -198,40 +190,3 @@ def boundary_kernels(s: Substituent) -> BoundaryKernels:
     poles = np.flatnonzero(t.kind)[::-1]  # ascending values
     residues = t.mass * sums[:, :, poles].transpose(2, 0, 1).reshape(len(poles), -1)
     return BoundaryKernels(s, t.values[poles], residues)
-
-
-def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:
-    """Column y of (zI - P)^{-1}, solved exactly."""
-    n = len(P)
-    A = [[(z if i == j else Fraction(0)) - P[i][j] for j in range(n)] for i in range(n)]
-    rhs = [Fraction(1) if i == y else Fraction(0) for i in range(n)]
-    return solve_fraction_system(A, rhs)
-
-
-def verify_resolvent_identity(
-    sub: SubstitutedGraph, tf: TransferFunctions, z: Fraction, pairs
-) -> list[tuple[int, int, bool]]:
-    """Check G_sub(x,y|z) * psi(z) = G_host(x,y|phi(z)) exactly at rational z.
-
-    `pairs` are host-vertex index pairs (x, y); host vertices keep their
-    indices inside the substituted graph.
-    """
-    z = Fraction(z)
-    phi_z = tf.phi.eval_exact(z)
-    psi_z = tf.psi.eval_exact(z)
-
-    P_host = ReversibleOperator.full(sub.host).matrix_exact()
-    P_star = ReversibleOperator.full(sub.graph).matrix_exact()
-
-    host_cols: dict[int, list[Fraction]] = {}
-    star_cols: dict[int, list[Fraction]] = {}
-    results = []
-    for x, y in pairs:
-        if y not in host_cols:
-            host_cols[y] = _resolvent_column(P_host, phi_z, y)
-        if y not in star_cols:
-            star_cols[y] = _resolvent_column(P_star, z, y)
-        lhs = star_cols[y][x] * psi_z
-        rhs = host_cols[y][x]
-        results.append((x, y, lhs == rhs))
-    return results

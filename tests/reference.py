@@ -8,30 +8,32 @@ the two kernels, the symmetrized operator one entry at a time, and the
 per-object spectrum that the array pass of `assemble` replaced: one
 `TypedEigenvalue` per cluster, one tuple per S1 root and one entry object
 per part, merged and formatted as the report does.  Also the exact layer the
-integer Faddeev-LeVerrier pass replaced: the three transfer series and the
-resolvent interpolated from Bareiss solves at k + 1 integer nodes, reduced by
-a Euclidean gcd over Fraction, and the automorphism test one conductance
-pair at a time."""
+integer Faddeev-LeVerrier pass replaced: polynomial arithmetic over Fraction
+on coefficient lists, exact values of rational functions, Bareiss elimination,
+the three transfer series and the resolvent interpolated from Bareiss solves
+at k + 1 integer nodes and reduced by a Euclidean gcd, the resolvent identity
+G_*(x, y | z) psi(z) = G_X(x, y | phi(z)) checked with exact solves, and the
+automorphism test one conductance pair at a time."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, zip_longest
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from edgesub.algebra import Polynomial, RationalFunction, _eliminate
+from edgesub.algebra import Polynomial, RationalFunction
 from edgesub.assemble import _arrowhead_eigenvalues, _host_shape
 from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map, classify_Q, classify_Qinterior
 from edgesub.errors import InvalidTypeCombination, TotalMismatch
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
 from edgesub.operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
 from edgesub.substitution import SubstitutedGraph, substitute
-from edgesub.transfer import BoundaryKernels
+from edgesub.transfer import BoundaryKernels, TransferFunctions
 
 
 def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
@@ -144,19 +146,18 @@ def cycle_walk(base: CycleBase, k: int) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(vv[: i + 1] + vu[:j][::-1] + [v]), tuple(ev[:i] + eu[:j][::-1] + [k])
 
 
-def chebyshev(kind: str, degree: int) -> Polynomial:
-    """Chebyshev polynomial of the given kind ('first' or 'second')."""
+def chebyshev(kind: str, degree: int) -> list[int]:
+    """Integer coefficients of the Chebyshev polynomial of the given kind
+    ('first' or 'second'), lowest degree first."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if kind not in ("first", "second"):
         raise ValueError("kind must be 'first' or 'second'")
-    z = Polynomial.z()
-    prev = Polynomial([1])
-    cur = z if kind == "first" else z.scale(2)
+    prev, cur = [1], [0, 1] if kind == "first" else [0, 2]
     if degree == 0:
         return prev
     for _ in range(degree - 1):
-        prev, cur = cur, z.scale(2) * cur - prev
+        prev, cur = cur, poly_sub([0, *(2 * c for c in cur)], prev)
     return cur
 
 
@@ -372,43 +373,194 @@ def assemble_per_object(X: WeightedGraph, s: Substituent) -> PerObjectReport:
 
 
 # ---------------------------------------------------------------------------
-# The exact layer by interpolation and Euclid over Fraction
+# The exact layer over Fraction: arithmetic, Euclid, Bareiss and interpolation
 # ---------------------------------------------------------------------------
+# Polynomials are coefficient sequences, lowest degree first, of ints or
+# Fractions; results carry no trailing zeros.
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    return p.scale(1 / p.leading()) if not p.is_zero() else p
+def _trimmed(cs) -> list:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
-def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over Fraction."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, _monic(r)
-    return _monic(a)
+def poly_add(a, b) -> list:
+    return _trimmed(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def euclid_reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
+def poly_sub(a, b) -> list:
+    return poly_add(a, [-y for y in b])
+
+
+def poly_mul(a, b) -> list:
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def derivative(a) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def poly_divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b, over Fraction."""
+    rem = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        f = q[k] = rem[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+    return _trimmed(q), _trimmed(rem)
+
+
+def monic(a) -> list:
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def euclid_gcd(a, b) -> list[Fraction]:
+    """Monic gcd by the Euclidean algorithm over Fraction; [] for two zeros."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        a, b = b, monic(poly_divmod(a, b)[1])
+    return monic(a)
+
+
+def euclid_reduced(num, den) -> RationalFunction:
     """num / den reduced over Fraction: Euclid's gcd, long division, and a
-    monic denominator; built without `RationalFunction.__init__`."""
-    if den.is_zero():
+    monic denominator; built without `RationalFunction.from_integers`."""
+    num, den = _trimmed(num), _trimmed(den)
+    if not den:
         raise ZeroDivisionError("rational function with zero denominator")
-    if num.is_zero():
-        den = Polynomial([1])
+    if not num:
+        den = [1]
     else:
         g = euclid_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.leading()
-        num, den = num.scale(1 / lead), den.scale(1 / lead)
+        num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        num, den = [c / den[-1] for c in num], monic(den)
     out = object.__new__(RationalFunction)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", den)
+    out.__dict__["num"], out.__dict__["den"] = Polynomial(num), Polynomial(den)
     return out
 
 
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial:
+def rf_sum(terms) -> RationalFunction:
+    """The sum of c f over the pairs (c, f) of a number and a rational
+    function, over the lcm of the denominators, reduced by Euclid."""
+    terms = list(terms)
+    den = [1]
+    for _, f in terms:
+        den = poly_mul(den, poly_divmod(f.den.coeffs, euclid_gcd(den, f.den.coeffs))[0])
+    num = []
+    for c, f in terms:
+        num = poly_add(num, poly_mul([c], poly_mul(f.num.coeffs, poly_divmod(den, f.den.coeffs)[0])))
+    return euclid_reduced(num, den)
+
+
+def _horner(a, z: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
+def exact_value(f: RationalFunction, z) -> Fraction:
+    """f(z) in Fraction arithmetic; ZeroDivisionError at a pole."""
+    z = Fraction(z)
+    return _horner(f.num.coeffs, z) / _horner(f.den.coeffs, z)
+
+
+def _eliminate(
+    matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]
+) -> tuple[Fraction, list[list[Fraction]]]:
+    """det(A) and det(A) A^{-1} c for each column c, exactly; no columns when
+    det(A) = 0.
+
+    Fraction-free (Bareiss) elimination: A and the columns are scaled to
+    integers by one common factor, and every division on the way is exact.
+    """
+    n = len(matrix)
+    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(matrix)]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    sign, prev = 1, 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0), []
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        pivot_row = a[col]
+        p = pivot_row[col]
+        for r in range(col + 1, n):
+            f = a[r][col]
+            a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], pivot_row)]
+        prev = p
+    # prev is now the determinant of the scaled, row-swapped matrix, so each
+    # y = prev * x is integral (Cramer's rule) and det(A) x = y / (sign scale^n)
+    denom = sign * scale**n
+    adjugate_columns = []
+    for j in range(n, n + len(columns)):
+        y = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            acc = prev * row[j] - sum(row[t] * y[t] for t in range(i + 1, n) if row[t])
+            y[i] = acc // row[i]
+        adjugate_columns.append([Fraction(v, denom) for v in y])
+    return Fraction(prev, denom), adjugate_columns
+
+
+def solve_fraction_system(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction]:
+    """Solve A x = b exactly over Fraction."""
+    det, adjugate_columns = _eliminate(matrix, [rhs])
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return [v / det for v in adjugate_columns[0]]
+
+
+def _resolvent_column(P: list[list[Fraction]], z: Fraction, y: int) -> list[Fraction]:
+    """Column y of (zI - P)^{-1}, solved exactly."""
+    n = len(P)
+    A = [[(z if i == j else Fraction(0)) - P[i][j] for j in range(n)] for i in range(n)]
+    rhs = [Fraction(1) if i == y else Fraction(0) for i in range(n)]
+    return solve_fraction_system(A, rhs)
+
+
+def verify_resolvent_identity(
+    sub: SubstitutedGraph, tf: TransferFunctions, z: Fraction, pairs
+) -> list[tuple[int, int, bool]]:
+    """Check G_sub(x,y|z) * psi(z) = G_host(x,y|phi(z)) exactly at rational z.
+
+    `pairs` are host-vertex index pairs (x, y); host vertices keep their
+    indices inside the substituted graph.
+    """
+    z = Fraction(z)
+    phi_z = exact_value(tf.phi, z)
+    psi_z = exact_value(tf.psi, z)
+
+    P_host = ReversibleOperator.full(sub.host).matrix_exact()
+    P_star = ReversibleOperator.full(sub.graph).matrix_exact()
+
+    host_cols: dict[int, list[Fraction]] = {}
+    star_cols: dict[int, list[Fraction]] = {}
+    results = []
+    for x, y in pairs:
+        if y not in host_cols:
+            host_cols[y] = _resolvent_column(P_host, phi_z, y)
+        if y not in star_cols:
+            star_cols[y] = _resolvent_column(P_star, z, y)
+        lhs = star_cols[y][x] * psi_z
+        rhs = host_cols[y][x]
+        results.append((x, y, lhs == rhs))
+    return results
+
+
+def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
     """The polynomial of degree < len(nodes) through (nodes, values), by
     Newton divided differences expanded into the monomial basis."""
     c = list(values)
@@ -420,14 +572,14 @@ def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> Polynomial
         coeffs = [c[i] - nodes[i] * coeffs[0]] + [
             lo - nodes[i] * hi for lo, hi in zip(coeffs, coeffs[1:])
         ] + [coeffs[-1]]
-    return Polynomial(coeffs)
+    return _trimmed(coeffs)
 
 
 def interpolate_solves(
     matrix: Sequence[Sequence[Fraction]],
     columns: Sequence[Sequence[Fraction]],
     sample: Callable[[Fraction, list[list[Fraction]]], Sequence[Fraction]],
-) -> list[Polynomial]:
+) -> list[list[Fraction]]:
     """The polynomials in z whose values at z are `sample(det, columns)`,
     where det = det(zI - M) and columns holds det (zI - M)^{-1} c for each c.
 
@@ -453,7 +605,7 @@ def interpolate_solves(
 
 def charpoly_by_interpolation(matrix) -> Polynomial:
     """det(zI - M), interpolated from the exact determinants at the nodes."""
-    return interpolate_solves(matrix, [], lambda det, _: [det])[0]
+    return Polynomial(interpolate_solves(matrix, [], lambda det, _: [det])[0])
 
 
 def resolvent_by_interpolation(matrix, columns) -> list[list[RationalFunction]]:
@@ -478,18 +630,17 @@ def transfer_series_by_interpolation(s: Substituent) -> tuple[Polynomial, Polyno
 
     M = [[q[u][v] for v in s.interior] for u in s.interior]
     columns = [[q[v][x] for v in s.interior] for x in (s.a, s.b)]
-    return tuple(interpolate_solves(M, columns, sample))
+    return tuple(map(Polynomial, interpolate_solves(M, columns, sample)))
 
 
 def transfer_by_interpolation(s: Substituent):
     """The series det, theta_n, psi_n, then phi, psi, theta and z - theta as
     quotients of them reduced by `euclid_reduced`."""
-    det, theta_num, psi_num = transfer_series_by_interpolation(s)
-    z_minus_theta_num = Polynomial.z() * det - theta_num
+    series = transfer_series_by_interpolation(s)
+    det, theta_num, psi_num = (p.coeffs for p in series)
+    z_minus_theta_num = poly_sub([0, *det], theta_num)
     return (
-        det,
-        theta_num,
-        psi_num,
+        *series,
         euclid_reduced(z_minus_theta_num, psi_num),
         euclid_reduced(psi_num, det),
         euclid_reduced(theta_num, det),

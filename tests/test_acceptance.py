@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesub.algebra import Polynomial, RationalFunction
+from edgesub.algebra import RationalFunction
 from edgesub.assemble import assemble, interior_multiplicity
 from edgesub.classify import classify_Q, classify_Qinterior
 from edgesub.extensions import balance, independence_rank, residual
@@ -29,10 +29,18 @@ from edgesub.graph import Orientation, fundamental_cycle_base
 from edgesub.operators import ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum, nodal_dimension
 from edgesub.substitution import substitute
-from edgesub.transfer import compute_transfer, verify_resolvent_identity
+from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent
-from reference import boundary_data, chebyshev, reorient_equivalence_check
+from reference import (
+    boundary_data,
+    chebyshev,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    reorient_equivalence_check,
+    verify_resolvent_identity,
+)
 
 RF = RationalFunction
 
@@ -59,9 +67,8 @@ def test_acceptance_1_pentagon_with_chorded_square():
     start = time.perf_counter()
     s = chorded_square_substituent()
     tf = compute_transfer(s)
-    assert tf.phi == RF(Polynomial([-1, -1, 3]))
-    third = Fraction(1, 3)
-    assert tf.psi == RF(Polynomial([third]), Polynomial([-third, 1]))
+    assert tf.phi == RF.from_integers([-1, -1, 3], [1])
+    assert tf.psi == RF.from_integers([1], [-1, 3])  # (1/3) / (z - 1/3)
     assert tf.theta == tf.psi
 
     result = _run(cycle_host(5), s)
@@ -97,9 +104,9 @@ def test_acceptance_2_path_substituents():
         tf = compute_transfer(s)
         T = chebyshev("first", L)
         U = chebyshev("second", L - 1)
-        assert tf.phi == RF(T)
-        assert tf.psi == RF(Polynomial([1]), U)
-        assert tf.theta == RF.z() - RF(T, U)
+        assert tf.phi == RF.from_integers(T, [1])
+        assert tf.psi == RF.from_integers([1], U)
+        assert tf.theta == RF.from_integers(poly_sub([0, *U], T), U)  # z - T / U
         # interior types alternate: descending k-th is II for even k
         for k, t in enumerate(sorted(classify_Qinterior(s), key=lambda t: -t.value)):
             assert t.type == ("II" if k % 2 == 0 else "III")
@@ -132,16 +139,18 @@ def test_acceptance_2_path_substituents():
 def test_acceptance_3_circle_substituents():
     for L in (2, 4):
         anti = compute_transfer(circle_substituent(L, "antipodal"))
-        assert anti.phi == RF(chebyshev("first", L))
-        assert anti.psi == RF(Polynomial([1]), chebyshev("second", L - 1))
+        assert anti.phi == RF.from_integers(chebyshev("first", L), [1])
+        assert anti.psi == RF.from_integers([1], chebyshev("second", L - 1))
 
         s = circle_substituent(L, "adjacent")
         tf = compute_transfer(s)
-        M = 2 * L
-        assert tf.phi == RF(chebyshev("first", L), chebyshev("first", L - 1))
-        half = RF(Polynomial([Fraction(1, 2)]))
-        assert tf.psi == (RF(Polynomial([1])) + RF(Polynomial([1]), chebyshev("second", M - 2))) * half
-        assert tf.phi * tf.psi + tf.theta == RF.z()
+        T, T1, U = chebyshev("first", L), chebyshev("first", L - 1), chebyshev("second", 2 * L - 2)
+        assert tf.phi == RF.from_integers(T, T1)
+        assert tf.psi == RF.from_integers(poly_add(U, [1]), U, 1, 2)  # (1 + 1 / U) / 2
+        # theta = z - phi psi = z - T (U + 1) / (2 T1 U)
+        assert tf.theta == RF.from_integers(
+            poly_sub(poly_mul([0, 2], poly_mul(T1, U)), poly_mul(T, poly_add(U, [1]))), poly_mul([2], poly_mul(T1, U))
+        )
 
         X = cycle_host(4)
         result = _run(X, s, build_families=False)
@@ -282,8 +291,8 @@ def test_acceptance_7_spectral_gap():
         got_lam1, got_star = result.report.gap
         assert abs(got_lam1 - lam1) < 1e-12
         phi = result.transfer.phi
-        poly = phi.num - phi.den.scale(Fraction(lam1))
-        roots = np.roots([float(c) for c in reversed(poly.coeffs)])
+        poly = poly_sub(phi.num.coeffs, [Fraction(lam1) * c for c in phi.den.coeffs])
+        roots = np.roots([float(c) for c in reversed(poly)])
         real = [r.real for r in roots if abs(r.imag) <= 1e-9 and -1 - 1e-9 <= r.real <= 1 + 1e-9]
         assert abs(got_star - max(real)) < 1e-9
         second = sorted(result.report.values(), reverse=True)[1]

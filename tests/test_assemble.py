@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesub.algebra import poly_gcd, real_roots_in_interval
+from edgesub.algebra import Polynomial, real_roots_in_interval
 from edgesub.assemble import _PROVENANCE, assemble, interior_multiplicity, solve_S1, solve_S2
 from edgesub.classify import classify_Qinterior, cluster_types
 from edgesub.errors import InvalidTypeCombination
@@ -27,7 +27,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance, sweep_instances
-from reference import assemble_per_object, cycle_walk, interior_multiplicity_cells
+from reference import assemble_per_object, cycle_walk, euclid_gcd, interior_multiplicity_cells
 
 
 def _run(X, s, **kw):
@@ -268,8 +268,9 @@ class TestS2:
         for s in subs:
             interior = np.array([t.value for t in classify_Qinterior(s)])
             tf = compute_transfer(s)
+            common = Polynomial(euclid_gcd(tf.psi.num.coeffs, tf.z_minus_theta.num.coeffs))
             want = [
-                root for root in real_roots_in_interval(poly_gcd(tf.psi.num, tf.z_minus_theta.num), -1, 1)
+                root for root in real_roots_in_interval(common, -1, 1)
                 if all(abs(root - mu) > CLUSTER_TOL for mu in interior)
             ]
             got = solve_S2(cluster_types(s, _eigenpairs(ReversibleOperator.full(s.graph)), "Q"), interior)

@@ -10,6 +10,7 @@ from edgesub.fixtures import (
     circle_substituent,
     cycle_host,
     path_host,
+    path_substituent,
 )
 
 
@@ -35,11 +36,25 @@ class TestSubcommands:
         assert doc["vertexKind"]["x0"] == "host"
 
     def test_transfer(self, tmp_path, capsys):
+        # the whole text: each function's reduction and its printed form
         _, sub = _host_and_sub(tmp_path)
         assert main(["transfer", "--sub", sub]) == 0
-        out = capsys.readouterr().out
-        assert "phi" in out and "psi" in out and "theta" in out
-        assert "3 z^2" in out
+        assert capsys.readouterr().out == (
+            "phi   = (-1 + -1 z + 3 z^2) / (1)\n"
+            "psi   = (1/3) / (-1/3 + 1 z)\n"
+            "theta = (1/3) / (-1/3 + 1 z)\n"
+            "lambda0(V minus b) = 0.767591879244\n"
+            "lambda0(interior)  = 0.333333333333\n"
+        )
+        path = _write(tmp_path, "path3.json", dump_substituent(path_substituent(3)))
+        assert main(["transfer", "--sub", path]) == 0
+        assert capsys.readouterr().out == (
+            "phi   = (-3 z + 4 z^3) / (1)\n"
+            "psi   = (1/4) / (-1/4 + 1 z^2)\n"
+            "theta = (1/2 z) / (-1/4 + 1 z^2)\n"
+            "lambda0(V minus b) = 0.866025403784\n"
+            "lambda0(interior)  = 0.500000000000\n"
+        )
 
     def test_classify(self, tmp_path, capsys):
         _, sub = _host_and_sub(tmp_path)

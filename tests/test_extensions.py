@@ -39,7 +39,7 @@ from edgesub.substitution import substitute
 from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance, sweep_instances
-from reference import cycle_walk, pi, random_orientation, transfer_extension_broadcast
+from reference import cycle_walk, exact_value, pi, random_orientation, transfer_extension_broadcast
 from test_transfer import EIGENBASIS_MIX_FIXTURES, _reference_kernels
 
 RESIDUAL_TOL = 1e-9
@@ -127,7 +127,7 @@ class TestTransferExtension:
             top = eigen(ReversibleOperator.full(sub.graph)).values[0]
             for lam_star in (top, rng.uniform(-1, 1), rng.uniform(-1, 1)):
                 to_a, to_b = (
-                    [float(f.eval_exact(Fraction(lam_star))) for f in half]
+                    [float(exact_value(f, lam_star)) for f in half]
                     for half in (exact[:k], exact[k:])
                 )
                 f_host = host_dec.bases[0][:, 0] + rng.random() * host_dec.bases[-1][:, 0]
