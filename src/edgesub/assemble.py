@@ -13,7 +13,9 @@ The spectrum decomposes into three parts:
   nu = 2 outside the interior spectrum;
 * interior — eigenvalues of the interior restriction, with multiplicity
   given by a table over the (Q-type, interior-type) pair; tree and
-  odd-unicyclic hosts can drop some candidates (the exceptional set).
+  odd-unicyclic hosts can drop some candidates.  The exceptional set
+  `report.exc` is the interior values whose cell counts 0; the type rules A
+  and B that name the same values are the test reference (`tests/reference.py`).
 
 The spectrum reads only the typing pass of Q and Q° (`classify.ClusterTypes`,
 arrays over their clusters), and every step runs on those arrays: the Q row
@@ -271,22 +273,16 @@ def _host_shape(X: WeightedGraph) -> tuple[bool, bool]:
 
 
 def exceptional_set(
-    X: WeightedGraph, Q: ClusterTypes, interior: ClusterTypes, q_row: np.ndarray
+    values: np.ndarray, counts: np.ndarray, shape: tuple[bool, bool]
 ) -> list[tuple[float, str]]:
-    """Interior candidates that a tree or odd-unicyclic host drops, from the
-    types of Q and Q° and each interior eigenvalue's Q row (`_q_rows`)."""
-    is_tree, is_odd_unicyclic = _host_shape(X)
-    if not (is_tree or is_odd_unicyclic):
-        return []
-    kind = interior.kind
-    none = q_row < 0
-    if is_tree:  # on a single edge, 2|E| - |X| = 0 drops a IV° value too
-        dropped = none & ((kind == 1) | (kind == 2) | (kind == 3) & (X.n == 2))
-    else:
-        simple_III = ~none & (Q.kind[q_row] == 2) & (Q.nu[q_row] == 1)
-        dropped = (interior.nu == 1) & (kind == 1) & (none | simple_III)
-    rule = "A" if is_tree else "B"
-    return [(value, rule) for value in interior.values[dropped].tolist()]
+    """The interior candidates whose table count is 0, with the rule that
+    drops them: "A" on a tree, "B" on an odd-unicyclic host (`shape` is
+    `_host_shape`).  No other host has a zero cell: there |E_X| >= |X|, and
+    the cells that can reach 0, (0, II°), (I, II°) and (III, II°) at nu° = 1,
+    are |E_X| - |X| + delta_b or more, positive unless the host is
+    unicyclic with an odd cycle."""
+    rule = "A" if shape[0] else "B"
+    return [(value, rule) for value in values[counts == 0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +393,14 @@ def assemble(
     point_lams = np.concatenate([np.full(len(s2), np.nan), _ROW_COUNTS[row[counted]]])
     s1 = solve_S1(s, tI, spec_P, points, point_lams)
 
-    exc = exceptional_set(X, tQ, tI, q_row)
     cell = 4 * row + tI.kind  # the table cell of each interior eigenvalue
     counts = _TABLE[cell, 0] * tI.nu * n_E + _TABLE[cell, 1:] @ (n_E, n_X, delta_b, 1)
     bad = np.flatnonzero((cell == 0) | (counts < 0))
     if bad.size:  # raises for the first cell that cannot occur
         k = bad[0]
         interior_multiplicity(_ROWS[row[k]], _KINDS[tI.kind[k]], int(tI.nu[k]), n_X, n_E, delta_b)
+    shape = _host_shape(X)
+    exc = exceptional_set(tI.values, counts, shape)
     live = counts > 0
 
     value = np.concatenate([s1.roots, s2, tI.values[live]])
@@ -413,7 +410,6 @@ def assemble(
 
     total = int(nu.sum())
     expected = n_X + n_E * (s.graph.n - 2)
-    is_tree, is_odd_unicyclic = _host_shape(X)
     report = SpectrumReport(
         value, nu, code, lam_index, spec_P.values,
         exc=exc,
@@ -421,8 +417,8 @@ def assemble(
         total=total,
         expected_total=expected,
         delta_b=delta_b,
-        host_is_tree=is_tree,
-        host_is_odd_unicyclic=is_odd_unicyclic,
+        host_is_tree=shape[0],
+        host_is_odd_unicyclic=shape[1],
     )
     if total != expected:
         raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {expected}\n" + report.to_text())

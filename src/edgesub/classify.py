@@ -214,13 +214,10 @@ def cluster_types(s: Substituent, decomp: EigenDecomposition, source: str) -> Cl
     return _type_clusters(decomp.values, decomp.multiplicities, h, boundary, source, mass)
 
 
-def classify_Q(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
-    if decomp is None:
-        decomp = _eigenpairs(ReversibleOperator.full(s.graph))
-    return cluster_types(s, decomp, "Q").normal_forms()
+def classify_Q(s: Substituent) -> list[TypedEigenvalue]:
+    return cluster_types(s, _eigenpairs(ReversibleOperator.full(s.graph)), "Q").normal_forms()
 
 
-def classify_Qinterior(s: Substituent, decomp: EigenDecomposition | None = None) -> list[TypedEigenvalue]:
-    if decomp is None:
-        decomp = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
-    return cluster_types(s, decomp, "Qo").normal_forms()
+def classify_Qinterior(s: Substituent) -> list[TypedEigenvalue]:
+    interior = ReversibleOperator.restricted(s.graph, s.interior)
+    return cluster_types(s, _eigenpairs(interior), "Qo").normal_forms()

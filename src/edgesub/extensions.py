@@ -6,7 +6,11 @@ Two kinds of constructions:
   extends to X[V] as f at the edge ends times the kernel table at lambda*;
 * embeddings/nodal gluings: eigenfunctions of Q or of the interior
   restriction are copied onto substituted edge copies with weights chosen so
-  the one-step averages balance at every host vertex.
+  the one-step averages balance at every host vertex.  Every gluing has one
+  form: host values, plus on each host edge e the sum over the tails of
+  W[:, e] times the tail, for one (k, |E_X|) weight array W per tail.  A
+  family is k functions written as one array by `_glue`; the families differ
+  only in their host values and weight arrays.
 
 Each emitted function carries a construction tag and is checkable against
 the eigen-equation residual.
@@ -62,7 +66,7 @@ def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     """Weighted sum of one-step interior averages into host vertex x."""
     s = sub.substituent
     q = ReversibleOperator.full(s.graph).matrix_exact()
-    ax = np.array([float(c) for _, _, c in sub.host.edges])
+    ax = sub.edge_conductances
     block = sub.interior_block(f)
     total = 0.0
     for ends, end in zip(sub.edge_ends.T, (s.a, s.b)):
@@ -103,32 +107,36 @@ def transfer_extension(
 
 
 # ---------------------------------------------------------------------------
-# Embeddings of the spectrum of Q
+# Gluings: embeddings of the spectrum of Q and nodal functions from Q°
 # ---------------------------------------------------------------------------
 
 
-def _interior_basis(sub: SubstitutedGraph, t: TypedEigenvalue) -> np.ndarray:
-    """Rows of the normal-form basis at the interior vertices, in
-    `substituent.interior` order: every row for Q°, whose support is the
-    interior."""
-    if t.source == "Q":
-        return t.basis[list(sub.substituent.interior)]
-    return t.basis
-
-
-def _per_edge_functions(
-    sub: SubstitutedGraph, t: TypedEigenvalue, basis: np.ndarray
+def _glue(
+    sub: SubstitutedGraph, t: TypedEigenvalue, tag: str, labels, weights, host=0.0
 ) -> list[ExtensionFunction]:
-    """One nodal function per (zero-boundary eigenfunction, host edge)."""
-    out = []
-    for j in range(t.nu_prime):
-        for e in range(sub.host.num_edges):
-            values = np.zeros(sub.n)
-            sub.interior_block(values)[e] = basis[:, j]
-            out.append(
-                ExtensionFunction(values, t.value, TAG_PER_EDGE, f"f_{j + 1} on edge {e}")
-            )
-    return out
+    """One function per label, the rows of one (k, n) array: `host` (k, |X|),
+    or broadcast to it, at the host vertices, and on host edge e the sum of
+    W[:, e] * tail over the (W, tail) in `weights`, each W (k, |E_X|)."""
+    values = np.zeros((len(labels), sub.n))
+    values[:, : sub.host.n] = host
+    interior = values[:, sub.host.n :]
+    for W, tail in weights:
+        interior += (W[:, :, None] * tail).reshape(interior.shape)
+    return [ExtensionFunction(f, t.value, tag, label) for f, label in zip(values, labels)]
+
+
+def _per_edge_and_tails(
+    sub: SubstitutedGraph, t: TypedEigenvalue
+) -> tuple[list[ExtensionFunction], np.ndarray]:
+    """One nodal function per (zero-boundary eigenfunction, host edge), with
+    identity weights on that column; and the tail columns.  Both at the
+    interior vertices, in `substituent.interior` order: Q's basis is cut to
+    them, Q°'s support is the interior."""
+    basis = t.basis[list(sub.substituent.interior)] if t.source == "Q" else t.basis
+    E, k = sub.host.num_edges, t.nu_prime
+    labels = [f"f_{j + 1} on edge {e}" for j in range(k) for e in range(E)]
+    weights = [(np.eye(k * E, E, -j * E), basis[:, j]) for j in range(k)]
+    return _glue(sub, t, TAG_PER_EDGE, labels, weights), basis[:, k:]
 
 
 def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunction]:
@@ -136,38 +144,19 @@ def embed_specQ(sub: SubstitutedGraph, t: TypedEigenvalue) -> list[ExtensionFunc
     if t.source != "Q":
         raise InvalidTypeCombination("embed_specQ expects a Q-classified eigenvalue")
     X = sub.host
-    basis = _interior_basis(sub, t)
-    tails = basis[:, t.nu_prime :]
+    fns, tails = _per_edge_and_tails(sub, t)
     ea, eb = sub.edge_ends.T
-    fns = _per_edge_functions(sub, t, basis)
-
     if t.type == "II":
-        values = np.zeros(sub.n)
-        values[: X.n] = t.tails()[sub.substituent.a, 0]
-        sub.interior_block(values)[:] = tails[:, 0]
-        fns.append(ExtensionFunction(values, t.value, TAG_CONSTANT, "symmetric tail"))
-    elif t.type == "III":
-        classes = X.bipartition()
-        if classes is not None:
-            part1, _ = classes
-            sign = np.array([1.0 if x in part1 else -1.0 for x in range(X.n)])
-            values = np.zeros(sub.n)
-            values[: X.n] = sign
-            sub.interior_block(values)[:] = sign[ea][:, None] * tails[:, 0]
-            fns.append(
-                ExtensionFunction(values, t.value, TAG_BIPARTITE, "antisymmetric tail")
-            )
+        weights = [(np.ones((1, X.num_edges)), tails[:, 0])]
+        fns += _glue(sub, t, TAG_CONSTANT, ["symmetric tail"], weights, t.tails()[sub.substituent.a, 0])
+    elif t.type == "III" and (classes := X.bipartition()) is not None:
+        sign = np.array([1.0 if x in classes[0] else -1.0 for x in range(X.n)])
+        fns += _glue(sub, t, TAG_BIPARTITE, ["antisymmetric tail"], [(sign[ea][None], tails[:, 0])], sign)
     elif t.type == "IV":
-        f_prev, f_top = tails[:, 0], tails[:, 1]
-        for x in range(X.n):
-            values = np.zeros(sub.n)
-            values[x] = 1.0
-            block = sub.interior_block(values)
-            block[eb == x] = f_prev
-            block[ea == x] = f_top
-            fns.append(
-                ExtensionFunction(values, t.value, TAG_PER_VERTEX, f"star of vertex {x}")
-            )
+        x = np.arange(X.n)[:, None]
+        weights = [(eb == x, tails[:, 0]), (ea == x, tails[:, 1])]
+        labels = [f"star of vertex {v}" for v in range(X.n)]
+        fns += _glue(sub, t, TAG_PER_VERTEX, labels, weights, np.eye(X.n))
     return fns
 
 
@@ -204,18 +193,6 @@ def _tree_completion(
     return w, left[0]
 
 
-def _weighted_function(
-    sub: SubstitutedGraph, t: TypedEigenvalue, tail: np.ndarray, w, tag: str, label: str
-) -> ExtensionFunction:
-    """The tail copied onto each host edge e with w_e != 0, scaled by w_e / a(e)."""
-    values = np.zeros(sub.n)
-    block = sub.interior_block(values)
-    for e, we in enumerate(w):
-        if we:
-            block[e] = we / float(sub.host.edges[e][2]) * tail
-    return ExtensionFunction(values, t.value, tag, label)
-
-
 def nodal_from_interior(
     sub: SubstitutedGraph, t: TypedEigenvalue, base: CycleBase
 ) -> list[ExtensionFunction]:
@@ -223,59 +200,39 @@ def nodal_from_interior(
     if t.source != "Qo":
         raise InvalidTypeCombination("nodal_from_interior expects an interior eigenvalue")
     X = sub.host
-    basis = _interior_basis(sub, t)
-    tails = basis[:, t.nu_prime :]
-    fns = _per_edge_functions(sub, t, basis)
-
-    if t.type == "I":
-        return fns
+    fns, tails = _per_edge_and_tails(sub, t)
+    ax = sub.edge_conductances
 
     if t.type == "III":
         # the signed incidence kernel: the cycle space, one function per cycle
-        tail = tails[:, 0]
-        for i, k in enumerate(base.cycles):
-            w, _ = _tree_completion(sub, base, k, -1)
-            fns.append(_weighted_function(sub, t, tail, w, TAG_ODD_CYCLE, f"cycle {i}"))
-        return fns
+        w = np.reshape([_tree_completion(sub, base, k, -1)[0] for k in base.cycles], (-1, X.num_edges))
+        labels = [f"cycle {i}" for i in range(len(base.cycles))]
+        fns += _glue(sub, t, TAG_ODD_CYCLE, labels, [(w / ax, tails[:, 0])])
 
-    if t.type == "II":
+    elif t.type == "II":
         # the unsigned incidence kernel: each even cycle, and each odd cycle
         # joined with the last one so that the leftovers at the root cancel
-        tail = tails[:, 0]
         completed = [_tree_completion(sub, base, k, 1) for k in base.cycles]
         odd = [i for i, (_, r) in enumerate(completed) if r]
-        for i, (w, r) in enumerate(completed):
-            if not r:
-                fns.append(_weighted_function(sub, t, tail, w, TAG_DEFECT, f"even cycle {i}"))
-        if odd:
-            last = odd[-1]
-            w_last, r_last = completed[last]
-            for i in odd[:-1]:
-                w, r = completed[i]
-                joined = [we - r // r_last * wl for we, wl in zip(w, w_last)]
-                fns.append(
-                    _weighted_function(sub, t, tail, joined, TAG_DEFECT, f"joined cycles {i},{last}")
-                )
-        return fns
+        labels = [f"even cycle {i}" for i, (_, r) in enumerate(completed) if not r]
+        rows = [w for w, r in completed if not r]
+        for i in odd[:-1]:
+            (w, r), (w_last, r_last) = completed[i], completed[odd[-1]]
+            labels.append(f"joined cycles {i},{odd[-1]}")
+            rows.append([we - r // r_last * wl for we, wl in zip(w, w_last)])
+        w = np.reshape(rows, (-1, X.num_edges))
+        fns += _glue(sub, t, TAG_DEFECT, labels, [(w / ax, tails[:, 0])])
 
-    # type IV: mixed pairs over each vertex star
-    f_prev, f_top = tails[:, 0], tails[:, 1]
-    for x in range(X.n):
-        star = X.incident(x)
-        if len(star) < 2:
-            continue
-        e_last = star[-1]
-        for e in star[:-1]:
-            values = np.zeros(sub.n)
-            block = sub.interior_block(values)
-            for e_k, sign in ((e, 1.0), (e_last, -1.0)):
-                copy = f_top if sub.orientation.ea(e_k) == x else f_prev
-                block[e_k] = sign / float(X.edges[e_k][2]) * copy
-            fns.append(
-                ExtensionFunction(
-                    values, t.value, TAG_MIXED, f"edges {e},{e_last} at vertex {x}"
-                )
-            )
+    elif t.type == "IV":
+        # mixed pairs over each vertex star: 1/a(e) on e, -1/a(e') on its last edge e'
+        pairs = [(x, e, X.incident(x)[-1]) for x in range(X.n) for e in X.incident(x)[:-1]]
+        x, e, last = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+        k = np.arange(len(pairs))
+        w = np.zeros((len(pairs), X.num_edges))
+        w[k, e], w[k, last] = 1 / ax[e], -1 / ax[last]
+        at_a = sub.edge_ends[:, 0] == x[:, None]  # each copies the top tail toward e^a
+        labels = [f"edges {i},{j} at vertex {v}" for v, i, j in pairs]
+        fns += _glue(sub, t, TAG_MIXED, labels, [(w * ~at_a, tails[:, 0]), (w * at_a, tails[:, 1])])
     return fns
 
 

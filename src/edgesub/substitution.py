@@ -69,6 +69,11 @@ class SubstitutedGraph:
         sums = np.array([u + v for u, v, _ in self.host.edges], dtype=np.intp)
         return np.column_stack((heads, sums - heads))
 
+    @cached_property
+    def edge_conductances(self) -> np.ndarray:
+        """The host conductances a(e) as floats, in edge order."""
+        return np.array([c.numerator / c.denominator for _, _, c in self.host.edges])
+
     def interior_block(self, values: np.ndarray) -> np.ndarray:
         """The interior entries of a function on X[V] as an (|E_X|, |V°|) view.
 

@@ -5,7 +5,10 @@ For each seed, takes the first `--count` pairs of
 and conductances p/q with 1 <= p, q <= 4; `--max-v`, `--min-interior` and
 `--max-weight` choose another regime.  It runs `assemble` and compares the
 report with `direct_spectrum`, and the rank of each interior eigenvalue's
-nodal family with the oracle's `nodal_dimension` there (`NodalRankMismatch`).
+nodal family with the oracle's `nodal_dimension` there (`NodalRankMismatch`);
+then it checks that every nodal function, and every `embed_specQ` function
+of every eigenvalue of Q, has a relative residual of at most TOL
+(`FamilyResidual`).
 Prints each mismatching (seed, index, error class) and exits non-zero if
 there is any.  Not collected by pytest; run it as
 
@@ -20,7 +23,7 @@ import sys
 
 from edgesub.assemble import assemble
 from edgesub.errors import EdgeSubError, NoSuchCluster
-from edgesub.extensions import independence_rank
+from edgesub.extensions import embed_specQ, independence_rank, residual
 from edgesub.graph import Orientation
 from edgesub.oracle import direct_spectrum, nodal_dimension
 
@@ -54,6 +57,11 @@ def mismatch(X, s) -> str | None:
             dim = 0
         if independence_rank(result.nodal_families[t.value]) != dim:
             return "NodalRankMismatch"
+    sub = result.substituted
+    glued = [f for family in result.nodal_families.values() for f in family]
+    glued += [f for t in result.classified_Q for f in embed_specQ(sub, t)]
+    if not all(residual(sub, f) <= TOL for f in glued):  # an all-zero function reads NaN
+        return "FamilyResidual"
     return None
 
 

@@ -28,6 +28,7 @@ from edgesub.transfer import compute_transfer
 
 from randinst import random_host, random_substituent, sweep_instance, sweep_instances
 from reference import assemble_per_object, cycle_walk, euclid_gcd, interior_multiplicity_cells
+from test_classify import _fixture_substituents
 
 
 def _run(X, s, **kw):
@@ -566,6 +567,17 @@ class TestArrayReportAgainstThePerObjectPath:
         for s in subs:
             for X in (cycle_host(6), cycle_host(7), path_host(5), star_host(5)):
                 _assert_report_matches_the_per_object_path(X, s)
+
+    def test_fixture_grid(self):
+        """Path hosts 2-6, star hosts 3-6 and cycle hosts 3-7, each with every
+        fixture substituent: trees and odd-unicyclic hosts with exceptional
+        values of rules A and B, and even cycles with none."""
+        hosts = [path_host(n) for n in range(2, 7)] + [star_host(n) for n in range(3, 7)]
+        rules = set()
+        for X in hosts + [cycle_host(n) for n in range(3, 8)]:
+            for s in _fixture_substituents():
+                rules |= {rule for _, rule in _assert_report_matches_the_per_object_path(X, s).report.exc}
+        assert rules == {"A", "B"}
 
 
 class TestSpectrumOnlyBuildsNoObjects:

@@ -204,9 +204,9 @@ class TestBasisIndependence:
         """The normal form is a function of the eigenspace: rotating each
         cluster's basis inside the eigenspace leaves the tails unchanged."""
         rng = np.random.default_rng(3)
-        for op, classify in (
-            (ReversibleOperator.full(s.graph), classify_Q),
-            (ReversibleOperator.restricted(s.graph, s.interior), classify_Qinterior),
+        for op, source in (
+            (ReversibleOperator.full(s.graph), "Q"),
+            (ReversibleOperator.restricted(s.graph, s.interior), "Qo"),
         ):
             dec = eigen(op)
             rotated = EigenDecomposition(
@@ -215,7 +215,8 @@ class TestBasisIndependence:
                 dec.multiplicities,
                 tuple(b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0] for b in dec.bases),
             )
-            for t, r in zip(classify(s, dec), classify(s, rotated)):
+            typed = (cluster_types(s, d, source).normal_forms() for d in (dec, rotated))
+            for t, r in zip(*typed):
                 assert (t.type, t.nu, t.nu_prime) == (r.type, r.nu, r.nu_prime)
                 np.testing.assert_allclose(r.tails(), t.tails(), rtol=0, atol=1e-12)
 
@@ -335,14 +336,14 @@ def _reference_inputs() -> list[Substituent]:
 
 
 def _decompositions(s: Substituent):
-    """(source, decomposition with its bases computed, classify) for Q and Q°."""
-    for source, op, fn in (
-        ("Q", ReversibleOperator.full(s.graph), classify_Q),
-        ("Qo", ReversibleOperator.restricted(s.graph, s.interior), classify_Qinterior),
+    """(source, decomposition with its bases computed) for Q and Q°."""
+    for source, op in (
+        ("Q", ReversibleOperator.full(s.graph)),
+        ("Qo", ReversibleOperator.restricted(s.graph, s.interior)),
     ):
         dec = eigen(op)
         dec.bases  # the eigenvectors are solved here, outside any counted call
-        yield source, dec, fn
+        yield source, dec
 
 
 class TestAgainstTheSvdReference:
@@ -354,12 +355,13 @@ class TestAgainstTheSvdReference:
             while cur != list(range(s.graph.n)):
                 cur = [s.gamma[x] for x in cur]
                 order += 1
-            for source, dec, fn in _decompositions(s):
+            for source, dec in _decompositions(s):
                 support = dec.operator.support
                 boundary = _boundary_map(s, source, support)
                 pos = {x: i for i, x in enumerate(support)}
                 gperm = np.array([pos[s.gamma[x]] for x in support])
-                for t, value, basis in zip(fn(s, dec), dec.values, dec.bases):
+                typed = cluster_types(s, dec, source).normal_forms()
+                for t, value, basis in zip(typed, dec.values, dec.bases):
                     r = _reference_cluster(value, basis, boundary, gperm, order, source)
                     assert (t.type, t.nu, t.nu_prime, t.ambiguous) == (
                         r.type, r.nu, r.nu_prime, r.ambiguous
@@ -393,8 +395,9 @@ class TestAgainstTheSvdReference:
             monkeypatch.setattr(np.linalg, name, counted)
         partial = 0
         for s, decs in work:
-            for _, dec, fn in decs:
-                partial += sum(0 < t.nu - t.nu_prime < t.nu for t in fn(s, dec))
+            for source, dec in decs:
+                typed = cluster_types(s, dec, source).normal_forms()
+                partial += sum(0 < t.nu - t.nu_prime < t.nu for t in typed)
         assert partial > 0
         assert calls == {"svd": 0, "qr": partial}
 
@@ -473,9 +476,10 @@ def _check_normal_forms_on_first_read(s: Substituent):
     result = assemble(X, Orientation.default(X), s, build_families=False)
     assert not {"classified_Q", "classified_interior"} & set(result.__dict__)
     _assert_bitwise_equal(result.classified_Q, classify_Q(s))
-    _assert_bitwise_equal(result.classified_Q, classify_Q(s, result.spec_Q))
+    _assert_bitwise_equal(result.classified_Q, cluster_types(s, result.spec_Q, "Q").normal_forms())
     _assert_bitwise_equal(result.classified_interior, classify_Qinterior(s))
-    _assert_bitwise_equal(result.classified_interior, classify_Qinterior(s, result.spec_interior))
+    interior = cluster_types(s, result.spec_interior, "Qo").normal_forms()
+    _assert_bitwise_equal(result.classified_interior, interior)
 
 
 class TestArrayPassAgainstThePerClusterClassifier:

@@ -7,7 +7,7 @@ import pytest
 
 from edgesub.assemble import assemble, solve_S1
 from edgesub.classify import classify_Q, classify_Qinterior
-from edgesub.errors import KernelPole
+from edgesub.errors import KernelPole, NoSuchCluster
 from edgesub.extensions import (
     TAG_BIPARTITE,
     TAG_CONSTANT,
@@ -594,6 +594,49 @@ class TestBlockRowsEqualPerVertexReference:
                 want = _ref_balance(sub, f, x)
                 assert abs(balance(sub, f, x) - want) <= 1e-12 * max(1.0, abs(want))
 
+
+def _parallel_edge_hosts():
+    """A digon, a triple edge, a digon with a tail, and the two parallel-edge
+    hosts of the host-shape test in test_assemble."""
+    one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
+    edge_lists = [
+        [(0, 1, one), (0, 1, two)],
+        [(0, 1, one), (1, 0, half), (0, 1, Fraction(3))],
+        [(0, 1, one), (1, 0, two), (0, 2, one)],
+        [(0, 1, one), (1, 0, half), (1, 2, one)],
+        [(0, 1, one), (1, 2, one), (2, 0, one), (1, 2, two)],
+    ]
+    return [WeightedGraph(list(range(1 + max(max(u, v) for u, v, _ in es))), es) for es in edge_lists]
+
+
+def test_families_on_parallel_edge_hosts():
+    """On hosts with parallel edges, every nodal and `embed_specQ` function
+    is an eigenfunction of X[V], and each interior value's nodal family has
+    the rank of the oracle's nodal space there.  40 pairs: five fixtures and
+    three random draws, which between them give every Q and Q° type."""
+    rng = random.Random(219)
+    subs = [path_substituent(3), path_substituent(4), chorded_square_substituent()]
+    subs += [circle_substituent(2, "adjacent"), circle_substituent(3, "antipodal")]
+    subs += [random_substituent(rng, max_v=7) for _ in range(3)]
+    tags = set()
+    for X in _parallel_edge_hosts():
+        for s in subs:
+            r = assemble(X, Orientation.default(X), s)
+            sub, oracle = r.substituted, direct_spectrum(r.substituted)
+            fns = [f for t in r.classified_Q for f in embed_specQ(sub, t)]
+            for t in r.classified_interior:
+                family = r.nodal_families[t.value]
+                try:
+                    dim = nodal_dimension(oracle, t.value, X.n)
+                except NoSuchCluster:  # the interior value is not in the spectrum at all
+                    dim = 0
+                assert independence_rank(family) == dim
+                fns += family
+            assert all(residual(sub, f) <= 1e-8 for f in fns)
+            tags |= {f.tag for f in fns}
+    assert tags == {
+        TAG_PER_EDGE, TAG_CONSTANT, TAG_BIPARTITE, TAG_PER_VERTEX, TAG_ODD_CYCLE, TAG_DEFECT, TAG_MIXED,
+    }
 
 
 def _eigenbasis_pass(X, s):
