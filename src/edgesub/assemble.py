@@ -54,7 +54,7 @@ from .operators import (
     CLUSTER_TOL,
     EigenDecomposition,
     ReversibleOperator,
-    _eigenpairs_with_block,
+    _eigenpairs,
     eigen,
 )
 from .substitution import SubstitutedGraph, substitute
@@ -376,9 +376,8 @@ def assemble(
     validate_substituent(s)
 
     spec_P = eigen(ReversibleOperator.full(X))
-    spec_Q, spec_int = _eigenpairs_with_block(
-        ReversibleOperator.full(s.graph), ReversibleOperator.restricted(s.graph, s.interior)
-    )
+    spec_Q = _eigenpairs(ReversibleOperator.full(s.graph))
+    spec_int = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
     tQ = cluster_types(s, spec_Q, "Q")
     tI = cluster_types(s, spec_int, "Qo")
     q_row = _q_rows(tQ, tI)

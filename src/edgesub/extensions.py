@@ -18,14 +18,14 @@ the eigen-equation residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import TypedEigenvalue
+from .classify import TypedEigenvalue, _boundary_map
 from .errors import InvalidTypeCombination, KernelPole, TooCloseToInteriorSpectrum
 from .graph import CycleBase
-from .operators import ReversibleOperator
 from .substitution import SubstitutedGraph
 from .transfer import BoundaryKernels
 
@@ -54,26 +54,22 @@ class ExtensionFunction:
 
 
 def residual(sub: SubstitutedGraph, fn: ExtensionFunction) -> float:
-    """Sup-norm of P_* f - lambda f, relative to the sup-norm of f."""
-    P = sub._matrix_float
-    f = fn.values
-    return float(
-        np.max(np.abs(P @ f - fn.eigenvalue * f)) / np.max(np.abs(f))
-    )
+    """Sup-norm of P_* f - lambda f, relative to the sup-norm of f; `inf` for
+    f = 0.  P_* f is one sparse product over the float form of X[V]."""
+    form, f = sub.graph.arrays, fn.values
+    size = np.max(np.abs(f))
+    if size == 0:
+        return math.inf
+    pf = np.bincount(form.x, form.a / form.m[form.x] * f[form.y], len(f))
+    return float(np.max(np.abs(pf - fn.eigenvalue * f)) / size)
 
 
 def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     """Weighted sum of one-step interior averages into host vertex x."""
     s = sub.substituent
-    q = ReversibleOperator.full(s.graph).matrix_exact()
-    ax = sub.edge_conductances
-    block = sub.interior_block(f)
-    total = 0.0
-    for ends, end in zip(sub.edge_ends.T, (s.a, s.b)):
-        at_x = ends == x
-        q_end = np.array([float(q[end][v]) for v in s.interior])
-        total += float(ax[at_x] @ (block[at_x] @ q_end))
-    return total
+    q = _boundary_map(s, "Qo", s.interior)  # rows q(a, .) and q(b, .) on the interior
+    block, ax = sub.interior_block(f), sub.edge_conductances
+    return sum(float(ax[at] @ (block[at] @ q_end)) for at, q_end in zip(sub.edge_ends.T == x, q))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 Vertices are dense integer indices 0..n-1; labels are metadata only.
 Conductances are exact Fractions.  Parallel edges are allowed, loops are not.
+Every float matrix of a graph is read from its float form (`arrays`), each
+summed conductance and measure rounded once; only the Q° boundary rows
+(`classify._boundary_map`) and `solve_S1`'s q(a, b) round an exact c/m.
 The cycle base is a breadth-first spanning tree and its closing edges, one
 per fundamental cycle; the nodal families complete each closing edge
 through the tree, so no cycle is ever walked.
@@ -15,7 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyInterior,
@@ -24,6 +29,17 @@ from .errors import (
     GraphInvariantError,
     VMinusBDisconnected,
 )
+
+
+class FloatForm(NamedTuple):
+    """A graph in floats: every ordered adjacent pair (x[k], y[k]) with its
+    summed conductance a[k], and the measures m, each rounded once from its
+    Fraction.  The arrays are read-only."""
+
+    x: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    m: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,20 @@ class WeightedGraph:
                     return None
         second = frozenset(itertools.compress(range(self.n), color))
         return frozenset(range(self.n)) - second, second
+
+    @cached_property
+    def arrays(self) -> FloatForm:
+        """The float form, built on first read and then cached.  Numerator /
+        denominator skips the generic `numbers.Rational.__float__` path."""
+        a = [c for row in self._adj for c in row.values()]
+        form = FloatForm(
+            np.repeat(np.arange(self.n), [len(row) for row in self._adj]),
+            np.array([y for row in self._adj for y in row], dtype=np.intp),
+            *(np.array([q.numerator / q.denominator for q in qs], dtype=float) for qs in (a, self._m)),
+        )
+        for array in form:
+            array.flags.writeable = False
+        return form
 
     @cached_property
     def delta_b(self) -> int:

@@ -2,16 +2,16 @@
 
 The operator P has entries p(x,y) = a(x,y)/m(x), kept as exact Fractions.
 Eigendecomposition symmetrizes by s(x,y) = a(x,y)/sqrt(m(x)m(y)), so a
-standard symmetric solver applies.  `eigen` finds the eigenvalues alone: on a
+standard symmetric solver applies.  Every float matrix here is one scatter
+from the graph's float form (`WeightedGraph.arrays`), which rounds each
+conductance and measure once.  `eigen` finds the eigenvalues alone: on a
 bipartite graph S = [[0, B], [B^T, 0]] over the colour classes, so they are
 +- the singular values of B and |n1 - n2| zeros; otherwise `eigvalsh` of S.
 The orthonormal eigenvectors u map back to m-orthonormal eigenfunctions
 h = u/sqrt(m).  A host's come from one `eigh` when `EigenDecomposition.bases`
 is first read.  The substituent operators Q and Q°, whose types need every
 eigenvector, take `_eigenpairs`: one `eigh` gives their values and bases at
-once, clustered by the same rule as `eigen`.  `assemble` builds one
-symmetrized matrix for both (`_eigenpairs_with_block`): that of Q° is the
-interior block of that of Q, bitwise, so each is factorized once from it.
+once, clustered by the same rule as `eigen`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import neg
 from typing import Optional, Sequence
 
@@ -58,54 +58,37 @@ class ReversibleOperator:
     def measure(self, i: int) -> Fraction:
         return self.graph.m(self.support[i])
 
-    def _conductances(self):
-        """(i, j, a(x, y)) for every adjacent pair of support positions."""
-        pos = {x: i for i, x in enumerate(self.support)}
-        for i, x in enumerate(self.support):
-            for y, a in self.graph.adjacency(x).items():
-                j = pos.get(y)
-                if j is not None:
-                    yield i, j, a
-
     def matrix_exact(self) -> list[list[Fraction]]:
-        n = self.dim
-        m = [self.measure(i) for i in range(n)]
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, a in self._conductances():
-            mat[i][j] = a / m[i]
+        pos = {x: i for i, x in enumerate(self.support)}
+        mat = [[Fraction(0)] * self.dim for _ in self.support]
+        for row, x in zip(mat, self.support):
+            for y, a in self.graph.adjacency(x).items():
+                if y in pos:
+                    row[pos[y]] = a / self.graph.m(x)
         return mat
-
-    def _measures(self) -> list[float]:
-        """m(x) as floats, in support order.  Here and below numerator /
-        denominator skips the generic `numbers.Rational.__float__` path."""
-        return [q.numerator / q.denominator for q in map(self.graph.m, self.support)]
 
     def matrix_float(self) -> np.ndarray:
-        m = self._measures()
-        mat = np.zeros((self.dim, self.dim))
-        for i, j, a in self._conductances():
-            mat[i, j] = a.numerator / a.denominator / m[i]
-        return mat
+        return _scatter(self.graph, self.support, self.support, symmetric=False)
 
     def symmetrized(self) -> np.ndarray:
-        return self._symmetrized_and_measures()[0]
+        return _scatter(self.graph, self.support, self.support)
 
-    def _symmetrized_and_measures(self) -> tuple[np.ndarray, list[float]]:
-        m = self._measures()
-        return self._symmetrized_block(m, range(self.dim), range(self.dim)), m
 
-    def _symmetrized_block(self, m: list[float], rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """The symmetrized matrix on support positions `rows` x `cols`, from
-        the float measures `m`."""
-        col = {self.support[j]: (k, m[j]) for k, j in enumerate(cols)}
-        s = np.zeros((len(rows), len(cols)))
-        flat = s.reshape(-1)
-        for start, i in zip(count(0, len(cols)), rows):
-            for y, a in self.graph.adjacency(self.support[i]).items():
-                hit = col.get(y)
-                if hit is not None:
-                    flat[start + hit[0]] = a.numerator / a.denominator / math.sqrt(m[i] * hit[1])
-        return s
+def _scatter(g: WeightedGraph, rows: Sequence[int], cols: Sequence[int], symmetric: bool = True) -> np.ndarray:
+    """The (len(rows), len(cols)) matrix with a(x, y) / sqrt(m(x) m(y)), or
+    a(x, y) / m(x) if not `symmetric`, at each adjacent pair of a vertex x in
+    `rows` and a vertex y in `cols`, zeros elsewhere: one scatter from the
+    float form of g."""
+    form = g.arrays
+    at = np.full((2, g.n), -1)
+    at[0, list(rows)] = np.arange(len(rows))
+    at[1, list(cols)] = np.arange(len(cols))
+    i, j = at[0, form.x], at[1, form.y]
+    hit = (i >= 0) & (j >= 0)
+    mx, my = form.m[form.x[hit]], form.m[form.y[hit]]
+    mat = np.zeros((len(rows), len(cols)))
+    mat[i[hit], j[hit]] = form.a[hit] / (np.sqrt(mx * my) if symmetric else mx)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -126,7 +109,7 @@ class EigenDecomposition:
     def bases(self) -> tuple[np.ndarray, ...]:
         """One `eigh`, its vectors in descending order, split by the multiplicities."""
         if self._bases is None:
-            _, h = _descending_eigh(*self.operator._symmetrized_and_measures())
+            _, h = _descending_eigh(self.operator)
             object.__setattr__(self, "_bases", _split(h, self.multiplicities))
         return self._bases
 
@@ -156,10 +139,9 @@ def _descending_values(op: ReversibleOperator) -> list[float]:
     colours = op.graph.bipartition()
     if colours is None:
         return np.linalg.eigvalsh(op.symmetrized())[::-1].tolist()
-    first = colours[0]
-    left = [i for i, x in enumerate(op.support) if x in first]
-    right = [i for i, x in enumerate(op.support) if x not in first]
-    sigma = np.linalg.svd(op._symmetrized_block(op._measures(), left, right), compute_uv=False).tolist()
+    left = [x for x in op.support if x in colours[0]]
+    right = [x for x in op.support if x not in colours[0]]
+    sigma = np.linalg.svd(_scatter(op.graph, left, right), compute_uv=False).tolist()
     return sigma + [0.0] * abs(len(left) - len(right)) + [-s for s in reversed(sigma)]
 
 
@@ -177,11 +159,11 @@ def _clustered(descending: list[float]) -> tuple[tuple[float, ...], tuple[int, .
     return tuple(math.fsum(c) / len(c) for c in clusters), tuple(map(len, clusters))
 
 
-def _descending_eigh(sym: np.ndarray, m: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """One `eigh` of a symmetrized operator with float measures `m`: the
-    eigenvalues descending, and the m-orthonormal eigenfunctions as columns
-    in the same order."""
-    w, u = np.linalg.eigh(sym)
+def _descending_eigh(op: ReversibleOperator) -> tuple[np.ndarray, np.ndarray]:
+    """One `eigh` of the symmetrized operator: the eigenvalues descending, and
+    the m-orthonormal eigenfunctions as columns in the same order."""
+    w, u = np.linalg.eigh(op.symmetrized())
+    m = op.graph.arrays.m[list(op.support)]
     return w[::-1], u[:, ::-1] / np.sqrt(m)[:, None]
 
 
@@ -199,29 +181,12 @@ def eigen(op: ReversibleOperator) -> EigenDecomposition:
     return EigenDecomposition(op, *_clustered(_descending_values(op)))
 
 
-def _pairs(op: ReversibleOperator, sym: np.ndarray, m: Sequence[float]) -> EigenDecomposition:
-    w, h = _descending_eigh(sym, m)
-    values, multiplicities = _clustered(w.tolist())
-    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
-
-
 def _eigenpairs(op: ReversibleOperator) -> EigenDecomposition:
     """Values and bases from one `eigh`, clustered as in `eigen`: for an
     operator whose every eigenvector is read, as Q and Q° are by `classify`."""
-    return _pairs(op, *op._symmetrized_and_measures())
-
-
-def _eigenpairs_with_block(
-    op: ReversibleOperator, part: ReversibleOperator
-) -> tuple[EigenDecomposition, EigenDecomposition]:
-    """`_eigenpairs` of `op` and of `part`, its restriction to a subset of its
-    support, from one symmetrized matrix: the restriction's is the block of
-    the whole one's on that subset, bitwise, since both divide the same
-    conductances by the same measures."""
-    sym, m = op._symmetrized_and_measures()
-    index = {x: i for i, x in enumerate(op.support)}
-    rows = [index[x] for x in part.support]
-    return _pairs(op, sym, m), _pairs(part, sym.take(rows, 0).take(rows, 1), [m[i] for i in rows])
+    w, h = _descending_eigh(op)
+    values, multiplicities = _clustered(w.tolist())
+    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
 
 
 def spectral_radius(op: ReversibleOperator) -> float:

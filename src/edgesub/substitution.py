@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .graph import Orientation, Substituent, WeightedGraph
-from .operators import ReversibleOperator
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class SubstitutedGraph:
             for u, v, c in V.edges
         ]
         return WeightedGraph(labels, edges)
-
-    @cached_property
-    def _matrix_float(self) -> np.ndarray:
-        """The dense float P_* of `graph`, built once for every residual."""
-        return ReversibleOperator.full(self.graph).matrix_float()
 
     @cached_property
     def edge_ends(self) -> np.ndarray:

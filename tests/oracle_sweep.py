@@ -60,7 +60,7 @@ def mismatch(X, s) -> str | None:
     sub = result.substituted
     glued = [f for family in result.nodal_families.values() for f in family]
     glued += [f for t in result.classified_Q for f in embed_specQ(sub, t)]
-    if not all(residual(sub, f) <= TOL for f in glued):  # an all-zero function reads NaN
+    if not all(residual(sub, f) <= TOL for f in glued):
         return "FamilyResidual"
     return None
 

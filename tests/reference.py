@@ -190,6 +190,19 @@ def symmetrized_per_entry(op: ReversibleOperator, rows, cols) -> np.ndarray:
     return s
 
 
+def matrix_float_per_entry(op: ReversibleOperator) -> np.ndarray:
+    """The float transition matrix, each entry a(x, y) / m(x) from the
+    numerator and denominator of a(x, y) and the float of m(x)."""
+    p = np.zeros((op.dim, op.dim))
+    pos = {x: j for j, x in enumerate(op.support)}
+    for i, x in enumerate(op.support):
+        m = float(op.measure(i))
+        for y, a in op.graph.adjacency(x).items():
+            if y in pos:
+                p[i, pos[y]] = a.numerator / a.denominator / m
+    return p
+
+
 # -- the per-object spectrum ----------------------------------------------------
 
 

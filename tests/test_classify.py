@@ -253,7 +253,7 @@ class TestGammaOfOrderFour:
         t = _by_value(classify_Q(self.s), 0.0)
         assert (t.type, t.nu, t.nu_prime) == ("III", 3, 2)
         z = t.zero_block()
-        m = np.diag(ReversibleOperator.full(self.s.graph)._measures())
+        m = np.diag(self.s.graph.arrays.m)
         np.testing.assert_allclose(z.T @ m @ z, np.eye(2), atol=1e-12)
 
     def test_assemble_agrees_with_the_oracle(self):
@@ -467,11 +467,10 @@ def _assert_bitwise_equal(got: list[TypedEigenvalue], want: list[TypedEigenvalue
 
 
 def _check_normal_forms_on_first_read(s: Substituent):
-    """`assemble` types Q and Q° from one symmetrized matrix and builds their
-    normal forms on first read: bitwise those of `classify_Q` and
-    `classify_Qinterior`, each from its own factorization, which
-    `_check_array_pass_matches_per_cluster` holds to the per-cluster
-    reference."""
+    """`assemble` types Q and Q° and builds their normal forms on first read:
+    bitwise those of `classify_Q` and `classify_Qinterior`, each from its own
+    factorization, which `_check_array_pass_matches_per_cluster` holds to the
+    per-cluster reference."""
     X = cycle_host(3)
     result = assemble(X, Orientation.default(X), s, build_families=False)
     assert not {"classified_Q", "classified_interior"} & set(result.__dict__)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -515,16 +516,16 @@ def _ref_nodal(sub, t, base):
     return fns
 
 
-def _ref_balance(sub, f, x):
+def _exact_balance(sub, f, x):
+    """The balance at x in Fractions, from the exact Q of `matrix_exact`, the
+    exact host conductances and the exact values of the floats of f."""
     s, X, o = sub.substituent, sub.host, sub.orientation
     q = ReversibleOperator.full(s.graph).matrix_exact()
-    total = 0.0
-    for e in range(X.num_edges):
-        ax = float(X.edges[e][2])
-        if o.ea(e) == x:
-            total += ax * sum(float(q[s.a][v]) * f[pi(sub, e, v)] for v in s.interior)
-        if o.eb(e) == x:
-            total += ax * sum(float(q[s.b][v]) * f[pi(sub, e, v)] for v in s.interior)
+    total = Fraction(0)
+    for e, (_, _, ax) in enumerate(X.edges):
+        for end, at in ((s.a, o.ea(e)), (s.b, o.eb(e))):
+            if at == x:
+                total += ax * sum(q[end][v] * Fraction(f[pi(sub, e, v)]) for v in s.interior)
     return total
 
 
@@ -587,12 +588,14 @@ class TestBlockRowsEqualPerVertexReference:
                 _assert_same_functions(nodal_from_interior(sub, t, base), _ref_nodal(sub, t, base))
 
     def test_balance(self):
+        # random f, so no balance is zero and the bound is relative to it
         rng = np.random.default_rng(83)
         for sub, _ in _family_pairs():
-            f = rng.standard_normal(sub.graph.n)
+            f = rng.standard_normal(sub.n)
             for x in range(sub.host.n):
-                want = _ref_balance(sub, f, x)
-                assert abs(balance(sub, f, x) - want) <= 1e-12 * max(1.0, abs(want))
+                want = _exact_balance(sub, f, x)
+                assert want != 0
+                assert abs(balance(sub, f, x) - want) <= 1e-12 * abs(want)
 
 
 def _parallel_edge_hosts():
@@ -656,16 +659,38 @@ def _eigenbasis_pass(X, s):
     return r, fns
 
 
-def test_residuals_of_one_layout_build_its_matrix_once(monkeypatch):
-    r, fns = _eigenbasis_pass(cycle_host(5), chorded_square_substituent())
-    calls = []
-    matrix_float = ReversibleOperator.matrix_float
-    monkeypatch.setattr(
-        ReversibleOperator, "matrix_float", lambda op: calls.append(op.dim) or matrix_float(op)
-    )
+@pytest.mark.parametrize(
+    "X, s",
+    [
+        (cycle_host(5), chorded_square_substituent()),
+        (path_host(4), circle_substituent(3, "adjacent")),
+        (star_host(4), path_substituent(3)),
+    ],
+    ids=["cycle-5/chorded-square", "path-4/circle-adjacent-3", "star-4/path-3"],
+)
+def test_residuals_are_the_dense_reference(X, s):
+    # the dense reference: each entry of P_* the float of its exact value.
+    # The residual is relative to the sup-norm of f, so the bound is on P_* f
+    # relative to that norm: on the eigenfunctions, and on each of them
+    # perturbed so that the residual is of order one
+    r, fns = _eigenbasis_pass(X, s)
+    sub, rng = r.substituted, np.random.default_rng(28)
+    P = np.array([[float(p) for p in row] for row in ReversibleOperator.full(sub.graph).matrix_exact()])
     assert len(fns) > 1
-    assert all(residual(r.substituted, f) < RESIDUAL_TOL for f in fns)
-    assert calls == [r.substituted.n]
+    for fn in fns:
+        noisy = ExtensionFunction(fn.values + rng.standard_normal(sub.n), fn.eigenvalue, fn.tag, "noisy")
+        for g in (fn, noisy):
+            f = g.values
+            want = float(np.max(np.abs(P @ f - g.eigenvalue * f)) / np.max(np.abs(f)))
+            assert abs(residual(sub, g) - want) <= 1e-12 * max(1.0, want)
+        assert residual(sub, fn) < RESIDUAL_TOL
+
+
+def test_residual_of_the_zero_function_is_inf():
+    sub = _sub(cycle_host(5), chorded_square_substituent())
+    got = residual(sub, ExtensionFunction(np.zeros(sub.n), 0.5, TAG_PER_EDGE, "zero"))
+    assert got == math.inf
+    assert not got <= RESIDUAL_TOL
 
 
 class TestEigenbasisPassLeavesXVUnbuilt:

@@ -18,12 +18,13 @@ from edgesub.operators import (
     EigenDecomposition,
     ReversibleOperator,
     _descending_eigh,
+    _scatter,
     eigen,
     spectral_radius,
 )
 
 from randinst import rand_weight, random_host, random_substituent
-from reference import is_stochastic, symmetrized_per_entry
+from reference import is_stochastic, matrix_float_per_entry, symmetrized_per_entry
 from test_transfer import WORKLOAD_FIXTURES
 
 ONE = Fraction(1)
@@ -180,27 +181,30 @@ class TestEigen:
         assert EigenDecomposition(op, (), ()).cluster_near(0.0) is None
 
     def test_symmetrized_is_bitwise_the_per_entry_loop(self):
-        # the measures are built once per factorization and shared by the
-        # matrix and the m-normalization of the eigenvectors
+        # every float matrix and the m-normalization of the eigenvectors read
+        # the graph's float form, each exact value rounded once
         rng = random.Random(50)
         subs = [*WORKLOAD_FIXTURES.values(), *(random_substituent(rng) for _ in range(25))]
         ops = [ReversibleOperator.full(random_host(rng)) for _ in range(25)]
         ops += [ReversibleOperator.full(s.graph) for s in subs]
         ops += [ReversibleOperator.restricted(s.graph, s.interior) for s in subs]
         for op in ops:
-            full = range(op.dim)
+            g, full = op.graph, range(op.dim)
+            assert g.arrays.m.tobytes() == np.array([float(g.m(x)) for x in range(g.n)]).tobytes()
             want = symmetrized_per_entry(op, full, full)
             assert op.symmetrized().tobytes() == want.tobytes()
+            assert op.matrix_float().tobytes() == matrix_float_per_entry(op).tobytes()
             w, u = np.linalg.eigh(want)
             m = np.sqrt([float(op.measure(i)) for i in full])
-            got_w, got_h = _descending_eigh(*op._symmetrized_and_measures())
+            got_w, got_h = _descending_eigh(op)
             assert got_w.tobytes() == w[::-1].tobytes()
             assert got_h.tobytes() == (u[:, ::-1] / m[:, None]).tobytes()
-            colours = op.graph.bipartition()
+            colours = g.bipartition()
             if colours is not None:
                 left = [i for i in full if op.support[i] in colours[0]]
                 right = [i for i in full if op.support[i] not in colours[0]]
-                block = op._symmetrized_block(op._measures(), left, right)
+                vertices = [[op.support[i] for i in side] for side in (left, right)]
+                block = _scatter(g, *vertices)
                 assert block.tobytes() == symmetrized_per_entry(op, left, right).tobytes()
 
     def test_sub_operator_bottom_chain(self):
