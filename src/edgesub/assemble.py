@@ -18,7 +18,8 @@ The spectrum decomposes into three parts:
   and B that name the same values are the test reference (`tests/reference.py`).
 
 The spectrum reads only the typing pass of Q and Q° (`classify.ClusterTypes`,
-arrays over their clusters), and every step runs on those arrays: the Q row
+arrays over their clusters, one `classify.cluster_types` call each, which
+also factorizes the operator), and every step runs on those arrays: the Q row
 of each interior eigenvalue, S2, the exclusions, S1, the table, the
 exceptional set, the merge, the total check and the gap.  The report keeps
 arrays too, and builds its entries and text on first read; the normal forms
@@ -50,13 +51,7 @@ from .graph import (
     fundamental_cycle_base,
     validate_substituent,
 )
-from .operators import (
-    CLUSTER_TOL,
-    EigenDecomposition,
-    ReversibleOperator,
-    _eigenpairs,
-    eigen,
-)
+from .operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
 from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
 
@@ -327,9 +322,10 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
-    """Everything `assemble` computed.  The normal forms of Q and Q°, the
-    layout of X[V], the host's cycle base and the transfer functions' three
-    series are built on first access of `classified_Q`,
+    """Everything `assemble` computed: the host's clustered spectrum and the
+    typing passes of Q and Q° (`spec_Q`, `spec_interior`).  The normal forms
+    of Q and Q°, the layout of X[V], the host's cycle base and the transfer
+    functions' three series are built on first access of `classified_Q`,
     `classified_interior`, `substituted`, `cycle_base` and `transfer`: the
     spectrum needs none of them.  The eigenfunctions read only the layout;
     the exact graph of X[V] is built on first read of `substituted.graph`,
@@ -340,19 +336,17 @@ class PipelineResult:
     orientation: Orientation
     substituent: Substituent
     spec_P: EigenDecomposition
-    spec_Q: EigenDecomposition
-    spec_interior: EigenDecomposition
-    types_Q: ClusterTypes
-    types_interior: ClusterTypes
+    spec_Q: ClusterTypes
+    spec_interior: ClusterTypes
     nodal_families: dict[float, list[ExtensionFunction]] = field(default_factory=dict)
 
     @cached_property
     def classified_Q(self) -> list[TypedEigenvalue]:
-        return self.types_Q.normal_forms()
+        return self.spec_Q.normal_forms()
 
     @cached_property
     def classified_interior(self) -> list[TypedEigenvalue]:
-        return self.types_interior.normal_forms()
+        return self.spec_interior.normal_forms()
 
     @cached_property
     def substituted(self) -> SubstitutedGraph:
@@ -376,10 +370,8 @@ def assemble(
     validate_substituent(s)
 
     spec_P = eigen(ReversibleOperator.full(X))
-    spec_Q = _eigenpairs(ReversibleOperator.full(s.graph))
-    spec_int = _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior))
-    tQ = cluster_types(s, spec_Q, "Q")
-    tI = cluster_types(s, spec_int, "Qo")
+    tQ = cluster_types(s, "Q")
+    tI = cluster_types(s, "Qo")
     q_row = _q_rows(tQ, tI)
     row = np.where(q_row < 0, 0, tQ.kind[q_row] + 1)  # an index into _ROWS
 
@@ -427,7 +419,7 @@ def assemble(
     except PreconditionNotMet:
         report.gap = None
 
-    result = PipelineResult(report, X, orient, s, spec_P, spec_Q, spec_int, tQ, tI)
+    result = PipelineResult(report, X, orient, s, spec_P, tQ, tI)
     if build_families:
         result.nodal_families = {
             t.value: nodal_from_interior(result.substituted, t, result.cycle_base)

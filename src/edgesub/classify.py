@@ -25,11 +25,13 @@ The same vectors weigh each interior cluster in the secular equation of S1
 (`assemble.solve_S1`): S = m(a)|s|^2/4 and D = m(a)|d|^2/4, zero where the
 type says that s or d vanishes.
 
-Each operator is factorized once (`operators._eigenpairs`, one `eigh`), and
-classification is two passes over its eigenvectors.  The typing pass
-(`cluster_types`) returns `ClusterTypes`: arrays over the clusters of nu,
-the type, nu', S, D and `ambiguous`, array expressions of the RANK_TOL rule
-over per-cluster segment sums.  The spectrum reads these alone.  The
+One call per operator factorizes, clusters and types it: `cluster_types`
+builds Q (source "Q") or Q° (source "Qo") from the substituent, makes one
+`eigh` (`operators._descending_eigh`), clusters its values by the rule of
+`operators.eigen` and passes the eigenvectors, unsplit, to the typing pass.
+That pass returns `ClusterTypes`: arrays over the clusters of nu, the type,
+nu', S, D and `ambiguous`, array expressions of the RANK_TOL rule over
+per-cluster segment sums.  The spectrum reads these alone.  The
 normal-form pass (`ClusterTypes.normal_forms`) builds the bases and the
 `TypedEigenvalue` list from the same arrays, only for a caller that reads
 them (`classify_Q`, `classify_Qinterior` and the eigenfunctions): a simple
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidTypeCombination
 from .graph import Substituent
-from .operators import EigenDecomposition, ReversibleOperator, _eigenpairs
+from .operators import ReversibleOperator, _clustered, _descending_eigh
 
 RANK_TOL = 1e-7
 _KINDS = ("I", "II", "III", "IV")
@@ -152,9 +154,11 @@ class ClusterTypes:
         ]
 
 
-def _boundary_map(s: Substituent, source: str, support: tuple[int, ...]) -> np.ndarray:
-    """Linear map from functions on the support to their (a, b) boundary data:
-    unit rows at a and b for Q, the float rows q(a, .) and q(b, .) for Q°."""
+def _boundary_map(s: Substituent, source: str) -> np.ndarray:
+    """Linear map from functions on the support of the source operator (all
+    of V for Q, the interior for Q°) to their (a, b) boundary data: unit rows
+    at a and b for Q, the float rows q(a, .) and q(b, .) for Q°."""
+    support = range(s.graph.n) if source == "Q" else s.interior
     rows = np.zeros((2, len(support)))
     pos = {x: i for i, x in enumerate(support)}
     if source == "Q":
@@ -205,19 +209,19 @@ def _type_clusters(
     )
 
 
-def cluster_types(s: Substituent, decomp: EigenDecomposition, source: str) -> ClusterTypes:
-    """The typing pass over the clusters of `decomp`, the factorization of
-    Q (source "Q") or of Q° (source "Qo")."""
-    boundary = _boundary_map(s, source, decomp.operator.support)
-    h = np.concatenate(decomp.bases, axis=1)
-    mass = float(s.graph.m(s.a))
-    return _type_clusters(decomp.values, decomp.multiplicities, h, boundary, source, mass)
+def cluster_types(s: Substituent, source: str) -> ClusterTypes:
+    """Q (source "Q") or Q° (source "Qo") factorized by one `eigh`, its
+    values clustered as `operators.eigen` clusters, and every cluster typed."""
+    g = s.graph
+    op = ReversibleOperator.full(g) if source == "Q" else ReversibleOperator.restricted(g, s.interior)
+    w, h = _descending_eigh(op)
+    values, multiplicities = _clustered(w.tolist())
+    return _type_clusters(values, multiplicities, h, _boundary_map(s, source), source, float(g.m(s.a)))
 
 
 def classify_Q(s: Substituent) -> list[TypedEigenvalue]:
-    return cluster_types(s, _eigenpairs(ReversibleOperator.full(s.graph)), "Q").normal_forms()
+    return cluster_types(s, "Q").normal_forms()
 
 
 def classify_Qinterior(s: Substituent) -> list[TypedEigenvalue]:
-    interior = ReversibleOperator.restricted(s.graph, s.interior)
-    return cluster_types(s, _eigenpairs(interior), "Qo").normal_forms()
+    return cluster_types(s, "Qo").normal_forms()

@@ -148,7 +148,12 @@ FIXTURES = {
 
 
 def _cmd_fixture(args) -> int:
-    _emit(FIXTURES[args.kind](args), args.out)
+    try:
+        text = FIXTURES[args.kind](args)
+    except ValueError as exc:  # an argument outside the fixture's range
+        print(f"usage error: fixture --kind {args.kind}: {exc}", file=sys.stderr)
+        return 2
+    _emit(text, args.out)
     return 0
 
 

@@ -10,7 +10,7 @@ class GraphFormatError(EdgeSubError):
 
 
 class GraphInvariantError(EdgeSubError):
-    """A WeightedGraph invariant (positivity, no loops, connectivity) fails."""
+    """A WeightedGraph invariant (positivity, no loops, an edge, connectivity) fails."""
 
 
 class SubstituentInvalid(EdgeSubError):

@@ -67,7 +67,7 @@ def residual(sub: SubstitutedGraph, fn: ExtensionFunction) -> float:
 def balance(sub: SubstitutedGraph, f: np.ndarray, x: int) -> float:
     """Weighted sum of one-step interior averages into host vertex x."""
     s = sub.substituent
-    q = _boundary_map(s, "Qo", s.interior)  # rows q(a, .) and q(b, .) on the interior
+    q = _boundary_map(s, "Qo")  # rows q(a, .) and q(b, .) on the interior
     block, ax = sub.interior_block(f), sub.edge_conductances
     return sum(float(ax[at] @ (block[at] @ q_end)) for at, q_end in zip(sub.edge_ends.T == x, q))
 

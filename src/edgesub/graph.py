@@ -44,7 +44,8 @@ class FloatForm(NamedTuple):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Connected undirected graph with positive rational conductances.
+    """Connected undirected graph with at least one edge and positive
+    rational conductances.
 
     The edges are aggregated once, at construction, into per-vertex
     neighbour -> summed conductance maps a(x, .), incident edge lists and
@@ -81,6 +82,8 @@ class WeightedGraph:
         )
         if not vs:
             raise GraphInvariantError("empty vertex set")
+        if not es:  # every measure is 0, so there is no walk
+            raise GraphInvariantError("graph has no edges")
         if not self.connected_on(range(len(vs))):
             raise GraphInvariantError("graph is not connected")
 

@@ -8,18 +8,20 @@ conductance and measure once.  `eigen` finds the eigenvalues alone: on a
 bipartite graph S = [[0, B], [B^T, 0]] over the colour classes, so they are
 +- the singular values of B and |n1 - n2| zeros; otherwise `eigvalsh` of S.
 The orthonormal eigenvectors u map back to m-orthonormal eigenfunctions
-h = u/sqrt(m).  A host's come from one `eigh` when `EigenDecomposition.bases`
-is first read.  The substituent operators Q and Q°, whose types need every
-eigenvector, take `_eigenpairs`: one `eigh` gives their values and bases at
-once, clustered by the same rule as `eigen`.
+h = u/sqrt(m).  Those of an `EigenDecomposition` come from one `eigh` when
+`bases` is first read.  The substituent operators Q and Q°, whose types
+need every eigenvector, are factorized by `classify.cluster_types`: one
+`_descending_eigh` gives their values and bases at once, clustered by
+`_clustered`, the rule that `eigen` uses.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import neg
 from typing import Optional, Sequence
@@ -96,22 +98,19 @@ class EigenDecomposition:
     """Clustered eigenvalues (descending) with m-orthonormal eigenbases.
 
     `bases[k]` has one column per eigenfunction of cluster k; rows are
-    indexed like the operator's support.  Bases given to the constructor are
-    kept; otherwise they are computed on first access and then cached.
+    indexed like the operator's support.  They are computed on first access
+    and then cached.
     """
 
     operator: ReversibleOperator
     values: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    _bases: Optional[tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def bases(self) -> tuple[np.ndarray, ...]:
         """One `eigh`, its vectors in descending order, split by the multiplicities."""
-        if self._bases is None:
-            _, h = _descending_eigh(self.operator)
-            object.__setattr__(self, "_bases", _split(h, self.multiplicities))
-        return self._bases
+        _, h = _descending_eigh(self.operator)
+        return _split(h, self.multiplicities)
 
     @property
     def dim(self) -> int:
@@ -179,14 +178,6 @@ def eigen(op: ReversibleOperator) -> EigenDecomposition:
     values of its colour-class block, with |n1 - n2| exact zeros; any other
     takes `eigvalsh`.  No eigenvector is computed until `bases` is read."""
     return EigenDecomposition(op, *_clustered(_descending_values(op)))
-
-
-def _eigenpairs(op: ReversibleOperator) -> EigenDecomposition:
-    """Values and bases from one `eigh`, clustered as in `eigen`: for an
-    operator whose every eigenvector is read, as Q and Q° are by `classify`."""
-    w, h = _descending_eigh(op)
-    values, multiplicities = _clustered(w.tolist())
-    return EigenDecomposition(op, values, multiplicities, _split(h, multiplicities))
 
 
 def spectral_radius(op: ReversibleOperator) -> float:

@@ -58,7 +58,6 @@ from .algebra import resolvent_matrix  # noqa: F401
 from .classify import cluster_types
 from .errors import TooCloseToInteriorSpectrum
 from .graph import Substituent
-from .operators import ReversibleOperator, _eigenpairs
 # eigen is unused here but stays importable: bench/spans.py traces it
 from .operators import eigen  # noqa: F401
 
@@ -184,7 +183,7 @@ def boundary_kernels(s: Substituent) -> BoundaryKernels:
     IV°, the ones with a secular weight in `solve_S1`; a type-I° mu has
     neither weight nor boundary data, so it is no pole.
     """
-    t = cluster_types(s, _eigenpairs(ReversibleOperator.restricted(s.graph, s.interior)), "Qo")
+    t = cluster_types(s, "Qo")
     at = t.boundary @ t.h  # B^T q(a, .) and B^T q(b, .), column by column
     sums = np.add.reduceat(t.h[None] * at[:, None], t.starts, axis=2)
     poles = np.flatnonzero(t.kind)[::-1]  # ascending values

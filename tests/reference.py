@@ -31,15 +31,22 @@ from edgesub.assemble import _arrowhead_eigenvalues, _host_shape
 from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map, classify_Q, classify_Qinterior
 from edgesub.errors import InvalidTypeCombination, TotalMismatch
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
-from edgesub.operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
+from edgesub.operators import (
+    CLUSTER_TOL,
+    EigenDecomposition,
+    ReversibleOperator,
+    _clustered,
+    _descending_eigh,
+    _split,
+    eigen,
+)
 from edgesub.substitution import SubstitutedGraph, substitute
 from edgesub.transfer import BoundaryKernels, TransferFunctions
 
 
 def boundary_data(s: Substituent, t: TypedEigenvalue) -> np.ndarray:
     """Boundary rows (at a, at b) of the normal-form basis."""
-    support = tuple(range(s.graph.n)) if t.source == "Q" else tuple(sorted(s.interior))
-    return _boundary_map(s, t.source, support) @ t.basis
+    return _boundary_map(s, t.source) @ t.basis
 
 
 def classify_cluster(
@@ -78,13 +85,25 @@ def classify_cluster(
     return TypedEigenvalue(value, source, kind, nu, nu - rank, full, ambiguous, S, D)
 
 
-def classify_per_cluster(s: Substituent, decomp: EigenDecomposition, source: str) -> list[TypedEigenvalue]:
-    """`classify_cluster` over every cluster of `decomp` ("Q" or "Qo")."""
-    boundary = _boundary_map(s, source, decomp.operator.support)
+def factorization(s: Substituent, source: str) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """The cluster values and bases of Q ("Q") or Q° ("Qo") from the
+    factorization that `classify.cluster_types` makes: one
+    `_descending_eigh`, its values clustered by `_clustered`."""
+    g = s.graph
+    op = ReversibleOperator.full(g) if source == "Q" else ReversibleOperator.restricted(g, s.interior)
+    w, h = _descending_eigh(op)
+    values, multiplicities = _clustered(w.tolist())
+    return values, _split(h, multiplicities)
+
+
+def classify_per_cluster(s: Substituent, source: str) -> list[TypedEigenvalue]:
+    """`classify_cluster` over every cluster of Q ("Q") or Q° ("Qo"), from
+    the same factorization as `classify.cluster_types`."""
+    boundary = _boundary_map(s, source)
     mass = float(s.graph.m(s.a))
     return [
         classify_cluster(v, basis, boundary, source, mass)
-        for v, basis in zip(decomp.values, decomp.bases)
+        for v, basis in zip(*factorization(s, source))
     ]
 
 

@@ -376,8 +376,8 @@ class TestRootFinder:
     def test_s1_and_gap_are_python_floats(self):
         s = chorded_square_substituent()
         result = assemble(cycle_host(5), Orientation.default(cycle_host(5)), s)
-        points = np.array(result.spec_interior.values)
-        s1 = solve_S1(s, result.types_interior, result.spec_P, points, np.full(len(points), np.nan))
+        points = result.spec_interior.values
+        s1 = solve_S1(s, result.spec_interior, result.spec_P, points, np.full(len(points), np.nan))
         assert len(s1) and s1.roots.dtype == np.float64 and s1.lam_index.dtype.kind == "i"
         # the report keeps arrays; the entries built from them hold Python numbers
         entries = result.report.entries

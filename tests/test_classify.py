@@ -28,12 +28,12 @@ from edgesub.fixtures import (
     star_host,
 )
 from edgesub.graph import Orientation, Substituent, WeightedGraph, validate_substituent
-from edgesub.operators import EigenDecomposition, ReversibleOperator, _eigenpairs, eigen
+from edgesub.operators import ReversibleOperator, eigen
 from edgesub.oracle import direct_spectrum
 from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent, relabel_substituent
-from reference import boundary_data, classify_cluster, classify_per_cluster, exact_value
+from reference import boundary_data, classify_cluster, classify_per_cluster, exact_value, factorization
 
 BOUNDARY_TOL = 1e-7
 
@@ -204,19 +204,13 @@ class TestBasisIndependence:
         """The normal form is a function of the eigenspace: rotating each
         cluster's basis inside the eigenspace leaves the tails unchanged."""
         rng = np.random.default_rng(3)
-        for op, source in (
-            (ReversibleOperator.full(s.graph), "Q"),
-            (ReversibleOperator.restricted(s.graph, s.interior), "Qo"),
-        ):
-            dec = eigen(op)
-            rotated = EigenDecomposition(
-                op,
-                dec.values,
-                dec.multiplicities,
-                tuple(b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0] for b in dec.bases),
-            )
-            typed = (cluster_types(s, d, source).normal_forms() for d in (dec, rotated))
-            for t, r in zip(*typed):
+        for source in ("Q", "Qo"):
+            got = cluster_types(s, source)
+            values, nu = tuple(got.values.tolist()), tuple(got.nu.tolist())
+            blocks = np.split(got.h, got.starts[1:], axis=1)
+            rotated = np.hstack([b @ np.linalg.qr(rng.standard_normal((b.shape[1],) * 2))[0] for b in blocks])
+            turned = _type_clusters(values, nu, rotated, got.boundary, source, got.mass)
+            for t, r in zip(got.normal_forms(), turned.normal_forms()):
                 assert (t.type, t.nu, t.nu_prime) == (r.type, r.nu, r.nu_prime)
                 np.testing.assert_allclose(r.tails(), t.tails(), rtol=0, atol=1e-12)
 
@@ -335,17 +329,6 @@ def _reference_inputs() -> list[Substituent]:
     ]
 
 
-def _decompositions(s: Substituent):
-    """(source, decomposition with its bases computed) for Q and Q°."""
-    for source, op in (
-        ("Q", ReversibleOperator.full(s.graph)),
-        ("Qo", ReversibleOperator.restricted(s.graph, s.interior)),
-    ):
-        dec = eigen(op)
-        dec.bases  # the eigenvectors are solved here, outside any counted call
-        yield source, dec
-
-
 class TestAgainstTheSvdReference:
     def test_same_types_tails_and_zero_blocks(self):
         clusters = 0
@@ -355,13 +338,13 @@ class TestAgainstTheSvdReference:
             while cur != list(range(s.graph.n)):
                 cur = [s.gamma[x] for x in cur]
                 order += 1
-            for source, dec in _decompositions(s):
-                support = dec.operator.support
-                boundary = _boundary_map(s, source, support)
+            for source in ("Q", "Qo"):
+                support = range(s.graph.n) if source == "Q" else s.interior
+                boundary = _boundary_map(s, source)
                 pos = {x: i for i, x in enumerate(support)}
                 gperm = np.array([pos[s.gamma[x]] for x in support])
-                typed = cluster_types(s, dec, source).normal_forms()
-                for t, value, basis in zip(typed, dec.values, dec.bases):
+                typed = cluster_types(s, source).normal_forms()
+                for t, value, basis in zip(typed, *factorization(s, source), strict=True):
                     r = _reference_cluster(value, basis, boundary, gperm, order, source)
                     assert (t.type, t.nu, t.nu_prime, t.ambiguous) == (
                         r.type, r.nu, r.nu_prime, r.ambiguous
@@ -383,7 +366,7 @@ class TestAgainstTheSvdReference:
         assert clusters > 1000
 
     def test_no_svd_and_one_qr_per_partial_zero_block(self, monkeypatch):
-        work = [(s, list(_decompositions(s))) for s in _reference_inputs()]
+        work = _reference_inputs()
         calls = {"svd": 0, "qr": 0}
         for name in calls:
             real = getattr(np.linalg, name)
@@ -394,9 +377,9 @@ class TestAgainstTheSvdReference:
 
             monkeypatch.setattr(np.linalg, name, counted)
         partial = 0
-        for s, decs in work:
-            for source, dec in decs:
-                typed = cluster_types(s, dec, source).normal_forms()
+        for s in work:
+            for source in ("Q", "Qo"):
+                typed = cluster_types(s, source).normal_forms()
                 partial += sum(0 < t.nu - t.nu_prime < t.nu for t in typed)
         assert partial > 0
         assert calls == {"svd": 0, "qr": partial}
@@ -436,15 +419,11 @@ def _fixture_substituents() -> list[Substituent]:
 
 
 def _check_array_pass_matches_per_cluster(s: Substituent):
-    """On one decomposition of each of Q and Q°, the array pass and the
+    """On the one factorization of each of Q and Q°, the array pass and the
     per-cluster reference give the same types, nu, nu' and `ambiguous`, and
     S, D and normal-form bases within 1e-12 (relative to their size)."""
-    for source, op in (
-        ("Q", ReversibleOperator.full(s.graph)),
-        ("Qo", ReversibleOperator.restricted(s.graph, s.interior)),
-    ):
-        dec = _eigenpairs(op)
-        got, want = cluster_types(s, dec, source).normal_forms(), classify_per_cluster(s, dec, source)
+    for source in ("Q", "Qo"):
+        got, want = cluster_types(s, source).normal_forms(), classify_per_cluster(s, source)
         assert len(got) == len(want)
         for t, r in zip(got, want):
             assert (t.value, t.type, t.nu, t.nu_prime, t.ambiguous) == (
@@ -475,10 +454,9 @@ def _check_normal_forms_on_first_read(s: Substituent):
     result = assemble(X, Orientation.default(X), s, build_families=False)
     assert not {"classified_Q", "classified_interior"} & set(result.__dict__)
     _assert_bitwise_equal(result.classified_Q, classify_Q(s))
-    _assert_bitwise_equal(result.classified_Q, cluster_types(s, result.spec_Q, "Q").normal_forms())
+    _assert_bitwise_equal(result.classified_Q, result.spec_Q.normal_forms())
     _assert_bitwise_equal(result.classified_interior, classify_Qinterior(s))
-    interior = cluster_types(s, result.spec_interior, "Qo").normal_forms()
-    _assert_bitwise_equal(result.classified_interior, interior)
+    _assert_bitwise_equal(result.classified_interior, result.spec_interior.normal_forms())
 
 
 class TestArrayPassAgainstThePerClusterClassifier:

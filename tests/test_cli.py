@@ -183,3 +183,29 @@ class TestExitCodes:
     def test_host_file_used_as_substituent(self, tmp_path, capsys):
         host = _write(tmp_path, "host.json", dump_graph(path_host(3)))
         assert main(["transfer", "--sub", host]) == 3
+
+    def test_edgeless_host_is_validation_error(self, tmp_path, capsys):
+        host = _write(tmp_path, "host.json", json.dumps({"vertices": ["x"], "edges": []}))
+        sub = _write(tmp_path, "sub.json", dump_substituent(path_substituent(2)))
+        assert main(["spectrum", "--host", host, "--sub", sub, "--verify"]) == 3
+        assert main(["fixture", "--kind", "path-host", "--n", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["validation error: graph has no edges"] * 2
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["--kind", "path-sub", "--L", "1"], "need L >= 2"),
+            (["--kind", "weighted-circle", "--N", "1"], "need N >= 2"),
+            (["--kind", "weighted-circle", "--a", "2"], "need 0 <= a <= 1"),
+            (["--kind", "weighted-circle", "--a", "x"], "'x'"),
+        ],
+        ids=["path-sub-L1", "weighted-circle-N1", "weighted-circle-a2", "weighted-circle-ax"],
+    )
+    def test_fixture_argument_out_of_range_is_usage_error(self, argv, problem, capsys):
+        assert main(["fixture", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: fixture --kind {argv[1]}: ") and problem in err

@@ -35,6 +35,11 @@ class TestWeightedGraph:
         with pytest.raises(GraphInvariantError):
             WeightedGraph(["x", "y"], [(0, 1, Fraction(0))])
 
+    def test_rejects_edgeless(self):
+        # one vertex and no edge: m(x) = 0, so there is no walk
+        with pytest.raises(GraphInvariantError, match="no edges"):
+            WeightedGraph(["x"], [])
+
     def test_rejects_disconnected(self):
         with pytest.raises(GraphInvariantError):
             WeightedGraph(["x", "y", "z"], [(0, 1, ONE)])

@@ -114,8 +114,6 @@ class TestEigen:
             assert np.allclose(gram, np.eye(op.dim), atol=1e-8)
             # spectral resolution of the identity: sum_i h_i(x) h_i(y) m(y) = delta
             assert np.allclose((h @ h.T) * m[None, :], np.eye(op.dim), atol=1e-8)
-            given = tuple(b.copy() for b in dec.bases)
-            assert EigenDecomposition(op, dec.values, dec.multiplicities, given).bases is given
         assert dec.multiplicities == (1, 6, 1)  # the last input, star-8
 
     def test_eigen_equation_residuals(self):
