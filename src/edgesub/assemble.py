@@ -36,21 +36,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# real_roots_in_interval, classify_Q and classify_Qinterior are unused here
-# but stay importable: bench/spans.py traces them
+# real_roots_in_interval, classify_Q, classify_Qinterior and
+# validate_substituent are unused here but stay importable: bench/spans.py
+# traces them
 from .algebra import real_roots_in_interval  # noqa: F401
 from .classify import _KINDS, ClusterTypes, TypedEigenvalue, cluster_types
 from .classify import classify_Q, classify_Qinterior  # noqa: F401
 from .errors import InvalidTypeCombination, PreconditionNotMet, TotalMismatch
 from .extensions import ExtensionFunction, nodal_from_interior
-from .graph import (
-    CycleBase,
-    Orientation,
-    Substituent,
-    WeightedGraph,
-    fundamental_cycle_base,
-    validate_substituent,
-)
+from .graph import CycleBase, Orientation, Substituent, WeightedGraph, fundamental_cycle_base
+from .graph import validate_substituent  # noqa: F401
 from .operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
 from .substitution import SubstitutedGraph, substitute
 from .transfer import TransferFunctions, compute_transfer
@@ -296,23 +291,30 @@ _TABLE = np.array([
 ]).reshape(20, 5)
 
 
+def _table_counts(cell: np.ndarray, nu_o: np.ndarray, n_X: int, n_E: int, delta_b: int) -> np.ndarray:
+    """nu_* of each interior eigenvalue by its table cell (4 row + col).
+    Raises InvalidTypeCombination for the first cell that cannot occur or
+    gives a negative count, which sizes inconsistent with the types produce."""
+    counts = _TABLE[cell, 0] * nu_o * n_E + _TABLE[cell, 1:] @ (n_E, n_X, delta_b, 1)
+    bad = np.flatnonzero((cell == 0) | (counts < 0))
+    if bad.size:
+        k = bad[0]
+        row, col = divmod(int(cell[k]), 4)
+        problem = "cannot occur" if cell[k] == 0 else f"gives the negative multiplicity {int(counts[k])}"
+        raise InvalidTypeCombination(f"({_ROWS[row]}, {_KINDS[col]}°) {problem}")
+    return counts
+
+
 def interior_multiplicity(
     row: str, col: str, nu_o: int, n_X: int, n_E: int, delta_b: int
 ) -> int:
-    """nu_* of an interior eigenvalue by (Q-type row, interior-type column).
-
-    Row "0" means the value is not an eigenvalue of Q.  Raises
-    InvalidTypeCombination for a cell that cannot occur and for a negative
-    count, which sizes inconsistent with the types produce.
-    """
+    """nu_* of an interior eigenvalue by (Q-type row, interior-type column):
+    `_table_counts` at one cell.  Row "0" means the value is not an
+    eigenvalue of Q; unknown names raise InvalidTypeCombination."""
     if row not in _ROWS or col not in _KINDS:
         raise InvalidTypeCombination(f"({row}, {col})")
-    if (row, col) == ("0", "I"):
-        raise InvalidTypeCombination(f"({row}, {col}°) cannot occur")
-    value = int(_TABLE[4 * _ROWS.index(row) + _KINDS.index(col)] @ (nu_o * n_E, n_E, n_X, delta_b, 1))
-    if value < 0:
-        raise InvalidTypeCombination(f"({row}, {col}°) gives the negative multiplicity {value}")
-    return value
+    cell = np.array([4 * _ROWS.index(row) + _KINDS.index(col)])
+    return int(_table_counts(cell, np.array([nu_o]), n_X, n_E, delta_b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +369,6 @@ def assemble(
     s: Substituent,
     build_families: bool = True,
 ) -> PipelineResult:
-    validate_substituent(s)
-
     spec_P = eigen(ReversibleOperator.full(X))
     tQ = cluster_types(s, "Q")
     tI = cluster_types(s, "Qo")
@@ -385,11 +385,7 @@ def assemble(
     s1 = solve_S1(s, tI, spec_P, points, point_lams)
 
     cell = 4 * row + tI.kind  # the table cell of each interior eigenvalue
-    counts = _TABLE[cell, 0] * tI.nu * n_E + _TABLE[cell, 1:] @ (n_E, n_X, delta_b, 1)
-    bad = np.flatnonzero((cell == 0) | (counts < 0))
-    if bad.size:  # raises for the first cell that cannot occur
-        k = bad[0]
-        interior_multiplicity(_ROWS[row[k]], _KINDS[tI.kind[k]], int(tI.nu[k]), n_X, n_E, delta_b)
+    counts = _table_counts(cell, tI.nu, n_X, n_E, delta_b)
     shape = _host_shape(X)
     exc = exceptional_set(tI.values, counts, shape)
     live = counts > 0

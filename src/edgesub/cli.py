@@ -2,7 +2,8 @@
 
 Subcommands: substitute, transfer, classify, spectrum, verify, fixture.
 Exit codes: 0 success, 1 spectrum mismatch / oracle disagreement,
-2 usage error, 3 input validation error.
+2 usage error, 3 input validation error.  Each input file is checked while
+it is read: `load_graph` and `load_substituent` build the checked types.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .assemble import assemble
 from .classify import classify_Q, classify_Qinterior
 from .errors import EdgeSubError, GraphFormatError, GraphInvariantError, SubstituentInvalid
 from .fileformat import dump_graph, dump_substituent, load_graph, load_substituent
-from .graph import Orientation, validate_substituent
+from .graph import Orientation
 from .operators import CLUSTER_TOL, ReversibleOperator, spectral_radius
 from .oracle import direct_spectrum
 from .substitution import substitute
@@ -39,7 +40,6 @@ def _emit(text: str, out: str | None):
 def _cmd_substitute(args) -> int:
     X = load_graph(_read(args.host))
     s = load_substituent(_read(args.sub))
-    validate_substituent(s)
     sub = substitute(X, Orientation.default(X), s)
     kinds = {}
     for x in range(sub.graph.n):
@@ -55,7 +55,6 @@ def _cmd_substitute(args) -> int:
 
 def _cmd_transfer(args) -> int:
     s = load_substituent(_read(args.sub))
-    validate_substituent(s)
     tf = compute_transfer(s)
     V = s.graph
     lam_vmb = spectral_radius(ReversibleOperator.restricted(V, [x for x in range(V.n) if x != s.b]))
@@ -73,7 +72,6 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_classify(args) -> int:
     s = load_substituent(_read(args.sub))
-    validate_substituent(s)
     lines = []
     for title, typed in (
         ("full operator Q:", classify_Q(s)),

@@ -66,6 +66,8 @@ def circle_substituent(L: int, placement: str) -> Substituent:
     Antipodal: a = v0, b = vL, swapped by the half-turn rotation.
     Adjacent: a = v0, b = v_{2L-1}, swapped by a reflection.
     """
+    if L < 2:
+        raise ValueError("need L >= 2 for a nonempty interior")
     M = 2 * L
     g = WeightedGraph(
         [f"v{k}" for k in range(M)], [(k, (k + 1) % M, ONE) for k in range(M)]

@@ -2,6 +2,8 @@
 
 Vertices are dense integer indices 0..n-1; labels are metadata only.
 Conductances are exact Fractions.  Parallel edges are allowed, loops are not.
+Each type checks itself when it is built: a `WeightedGraph` its edges and
+connectivity, an `Orientation` its heads, a `Substituent` the paper's hypotheses.
 Every float matrix of a graph is read from its float form (`arrays`), each
 summed conductance and measure rounded once; only the Q° boundary rows
 (`classify._boundary_map`) and `solve_S1`'s q(a, b) round an exact c/m.
@@ -204,7 +206,8 @@ class Orientation:
 
 @dataclass(frozen=True)
 class Substituent:
-    """A graph with marked vertices a, b and an automorphism swapping them."""
+    """A graph with marked vertices a, b and an automorphism swapping them;
+    construction raises the first hypothesis that fails (`validate_substituent`)."""
 
     graph: WeightedGraph
     a: int
@@ -220,6 +223,7 @@ class Substituent:
         object.__setattr__(
             self, "interior", tuple(v for v in range(graph.n) if v not in (a, b))
         )
+        validate_substituent(self)
 
 
 def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
@@ -234,7 +238,7 @@ def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
 
 
 def validate_substituent(s: Substituent) -> None:
-    """Check all substituent invariants; raise the first violation."""
+    """Raise the first violated substituent invariant; run by `Substituent.__init__`."""
     g = s.graph
     swaps = (
         0 <= s.a < g.n
@@ -246,13 +250,13 @@ def validate_substituent(s: Substituent) -> None:
         and s.gamma[s.b] == s.a
     )
     if not swaps:
-        raise GammaDoesNotSwapAB(f"a={s.a}, b={s.b}, gamma={s.gamma}")
+        raise GammaDoesNotSwapAB(f"gamma={s.gamma} does not swap a={s.a} and b={s.b} (|V| = {g.n})")
     if not _is_automorphism(g, s.gamma):
-        raise GammaNotAutomorphism(f"gamma={s.gamma}")
+        raise GammaNotAutomorphism(f"gamma={s.gamma} does not keep every conductance")
     if not g.connected_on(v for v in range(g.n) if v != s.b):
-        raise VMinusBDisconnected()
+        raise VMinusBDisconnected(f"V minus b={s.b} is disconnected (|V| = {g.n})")
     if g.n <= 2:
-        raise EmptyInterior()
+        raise EmptyInterior(f"V has no interior: |V| = {g.n} with a={s.a}, b={s.b}")
 
 
 def find_gamma(g: WeightedGraph, a: int, b: int) -> Optional[tuple[int, ...]]:

@@ -10,7 +10,9 @@ through `interior_block` (the interior vertices as an (edge, interior index)
 block) and `edge_ends` (|E_X| rows (e^a, e^b)).  Every eigenfunction family
 in `extensions` writes whole rows of the block, so none of them builds X[V]
 itself: the exact `WeightedGraph` is `SubstitutedGraph.graph`, built on
-first read (by residuals, the oracle and the `substitute` command).
+first read (by residuals, the oracle and the `substitute` command).  The
+layout raises `GraphInvariantError` when its orientation is not one of the
+host; the substituent is valid by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import GraphInvariantError
 from .graph import Orientation, Substituent, WeightedGraph
 
 
@@ -28,6 +31,14 @@ class SubstitutedGraph:
     host: WeightedGraph
     orientation: Orientation
     substituent: Substituent
+
+    def __post_init__(self):
+        g, X = self.orientation.graph, self.host
+        if not (g is X or g == X):
+            raise GraphInvariantError(
+                f"orientation of another graph ({g.n} vertices, {g.num_edges} edges)"
+                f" than the host ({X.n} vertices, {X.num_edges} edges)"
+            )
 
     @cached_property
     def n(self) -> int:

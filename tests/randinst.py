@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import islice
 
 from edgesub.errors import EdgeSubError
-from edgesub.graph import Substituent, WeightedGraph, validate_substituent
+from edgesub.graph import Substituent, WeightedGraph
 
 
 def rand_weight(rng: random.Random, max_weight: int = 4) -> Fraction:
@@ -58,7 +58,6 @@ def random_substituent(
         try:
             g = WeightedGraph([f"w{i}" for i in range(n)], edge_list)
             s = Substituent(g, 0, 1, gamma)
-            validate_substituent(s)
         except EdgeSubError:
             continue
         return s

@@ -13,23 +13,32 @@ on coefficient lists, exact values of rational functions, Bareiss elimination,
 the three transfer series and the resolvent interpolated from Bareiss solves
 at k + 1 integer nodes and reduced by a Euclidean gcd, the resolvent identity
 G_*(x, y | z) psi(z) = G_X(x, y | phi(z)) checked with exact solves, and the
-automorphism test one conductance pair at a time."""
+automorphism test one conductance pair at a time.  Last, one substituent for
+each hypothesis of the paper that it breaks, as arguments and as a document."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
 from itertools import count, zip_longest
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from edgesub.algebra import Polynomial, RationalFunction
 from edgesub.assemble import _arrowhead_eigenvalues, _host_shape
 from edgesub.classify import RANK_TOL, TypedEigenvalue, _boundary_map, classify_Q, classify_Qinterior
-from edgesub.errors import InvalidTypeCombination, TotalMismatch
+from edgesub.errors import (
+    EmptyInterior,
+    GammaDoesNotSwapAB,
+    GammaNotAutomorphism,
+    InvalidTypeCombination,
+    TotalMismatch,
+    VMinusBDisconnected,
+)
 from edgesub.graph import CycleBase, Orientation, Substituent, WeightedGraph
 from edgesub.operators import (
     CLUSTER_TOL,
@@ -690,3 +699,56 @@ def is_automorphism_per_pair(g: WeightedGraph, perm: Sequence[int]) -> bool:
         for x in range(g.n)
         for y, c in g.adjacency(x).items()
     )
+
+
+# -- invalid substituents ------------------------------------------------------
+
+
+class InvalidSubstituent(NamedTuple):
+    """The arguments of a `Substituent` that breaks one hypothesis, and the
+    error that construction raises for it."""
+
+    name: str
+    error: type
+    vertices: tuple[str, ...]
+    edges: tuple[tuple[int, int, Fraction], ...]
+    a: int
+    b: int
+    gamma: tuple[int, ...]
+
+    def build(self) -> Substituent:
+        return Substituent(WeightedGraph(self.vertices, self.edges), self.a, self.b, self.gamma)
+
+    def document(self) -> str:
+        """The substituent file, written without building the substituent."""
+        vs = self.vertices
+        return json.dumps({
+            "vertices": list(vs),
+            "edges": [[vs[u], vs[v], str(c)] for u, v, c in self.edges],
+            "a": vs[self.a],
+            "b": vs[self.b],
+            "gamma": [[vs[v], vs[w]] for v, w in enumerate(self.gamma)],
+        })
+
+
+_ONE = Fraction(1)
+_PATH3 = ((0, 1, _ONE), (1, 2, _ONE), (2, 3, _ONE))
+
+INVALID_SUBSTITUENTS = [
+    # the path a-v1-v2-b with the identity for gamma, which fixes a
+    InvalidSubstituent("gamma-fixes-a", GammaDoesNotSwapAB, ("a", "v1", "v2", "b"), _PATH3, 0, 3, (0, 1, 2, 3)),
+    # the same path with a = b: gamma has nothing to swap
+    InvalidSubstituent("a-equals-b", GammaDoesNotSwapAB, ("a", "v1", "v2", "b"), _PATH3, 0, 0, (3, 2, 1, 0)),
+    # the path a-u-b with conductances 1 and 1/2: the mirror does not keep them
+    InvalidSubstituent(
+        "gamma-not-automorphism", GammaNotAutomorphism, ("a", "u", "b"),
+        ((0, 1, _ONE), (1, 2, Fraction(1, 2))), 0, 2, (2, 1, 0),
+    ),
+    # the path u-a-w-b-v: removing b isolates the pendant v
+    InvalidSubstituent(
+        "v-minus-b-disconnected", VMinusBDisconnected, ("u", "a", "w", "b", "v"),
+        ((0, 1, _ONE), (1, 2, _ONE), (2, 3, _ONE), (3, 4, _ONE)), 1, 3, (4, 3, 2, 1, 0),
+    ),
+    # the single edge a-b
+    InvalidSubstituent("empty-interior", EmptyInterior, ("a", "b"), ((0, 1, _ONE),), 0, 1, (1, 0)),
+]

@@ -13,6 +13,8 @@ from edgesub.fixtures import (
     path_substituent,
 )
 
+from reference import INVALID_SUBSTITUENTS
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -167,6 +169,17 @@ class TestExitCodes:
         bad = _write(tmp_path, "badsub.json", json.dumps(doc))
         assert main(["transfer", "--sub", bad]) == 3
 
+    @pytest.mark.parametrize("case", INVALID_SUBSTITUENTS, ids=[c.name for c in INVALID_SUBSTITUENTS])
+    def test_each_invalid_substituent_is_named(self, case, tmp_path, capsys):
+        host, _ = _host_and_sub(tmp_path)
+        bad = _write(tmp_path, "badsub.json", case.document())
+        assert main(["spectrum", "--host", host, "--sub", bad]) == 3
+        out, err = capsys.readouterr()
+        prefix = "validation error: "
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(prefix) and len(err.rstrip("\n")) > len(prefix)
+
     def test_non_list_fields_are_validation_errors(self, tmp_path, capsys):
         host, sub = _host_and_sub(tmp_path)
         for key, value in (("edges", 5), ("edges", None)):
@@ -200,8 +213,13 @@ class TestExitCodes:
             (["--kind", "weighted-circle", "--N", "1"], "need N >= 2"),
             (["--kind", "weighted-circle", "--a", "2"], "need 0 <= a <= 1"),
             (["--kind", "weighted-circle", "--a", "x"], "'x'"),
+            (["--kind", "circle-antipodal", "--L", "1"], "need L >= 2"),
+            (["--kind", "circle-adjacent", "--L", "1"], "need L >= 2"),
         ],
-        ids=["path-sub-L1", "weighted-circle-N1", "weighted-circle-a2", "weighted-circle-ax"],
+        ids=[
+            "path-sub-L1", "weighted-circle-N1", "weighted-circle-a2", "weighted-circle-ax",
+            "circle-antipodal-L1", "circle-adjacent-L1",
+        ],
     )
     def test_fixture_argument_out_of_range_is_usage_error(self, argv, problem, capsys):
         assert main(["fixture", *argv]) == 2

@@ -15,6 +15,7 @@ from edgesub.fixtures import chorded_square_substituent, cycle_host
 from edgesub.graph import validate_substituent
 
 from randinst import random_host, random_substituent
+from reference import INVALID_SUBSTITUENTS
 
 
 class TestRoundTrip:
@@ -51,6 +52,11 @@ class TestRoundTrip:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("case", INVALID_SUBSTITUENTS, ids=[c.name for c in INVALID_SUBSTITUENTS])
+    def test_invalid_substituent_raises_at_load(self, case):
+        with pytest.raises(case.error):
+            load_substituent(case.document())
+
     def test_invalid_json(self):
         with pytest.raises(GraphFormatError):
             load_graph("{not json")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from edgesub.classify import classify_Q, classify_Qinterior, cluster_types
 from edgesub.errors import (
     EmptyInterior,
     GammaNotAutomorphism,
@@ -19,9 +20,11 @@ from edgesub.graph import (
     fundamental_cycle_base,
     validate_substituent,
 )
+from edgesub.substitution import substitute
+from edgesub.transfer import boundary_kernels, compute_transfer
 
 from randinst import random_host, random_substituent
-from reference import cycle_walk, is_automorphism_per_pair, random_orientation
+from reference import INVALID_SUBSTITUENTS, cycle_walk, is_automorphism_per_pair, random_orientation
 
 ONE = Fraction(1)
 
@@ -101,9 +104,8 @@ class TestSubstituentValidation:
         g = WeightedGraph(
             ["a", "u", "b"], [(0, 1, ONE), (1, 2, Fraction(1, 2))]
         )
-        s = Substituent(g, 0, 2, (2, 1, 0))
         with pytest.raises(GammaNotAutomorphism):
-            validate_substituent(s)
+            Substituent(g, 0, 2, (2, 1, 0))
 
     def test_v_minus_b_disconnected(self):
         # path u-a-w-b-v: the mirror swap of a and b is an automorphism,
@@ -125,6 +127,33 @@ class TestSubstituentValidation:
         s = path_substituent(3)
         found = find_gamma(s.graph, 0, 3)
         assert found == (3, 2, 1, 0)
+
+
+_INVALID_IDS = [case.name for case in INVALID_SUBSTITUENTS]
+
+# the entry points that take a substituent and do not call `assemble`
+_ENTRY_POINTS = {
+    "compute_transfer": compute_transfer,
+    "boundary_kernels": boundary_kernels,
+    "classify_Q": classify_Q,
+    "classify_Qinterior": classify_Qinterior,
+    "cluster_types": lambda s: cluster_types(s, "Qo"),
+    "substitute": lambda s: substitute(cycle_host(5), Orientation.default(cycle_host(5)), s),
+}
+
+
+class TestSubstituentChecksItself:
+    @pytest.mark.parametrize("case", INVALID_SUBSTITUENTS, ids=_INVALID_IDS)
+    def test_construction_raises(self, case):
+        with pytest.raises(case.error) as info:
+            case.build()
+        assert str(info.value)
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
+    def test_no_entry_point_is_reached_with_an_invalid_substituent(self, entry):
+        for case in INVALID_SUBSTITUENTS:
+            with pytest.raises(case.error):
+                entry(case.build())
 
 
 class TestAutomorphism:

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from edgesub.assemble import assemble
+from edgesub.errors import GraphInvariantError
 from edgesub.fixtures import (
     chorded_square_substituent,
     cycle_host,
     path_host,
     path_substituent,
+    star_host,
 )
 from edgesub.graph import Orientation, WeightedGraph
 from edgesub.operators import ReversibleOperator, eigen
@@ -159,3 +163,17 @@ class TestReorientation:
             X = random_host(rng, max_n=4)
             s = random_substituent(rng, max_v=5)
             assert reorient_equivalence_check(X, s, trials=4, seed=rng.randint(0, 99))
+
+
+class TestOrientationOfTheHost:
+    def test_orientation_of_another_graph_raises(self):
+        wrong = Orientation.default(star_host(6))
+        with pytest.raises(GraphInvariantError, match="orientation of another graph"):
+            substitute(cycle_host(5), wrong, chorded_square_substituent())
+        with pytest.raises(GraphInvariantError, match="orientation of another graph"):
+            assemble(cycle_host(5), wrong, chorded_square_substituent())
+
+    def test_orientation_of_an_equal_graph_is_accepted(self):
+        X = cycle_host(5)
+        sub = substitute(X, Orientation.default(cycle_host(5)), chorded_square_substituent())
+        assert sub.graph.n == 15
