@@ -19,12 +19,13 @@ The spectrum decomposes into three parts:
 
 The spectrum reads only the typing pass of Q and Q° (`classify.ClusterTypes`,
 arrays over their clusters, one `classify.cluster_types` call each, which
-also factorizes the operator), and every step runs on those arrays: the Q row
-of each interior eigenvalue, S2, the exclusions, S1, the table, the
-exceptional set, the merge, the total check and the gap.  The report keeps
-arrays too, and builds its entries and text on first read; the normal forms
-of Q and Q° are built on first read of `PipelineResult.classified_Q` and
-`.classified_interior`.  The total is checked against the dimension of X[V].
+also factorizes the operator), and every step runs on those arrays: one
+match of Q° against Q (the Q rows and S2), the exclusions, S1, the table,
+the exceptional set, the merge, the total check and the gap.  The report
+keeps arrays too, is final when built, and builds its entries and text on
+first read; the normal forms of Q and Q° are built on first read of
+`PipelineResult.classified_Q` and `.classified_interior`.  The layout of
+X[V], built first, checks the orientation and gives the total its dimension.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# real_roots_in_interval, classify_Q, classify_Qinterior and
-# validate_substituent are unused here but stay importable: bench/spans.py
-# traces them
+# real_roots_in_interval, classify_Q, classify_Qinterior,
+# validate_substituent and substitute are unused here but stay importable:
+# bench/spans.py traces them
 from .algebra import real_roots_in_interval  # noqa: F401
 from .classify import _KINDS, ClusterTypes, TypedEigenvalue, cluster_types
 from .classify import classify_Q, classify_Qinterior  # noqa: F401
@@ -47,7 +48,8 @@ from .extensions import ExtensionFunction, nodal_from_interior
 from .graph import CycleBase, Orientation, Substituent, WeightedGraph, fundamental_cycle_base
 from .graph import validate_substituent  # noqa: F401
 from .operators import CLUSTER_TOL, EigenDecomposition, ReversibleOperator, eigen
-from .substitution import SubstitutedGraph, substitute
+from .substitution import SubstitutedGraph
+from .substitution import substitute  # noqa: F401
 from .transfer import TransferFunctions, compute_transfer
 
 # The table row of an interior eigenvalue: "0" when it is no eigenvalue of Q,
@@ -73,7 +75,7 @@ class SpectrumEntry(NamedTuple):
         return f"{self.value:+.12f}  nu={self.nu}  [{'; '.join(self.provenance)}]"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """The spectrum of X[V] as arrays over its parts: the S1 roots, the S2
     points and the interior values with a positive count, in the order
@@ -226,12 +228,12 @@ def solve_S1(
 # ---------------------------------------------------------------------------
 
 
-def solve_S2(Q: ClusterTypes, interior_spec: np.ndarray) -> np.ndarray:
+def solve_S2(Q: ClusterTypes, near: np.ndarray) -> np.ndarray:
     """The eigenvalues of Q of type IV with nu = 2 that are not within
     CLUSTER_TOL of an interior eigenvalue, ascending: the points where
-    psi(lambda*) = 0 and theta(lambda*) = lambda*."""
-    values = Q.values[(Q.kind == 3) & (Q.nu == 2)]
-    return np.sort(values[np.all(np.abs(values[:, None] - interior_spec) > CLUSTER_TOL, axis=1)])
+    psi(lambda*) = 0 and theta(lambda*) = lambda*.  `near[i, j]` is whether
+    interior cluster i lies within CLUSTER_TOL of cluster j of Q."""
+    return np.sort(Q.values[(Q.kind == 3) & (Q.nu == 2) & ~near.any(axis=0)])
 
 
 # The interior table counts, at an interior eigenvalue mu in row II, III or
@@ -240,13 +242,6 @@ def solve_S2(Q: ClusterTypes, interior_spec: np.ndarray) -> np.ndarray:
 # needs no such list: a mu with weight is a pole of the secular equation,
 # never one of its roots.
 _ROW_COUNTS = np.array([0.0, 0.0, 1.0, -1.0, np.nan])
-
-
-def _q_rows(Q: ClusterTypes, interior: ClusterTypes) -> np.ndarray:
-    """Each interior eigenvalue's Q row: the index of the first cluster of Q
-    within CLUSTER_TOL of it, or -1."""
-    near = np.abs(interior.values[:, None] - Q.values[None, :]) <= CLUSTER_TOL
-    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +319,17 @@ def interior_multiplicity(
 
 @dataclass
 class PipelineResult:
-    """Everything `assemble` computed: the host's clustered spectrum and the
-    typing passes of Q and Q° (`spec_Q`, `spec_interior`).  The normal forms
-    of Q and Q°, the layout of X[V], the host's cycle base and the transfer
-    functions' three series are built on first access of `classified_Q`,
-    `classified_interior`, `substituted`, `cycle_base` and `transfer`: the
-    spectrum needs none of them.  The eigenfunctions read only the layout;
+    """Everything `assemble` computed: the layout of X[V] (`substituted`, which
+    holds the inputs), the host's clustered spectrum and the typing passes of
+    Q and Q° (`spec_Q`, `spec_interior`).  The normal forms of Q and Q°, the
+    host's cycle base and the transfer functions' three series are built on
+    first access of `classified_Q`, `classified_interior`, `cycle_base` and
+    `transfer`: the spectrum needs none of them.  The eigenfunctions read only the layout;
     the exact graph of X[V] is built on first read of `substituted.graph`,
     and each transfer function on its own first read."""
 
     report: SpectrumReport
-    host: WeightedGraph
-    orientation: Orientation
-    substituent: Substituent
+    substituted: SubstitutedGraph
     spec_P: EigenDecomposition
     spec_Q: ClusterTypes
     spec_interior: ClusterTypes
@@ -351,16 +344,12 @@ class PipelineResult:
         return self.spec_interior.normal_forms()
 
     @cached_property
-    def substituted(self) -> SubstitutedGraph:
-        return substitute(self.host, self.orientation, self.substituent)
-
-    @cached_property
     def cycle_base(self) -> CycleBase:
-        return fundamental_cycle_base(self.host)
+        return fundamental_cycle_base(self.substituted.host)
 
     @cached_property
     def transfer(self) -> TransferFunctions:
-        return compute_transfer(self.substituent)
+        return compute_transfer(self.substituted.substituent)
 
 
 def assemble(
@@ -369,16 +358,20 @@ def assemble(
     s: Substituent,
     build_families: bool = True,
 ) -> PipelineResult:
+    """The spectrum of X[V] and, with `build_families`, each interior
+    eigenvalue's nodal family.  Raises `GraphInvariantError` for an
+    orientation of another graph, `TotalMismatch` for a wrong total."""
+    sub = SubstitutedGraph(X, orient, s)
     spec_P = eigen(ReversibleOperator.full(X))
     tQ = cluster_types(s, "Q")
     tI = cluster_types(s, "Qo")
-    q_row = _q_rows(tQ, tI)
-    row = np.where(q_row < 0, 0, tQ.kind[q_row] + 1)  # an index into _ROWS
+    near = np.abs(tI.values[:, None] - tQ.values[None, :]) <= CLUSTER_TOL
+    row = np.where(near.any(axis=1), tQ.kind[near.argmax(axis=1)] + 1, 0)  # first match, into _ROWS
 
     n_X, n_E = X.n, X.num_edges
     delta_b = X.delta_b
 
-    s2 = solve_S2(tQ, tI.values)
+    s2 = solve_S2(tQ, near)
     counted = row >= 2  # rows II, III and IV
     points = np.concatenate([s2, tI.values[counted]])
     point_lams = np.concatenate([np.full(len(s2), np.nan), _ROW_COUNTS[row[counted]]])
@@ -396,43 +389,41 @@ def assemble(
     lam_index = np.concatenate([s1.lam_index, np.full(len(s2) + int(live.sum()), -1)])
 
     total = int(nu.sum())
-    expected = n_X + n_E * (s.graph.n - 2)
+    try:
+        gap = spectral_gap(value, s1, spec_P, X, s) if total == sub.n else None
+    except PreconditionNotMet:
+        gap = None
     report = SpectrumReport(
         value, nu, code, lam_index, spec_P.values,
         exc=exc,
-        gap=None,
+        gap=gap,
         total=total,
-        expected_total=expected,
+        expected_total=sub.n,
         delta_b=delta_b,
         host_is_tree=shape[0],
         host_is_odd_unicyclic=shape[1],
     )
-    if total != expected:
-        raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {expected}\n" + report.to_text())
+    if total != sub.n:
+        raise TotalMismatch(f"sum of multiplicities {total} != |X[V]| = {sub.n}\n" + report.to_text())
 
-    try:
-        report.gap = spectral_gap(report, s1, spec_P, X, s)
-    except PreconditionNotMet:
-        report.gap = None
-
-    result = PipelineResult(report, X, orient, s, spec_P, tQ, tI)
+    result = PipelineResult(report, sub, spec_P, tQ, tI)
     if build_families:
         result.nodal_families = {
-            t.value: nodal_from_interior(result.substituted, t, result.cycle_base)
+            t.value: nodal_from_interior(sub, t, result.cycle_base)
             for t in result.classified_interior
         }
     return result
 
 
 def spectral_gap(
-    report: SpectrumReport,
+    value: np.ndarray,
     s1: S1Roots,
     spec_P: EigenDecomposition,
     X: WeightedGraph,
     s: Substituent,
 ) -> tuple[float, float]:
-    """(lambda1, lambda1*): the host gap and the substituted gap, where
-    lambda1* is the largest S1 root for lambda1."""
+    """(lambda1, lambda1*) from the report's parts `value`: the host gap and
+    the substituted gap, where lambda1* is the largest S1 root for lambda1."""
     if X.n < 3:
         raise PreconditionNotMet("need |X| >= 3")
     lam1 = spec_P.values[1]
@@ -446,8 +437,8 @@ def spectral_gap(
     lam1_star = float(roots.max())
 
     # the second entry's first value: the largest part not merged into the first entry
-    top = report.value.max()
-    second = float(report.value[top - report.value > CLUSTER_TOL].max())
+    top = value.max()
+    second = float(value[top - value > CLUSTER_TOL].max())
     if abs(second - lam1_star) > 1e-9:
         raise PreconditionNotMet(
             f"largest phi-root {lam1_star} is not the report's second entry {second}"

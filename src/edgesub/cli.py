@@ -148,7 +148,7 @@ FIXTURES = {
 def _cmd_fixture(args) -> int:
     try:
         text = FIXTURES[args.kind](args)
-    except ValueError as exc:  # an argument outside the fixture's range
+    except (ValueError, ZeroDivisionError) as exc:  # an argument outside the fixture's range, or a/0
         print(f"usage error: fixture --kind {args.kind}: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

@@ -33,12 +33,8 @@ class EmptyInterior(SubstituentInvalid):
     pass
 
 
-class TooCloseToInteriorSpectrum(EdgeSubError):
-    """Float evaluation requested too close to a pole."""
-
-
 class KernelPole(EdgeSubError):
-    """Transfer extension requested at a pole of the boundary kernels."""
+    """Boundary kernels evaluated within POLE_GUARD of one of their poles."""
 
 
 class InvalidTypeCombination(EdgeSubError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import TypedEigenvalue, _boundary_map
-from .errors import InvalidTypeCombination, KernelPole, TooCloseToInteriorSpectrum
+from .errors import InvalidTypeCombination
 from .graph import CycleBase
 from .substitution import SubstitutedGraph
 from .transfer import BoundaryKernels
@@ -94,10 +94,7 @@ def transfer_extension(
     Row e of the interior block is (f(e^a), f(e^b)) times the (2, |V°|)
     kernel table: one gather of the edge ends and one product.
     """
-    try:
-        table = kernels.eval_interior(lam_star)
-    except TooCloseToInteriorSpectrum as exc:
-        raise KernelPole(f"lambda*={lam_star} is at a pole of the boundary kernels: {exc}") from exc
+    table = kernels.eval_interior(lam_star)
     values = np.concatenate((f_host, (f_host[sub.edge_ends] @ table).ravel()))
     return ExtensionFunction(values, lam_star, TAG_TRANSFER, "host eigenfunction")
 

@@ -237,20 +237,26 @@ def _is_automorphism(g: WeightedGraph, perm: Sequence[int]) -> bool:
     )
 
 
+def _swap_problem(s: Substituent) -> Optional[str]:
+    """The first reason gamma is no permutation swapping a and b, or None."""
+    n = s.graph.n
+    if not (0 <= s.a < n and 0 <= s.b < n):
+        return "a and b must be vertices"
+    if s.a == s.b:
+        return "a equals b"
+    if sorted(s.gamma) != list(range(n)):
+        return "gamma is not a permutation of the vertices"
+    if s.gamma[s.a] != s.b or s.gamma[s.b] != s.a:
+        return "gamma does not swap a and b"
+    return None
+
+
 def validate_substituent(s: Substituent) -> None:
     """Raise the first violated substituent invariant; run by `Substituent.__init__`."""
     g = s.graph
-    swaps = (
-        0 <= s.a < g.n
-        and 0 <= s.b < g.n
-        and s.a != s.b
-        and len(s.gamma) == g.n
-        and sorted(s.gamma) == list(range(g.n))
-        and s.gamma[s.a] == s.b
-        and s.gamma[s.b] == s.a
-    )
-    if not swaps:
-        raise GammaDoesNotSwapAB(f"gamma={s.gamma} does not swap a={s.a} and b={s.b} (|V| = {g.n})")
+    problem = _swap_problem(s)
+    if problem:
+        raise GammaDoesNotSwapAB(f"gamma={s.gamma}, a={s.a}, b={s.b} (|V| = {g.n}): {problem}")
     if not _is_automorphism(g, s.gamma):
         raise GammaNotAutomorphism(f"gamma={s.gamma} does not keep every conductance")
     if not g.connected_on(v for v in range(g.n) if v != s.b):

@@ -56,7 +56,7 @@ from .algebra import Polynomial, RationalFunction, adjugate_series
 # resolvent_matrix is unused here but stays importable: bench/spans.py traces it
 from .algebra import resolvent_matrix  # noqa: F401
 from .classify import cluster_types
-from .errors import TooCloseToInteriorSpectrum
+from .errors import KernelPole
 from .graph import Substituent
 # eigen is unused here but stays importable: bench/spans.py traces it
 from .operators import eigen  # noqa: F401
@@ -163,13 +163,13 @@ class BoundaryKernels:
         """The (2, |V°|) table of to_a(u | z) (row 0) and to_b(u | z) (row 1)
         over u in `substituent.interior` order.
 
-        Raises `TooCloseToInteriorSpectrum` when z is within POLE_GUARD of a
-        pole: the nearer of the two poles that z bisects."""
+        Raises `KernelPole` when z is within POLE_GUARD of a pole: the
+        nearer of the two poles that z bisects."""
         poles = self.poles
         k = bisect_left(poles, z)
         near = min(z - poles[k - 1] if k else math.inf, poles[k] - z if k < len(poles) else math.inf)
         if near < POLE_GUARD:
-            raise TooCloseToInteriorSpectrum(f"distance {near:.3e} to a kernel pole at z={z!r}")
+            raise KernelPole(f"distance {near:.3e} to a kernel pole at z={z!r}")
         return ((1.0 / (z - poles)) @ self.residues).reshape(2, -1)
 
 

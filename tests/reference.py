@@ -737,6 +737,10 @@ _PATH3 = ((0, 1, _ONE), (1, 2, _ONE), (2, 3, _ONE))
 INVALID_SUBSTITUENTS = [
     # the path a-v1-v2-b with the identity for gamma, which fixes a
     InvalidSubstituent("gamma-fixes-a", GammaDoesNotSwapAB, ("a", "v1", "v2", "b"), _PATH3, 0, 3, (0, 1, 2, 3)),
+    # the same path with a gamma that swaps a and b but maps v1 and v2 both to v1
+    InvalidSubstituent(
+        "gamma-not-a-permutation", GammaDoesNotSwapAB, ("a", "v1", "v2", "b"), _PATH3, 0, 3, (3, 1, 1, 0)
+    ),
     # the same path with a = b: gamma has nothing to swap
     InvalidSubstituent("a-equals-b", GammaDoesNotSwapAB, ("a", "v1", "v2", "b"), _PATH3, 0, 0, (3, 2, 1, 0)),
     # the path a-u-b with conductances 1 and 1/2: the mirror does not keep them

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -190,7 +191,7 @@ class TestExceptionalRules:
     def _zero_count_values(result):
         """The interior values whose table count is 0: the candidates the
         host drops."""
-        X = result.host
+        X = result.substituted.host
         out = []
         for t in result.classified_interior:
             qt = next((q for q in result.classified_Q if abs(q.value - t.value) <= CLUSTER_TOL), None)
@@ -203,7 +204,7 @@ class TestExceptionalRules:
     def test_single_edge_host_lists_the_dropped_IV_value(self, seed, index):
         # an interior IV° value with no Q row counts 2|E| - |X| = 0 on one edge
         result = _run(*sweep_instance(seed, index))
-        X = result.host
+        X = result.substituted.host
         assert (X.n, X.num_edges) == (2, 1)
         q_values = [q.value for q in result.classified_Q]
         dropped = [
@@ -274,7 +275,9 @@ class TestS2:
                 root for root in real_roots_in_interval(common, -1, 1)
                 if all(abs(root - mu) > CLUSTER_TOL for mu in interior)
             ]
-            got = solve_S2(cluster_types(s, "Q"), interior)
+            Q = cluster_types(s, "Q")
+            near = np.abs(interior[:, None] - Q.values[None, :]) <= CLUSTER_TOL
+            got = solve_S2(Q, near)
             assert len(got) == len(want)
             assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
             nonempty += bool(len(got))
@@ -607,6 +610,12 @@ class TestSpectrumOnlyBuildsNoObjects:
             # bench/spans.py counts assemble.s1_roots with len
             assert len(s1) == len(s1.roots) == int(np.sum(result.report.code == _PROVENANCE.index("S1")))
             assert result.classified_Q and "classified_Q" in result.__dict__
+
+    def test_report_is_final_when_built(self):
+        report = _run(cycle_host(5), chorded_square_substituent(), build_families=False).report
+        assert report.gap is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.gap = None
 
     def test_lam_index_is_the_host_cluster_of_each_root(self, monkeypatch):
         found = self._record_s1(monkeypatch)

@@ -213,11 +213,12 @@ class TestExitCodes:
             (["--kind", "weighted-circle", "--N", "1"], "need N >= 2"),
             (["--kind", "weighted-circle", "--a", "2"], "need 0 <= a <= 1"),
             (["--kind", "weighted-circle", "--a", "x"], "'x'"),
+            (["--kind", "weighted-circle", "--a", "1/0"], "Fraction(1, 0)"),
             (["--kind", "circle-antipodal", "--L", "1"], "need L >= 2"),
             (["--kind", "circle-adjacent", "--L", "1"], "need L >= 2"),
         ],
         ids=[
-            "path-sub-L1", "weighted-circle-N1", "weighted-circle-a2", "weighted-circle-ax",
+            "path-sub-L1", "weighted-circle-N1", "weighted-circle-a2", "weighted-circle-ax", "weighted-circle-a-den0",
             "circle-antipodal-L1", "circle-adjacent-L1",
         ],
     )

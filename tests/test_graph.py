@@ -149,6 +149,20 @@ class TestSubstituentChecksItself:
             case.build()
         assert str(info.value)
 
+    @pytest.mark.parametrize(
+        "name, condition",
+        [
+            ("gamma-fixes-a", "gamma does not swap a and b"),
+            ("a-equals-b", "a equals b"),
+            ("gamma-not-a-permutation", "gamma is not a permutation"),
+        ],
+        ids=["gamma-fixes-a", "a-equals-b", "gamma-not-a-permutation"],
+    )
+    def test_gamma_message_names_the_failed_condition(self, name, condition):
+        (case,) = [c for c in INVALID_SUBSTITUENTS if c.name == name]
+        with pytest.raises(case.error, match=condition):
+            case.build()
+
     @pytest.mark.parametrize("entry", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
     def test_no_entry_point_is_reached_with_an_invalid_substituent(self, entry):
         for case in INVALID_SUBSTITUENTS:

@@ -177,3 +177,13 @@ class TestOrientationOfTheHost:
         X = cycle_host(5)
         sub = substitute(X, Orientation.default(cycle_host(5)), chorded_square_substituent())
         assert sub.graph.n == 15
+
+    def test_spectrum_only_assemble_checks_the_orientation(self):
+        # the spectrum never reads the orientation, but assemble builds the layout
+        X, s = cycle_host(5), chorded_square_substituent()
+        with pytest.raises(GraphInvariantError, match="orientation of another graph"):
+            assemble(X, Orientation.default(star_host(6)), s, build_families=False)
+        result = assemble(X, Orientation.default(cycle_host(5)), s, build_families=False)
+        assert result.substituted.host is X
+        assert result.report.total == result.substituted.n == 15
+        assert "graph" not in result.substituted.__dict__
